@@ -4,7 +4,11 @@ AND-gate success probability.
 
 Detection outcomes are the signs of the two rotated positions; events with
 either position inside the dark strip |x| <= r are discarded, and the four
-surviving sign combinations are renormalized to a probability table.
+surviving sign combinations are renormalized to a probability table.  The
+pair is a zero-mean Gaussian and the strip is symmetric, so a table takes
+two orthant masses.  S, the AND-gate success and the no-signaling marginals
+are each one formula over the four tables of setting_tables, so a caller
+needing several of them computes the tables once.
 """
 
 from __future__ import annotations
@@ -119,12 +123,16 @@ def quadrant_probability(
 def postselected_probs(
     state: GaussianTwoModeState, alpha: float, beta: float, r: float
 ) -> JointProbTable:
-    """Renormalized post-selected sign probabilities at rotation (alpha, beta)."""
+    """Renormalized post-selected sign probabilities at rotation (alpha, beta).
+
+    The joint Gaussian has zero mean and the dark strip is symmetric, so the
+    table is inversion symmetric: m_mm = m_pp and m_mp = m_pm, and two
+    orthant masses fill it.
+    """
     bg = position_joint_density(state, alpha, beta)
     m_pp = quadrant_probability(bg, +1, +1, r)
     m_pm = quadrant_probability(bg, +1, -1, r)
-    m_mp = quadrant_probability(bg, -1, +1, r)
-    m_mm = quadrant_probability(bg, -1, -1, r)
+    m_mp, m_mm = m_pm, m_pp
     kept = m_pp + m_pm + m_mp + m_mm
     if kept < MIN_KEPT_FRACTION:
         raise EmptyPostSelectionError(
@@ -153,16 +161,36 @@ def sign_expectation(
     return (2.0 / math.pi) * math.asin(rho)
 
 
-def bell_S(state: GaussianTwoModeState, settings: MeasurementSettings) -> float:
-    """S = E(a,b) + E(a',b) + E(a,b') - E(a',b') from post-selected tables."""
+SETTING_LABELS = ("ab", "apb", "abp", "apbp")
+
+
+def setting_pairs(settings: MeasurementSettings) -> tuple[tuple[float, float], ...]:
+    """(alpha, beta) of the four CHSH setting pairs, in the order
+    (ab, a'b, ab', a'b') that SETTING_LABELS names."""
     a, ap = settings.alpha, settings.alpha_prime
     b, bp = settings.beta, settings.beta_prime
-    r = settings.r
-    e_ab = correlation_E(postselected_probs(state, a, b, r))
-    e_apb = correlation_E(postselected_probs(state, ap, b, r))
-    e_abp = correlation_E(postselected_probs(state, a, bp, r))
-    e_apbp = correlation_E(postselected_probs(state, ap, bp, r))
+    return ((a, b), (ap, b), (a, bp), (ap, bp))
+
+
+def setting_tables(
+    state: GaussianTwoModeState, settings: MeasurementSettings
+) -> tuple[JointProbTable, ...]:
+    """Post-selected tables of setting_pairs(settings), in that order.
+    Every CHSH quantity is a function of these four tables."""
+    return tuple(
+        postselected_probs(state, a, b, settings.r) for a, b in setting_pairs(settings)
+    )
+
+
+def S_from_tables(tables: tuple[JointProbTable, ...]) -> float:
+    """S = E(a,b) + E(a',b) + E(a,b') - E(a',b') from setting_tables order."""
+    e_ab, e_apb, e_abp, e_apbp = (correlation_E(t) for t in tables)
     return e_ab + e_apb + e_abp - e_apbp
+
+
+def bell_S(state: GaussianTwoModeState, settings: MeasurementSettings) -> float:
+    """S = E(a,b) + E(a',b) + E(a,b') - E(a',b') from post-selected tables."""
+    return S_from_tables(setting_tables(state, settings))
 
 
 def pr_fidelity(s: float) -> float:
@@ -172,22 +200,12 @@ def pr_fidelity(s: float) -> float:
     return (s + 4.0) / 8.0
 
 
-def and_gate_success(
-    state: GaussianTwoModeState, settings: MeasurementSettings
-) -> float:
-    """Success probability of the post-selected non-local AND gate.
-
-    Average of the same-sign probabilities for the three setting pairs with
-    positive target correlation and the cross-sign probabilities for
-    (alpha', beta').
-    """
-    a, ap = settings.alpha, settings.alpha_prime
-    b, bp = settings.beta, settings.beta_prime
-    r = settings.r
-    t_ab = postselected_probs(state, a, b, r)
-    t_apb = postselected_probs(state, ap, b, r)
-    t_abp = postselected_probs(state, a, bp, r)
-    t_apbp = postselected_probs(state, ap, bp, r)
+def and_gate_from_tables(tables: tuple[JointProbTable, ...]) -> float:
+    """AND-gate success from setting_tables order: the average of the
+    same-sign probabilities for the three setting pairs with positive target
+    correlation and the cross-sign probabilities for (alpha', beta').  Summed
+    from table entries, so that P_AND = (4 + S)/8 stays a check."""
+    t_ab, t_apb, t_abp, t_apbp = tables
     return 0.25 * (
         t_ab.p_pp
         + t_ab.p_mm
@@ -198,6 +216,13 @@ def and_gate_success(
         + t_apbp.p_pm
         + t_apbp.p_mp
     )
+
+
+def and_gate_success(
+    state: GaussianTwoModeState, settings: MeasurementSettings
+) -> float:
+    """Success probability of the post-selected non-local AND gate."""
+    return and_gate_from_tables(setting_tables(state, settings))
 
 
 @dataclass(frozen=True)
@@ -214,23 +239,25 @@ class NoSignalingReport:
     max_deviation: float
 
 
-def no_signaling_report(
-    state: GaussianTwoModeState, settings: MeasurementSettings
-) -> NoSignalingReport:
-    """Marginal P(+) for both parties under all four setting combinations."""
-    alphas = (settings.alpha, settings.alpha_prime)
-    betas = (settings.beta, settings.beta_prime)
+def no_signaling_from_tables(tables: tuple[JointProbTable, ...]) -> NoSignalingReport:
+    """Marginal P(+) for both parties from setting_tables order."""
     alice = np.zeros((2, 2))
     bob = np.zeros((2, 2))
-    for i, a in enumerate(alphas):
-        for j, b in enumerate(betas):
-            t = postselected_probs(state, a, b, settings.r)
-            alice[i, j] = t.p_pp + t.p_pm
-            bob[j, i] = t.p_pp + t.p_mp
+    for k, t in enumerate(tables):
+        i, j = k % 2, k // 2
+        alice[i, j] = t.p_pp + t.p_pm
+        bob[j, i] = t.p_pp + t.p_mp
     dev = float(max(np.max(np.abs(alice - 0.5)), np.max(np.abs(bob - 0.5))))
     alice.setflags(write=False)
     bob.setflags(write=False)
     return NoSignalingReport(alice_plus=alice, bob_plus=bob, max_deviation=dev)
+
+
+def no_signaling_report(
+    state: GaussianTwoModeState, settings: MeasurementSettings
+) -> NoSignalingReport:
+    """Marginal P(+) for both parties under all four setting combinations."""
+    return no_signaling_from_tables(setting_tables(state, settings))
 
 
 def sweep_beta(

@@ -74,11 +74,19 @@ def cmd_sweep(cfg: RunConfig) -> int:
     state = _state_from_config(cfg)
     grid = cfg.beta_grid()
     p = cfg.precision
+    pairs = [(alpha, r) for alpha in cfg.sweep_alphas for r in cfg.r_dimensionless()]
+    names = [f"sweep_alpha{alpha:.4f}_r{r:.4f}.csv" for alpha, r in pairs]
+    if cfg.out_format == "csv":
+        for k, name in enumerate(names):
+            if name in names[:k]:
+                raise ConfigError(
+                    f"two sweep curves would both be written to {name}: "
+                    "sweep_alphas and r must differ at 4 decimals"
+                )
     curves = []
-    for alpha in cfg.sweep_alphas:
-        for r in cfg.r_dimensionless():
-            points = chsh_mod.sweep_beta(state, alpha, r, grid)
-            curves.append({"alpha_rad": alpha, "r": r, "points": points})
+    for alpha, r in pairs:
+        points = chsh_mod.sweep_beta(state, alpha, r, grid)
+        curves.append({"alpha_rad": alpha, "r": r, "points": points})
     reference = (
         chsh_mod.quantum_reference_curve(grid, cfg.reference_phase)
         if cfg.reference_curve
@@ -106,14 +114,13 @@ def cmd_sweep(cfg: RunConfig) -> int:
         return EXIT_OK
     out_dir = cfg.out_path or "."
     os.makedirs(out_dir, exist_ok=True)
-    for c in curves:
+    for c, name in zip(curves, names):
         lines = ["beta_rad,E,alpha_rad,r"]
         for b, e in c["points"]:
             lines.append(
                 f"{_fmt(b, p)},{_fmt(e, p)},"
                 f"{_fmt(c['alpha_rad'], p)},{_fmt(c['r'], p)}"
             )
-        name = f"sweep_alpha{c['alpha_rad']:.4f}_r{c['r']:.4f}.csv"
         with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
     if reference is not None:
@@ -127,34 +134,13 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-_MARGINAL_COLS = [
-    "A_plus_ab",
-    "A_plus_abp",
-    "A_plus_apb",
-    "A_plus_apbp",
-    "B_plus_ab",
-    "B_plus_apb",
-    "B_plus_abp",
-    "B_plus_apbp",
-]
-
-
 def _chsh_row(cfg: RunConfig, state, r_cfg: float, r_dimless: float) -> dict:
-    settings = _settings_from_config(cfg, r_dimless)
-    combos = [
-        (cfg.alpha, cfg.beta),
-        (cfg.alpha_prime, cfg.beta),
-        (cfg.alpha, cfg.beta_prime),
-        (cfg.alpha_prime, cfg.beta_prime),
-    ]
-    tables = [
-        chsh_mod.postselected_probs(state, a, b, r_dimless) for a, b in combos
-    ]
+    tables = chsh_mod.setting_tables(state, _settings_from_config(cfg, r_dimless))
     e_vals = [chsh_mod.correlation_E(t) for t in tables]
-    s = e_vals[0] + e_vals[1] + e_vals[2] - e_vals[3]
-    report = chsh_mod.no_signaling_report(state, settings)
+    s = chsh_mod.S_from_tables(tables)
+    report = chsh_mod.no_signaling_from_tables(tables)
     h_ave = 100.0 * sum(t.kept_fraction for t in tables) / 4.0
-    row = {
+    return {
         "r": r_cfg,
         "H_ave_pct": h_ave,
         "E_ab": e_vals[0],
@@ -162,7 +148,7 @@ def _chsh_row(cfg: RunConfig, state, r_cfg: float, r_dimless: float) -> dict:
         "E_abp": e_vals[2],
         "E_apbp": e_vals[3],
         "S": s,
-        "P_AND": chsh_mod.and_gate_success(state, settings),
+        "P_AND": chsh_mod.and_gate_from_tables(tables),
         "fidelity": chsh_mod.pr_fidelity(s),
         "max_marginal_dev": report.max_deviation,
         "A_plus_ab": report.alice_plus[0, 0],
@@ -174,7 +160,6 @@ def _chsh_row(cfg: RunConfig, state, r_cfg: float, r_dimless: float) -> dict:
         "B_plus_abp": report.bob_plus[1, 0],
         "B_plus_apbp": report.bob_plus[1, 1],
     }
-    return row
 
 
 def cmd_chsh(cfg: RunConfig) -> int:
@@ -200,19 +185,7 @@ def cmd_chsh(cfg: RunConfig) -> int:
         }
         _emit_json(doc, cfg.out_path)
         return EXIT_OK
-    cols = [
-        "r",
-        "H_ave_pct",
-        "E_ab",
-        "E_apb",
-        "E_abp",
-        "E_apbp",
-        "S",
-        "P_AND",
-        "fidelity",
-        "max_marginal_dev",
-        *_MARGINAL_COLS,
-    ]
+    cols = list(rows[0])
     lines = [",".join(cols)]
     for row in rows:
         cells = []
@@ -229,15 +202,10 @@ def cmd_chsh(cfg: RunConfig) -> int:
 def cmd_mc(cfg: RunConfig) -> int:
     state = _state_from_config(cfg)
     p = cfg.precision
-    combos = [
-        ("ab", cfg.alpha, cfg.beta),
-        ("apb", cfg.alpha_prime, cfg.beta),
-        ("abp", cfg.alpha, cfg.beta_prime),
-        ("apbp", cfg.alpha_prime, cfg.beta_prime),
-    ]
     records = []
     for r_cfg, r_dim in zip(cfg.r_values, cfg.r_dimensionless()):
-        for k, (label, a, b) in enumerate(combos):
+        pairs = chsh_mod.setting_pairs(_settings_from_config(cfg, r_dim))
+        for k, (label, (a, b)) in enumerate(zip(chsh_mod.SETTING_LABELS, pairs)):
             seed = mc_mod.derive_setting_seed(cfg.mc_seed, k)
             counts = mc_mod.simulate_counts(
                 state, a, b, r_dim, cfg.mc_n, seed, workers=cfg.mc_workers

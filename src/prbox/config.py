@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 TWO_PI = 2.0 * math.pi
 
@@ -149,29 +149,12 @@ class RunConfig:
         return tuple(self.sweep_beta_min + i * step for i in range(self.sweep_steps))
 
 
-_FLOAT_KEYS = {
-    "delta",
-    "gamma",
-    "scale_s_mm",
-    "alpha",
-    "alpha_prime",
-    "beta",
-    "beta_prime",
-    "sweep_beta_min",
-    "sweep_beta_max",
-    "reference_phase",
-    "frft_target",
-    "frft_angle_tol",
-    "angle_grid_step",
-    "refine_tol",
-    "target_fidelity",
-    "tune_r_max",
-}
-_INT_KEYS = {"mc_n", "mc_seed", "mc_workers", "sweep_steps", "precision",
-             "frft_max_stages"}
-_BOOL_KEYS = {"swap_widths", "reference_curve"}
-_LIST_KEYS = {"r_values", "sweep_alphas", "frft_inventory_cm"}
-_STR_KEYS = {"r_unit", "out_format", "out_path"}
+# Keys by the annotation of their RunConfig field, as written in the class
+# (strings, since annotations are postponed).
+_FLOAT_KEYS, _INT_KEYS, _BOOL_KEYS, _LIST_KEYS, _STR_KEYS = (
+    {f.name for f in fields(RunConfig) if f.type == type_name}
+    for type_name in ("float", "int", "bool", "tuple[float, ...]", "str")
+)
 # "r" and "format"/"out" are accepted as spelled in config files
 _ALIASES = {"r": "r_values", "format": "out_format", "out": "out_path"}
 

@@ -7,6 +7,11 @@ variance 1/2.  The coordinate order of all 4x4 covariance matrices is
 (delta, gamma): the momentum-space wavefunction is proportional to
 exp(-(q1^2 + q2^2)/(2 delta^2) - q1 q2 / gamma^2), which is normalizable
 only for gamma > delta.
+
+position_joint_density writes the rotated position block in closed form.
+The 4x4 covariance and rotate_covariance are the full phase-space picture
+(Wigner values, purity) and the reference the closed form is tested
+against.
 """
 
 from __future__ import annotations
@@ -157,28 +162,38 @@ class CovarianceMatrix4:
         return float(self.sigma[i, i]), float(self.sigma[i + 1, i + 1])
 
 
+def _quad_form_entries(state: GaussianTwoModeState) -> tuple[float, float]:
+    """Diagonal a = 1/delta^2 and off-diagonal b = 1/gamma^2 of A."""
+    return 1.0 / state.delta**2, 0.0 if state.is_separable else 1.0 / state.gamma**2
+
+
+def _covariance_terms(state: GaussianTwoModeState) -> tuple[float, float, float]:
+    """(a, b, d = det A = a^2 - b^2), refusing states at or too near the EPR
+    limit, where no covariance matrix exists."""
+    if state.gamma <= state.delta:
+        raise NonNormalizableStateError(
+            f"gamma={state.gamma} <= delta={state.delta}: no covariance "
+            "matrix exists (positive definiteness requires gamma > delta)"
+        )
+    a, b = _quad_form_entries(state)
+    d = a * a - b * b
+    if d < DET_GUARD:
+        raise NonNormalizableStateError(
+            f"state too close to the EPR limit: det(A)={d} below guard"
+        )
+    return a, b, d
+
+
 def quad_form_matrix(state: GaussianTwoModeState) -> np.ndarray:
     """2x2 matrix A of the momentum-space wavefunction exp(-q^T A q / 2)."""
-    a = 1.0 / state.delta**2
-    b = 0.0 if state.is_separable else 1.0 / state.gamma**2
+    a, b = _quad_form_entries(state)
     return np.array([[a, b], [b, a]])
 
 
 def covariance_from_state(state: GaussianTwoModeState) -> CovarianceMatrix4:
     """Phase-space covariance of the pair: momentum block A^-1/2, position
     block A/2, zero cross-correlations (real wavefunction)."""
-    if state.gamma <= state.delta:
-        raise NonNormalizableStateError(
-            f"gamma={state.gamma} <= delta={state.delta}: no covariance "
-            "matrix exists (positive definiteness requires gamma > delta)"
-        )
-    a = 1.0 / state.delta**2
-    b = 0.0 if state.is_separable else 1.0 / state.gamma**2
-    det = a * a - b * b
-    if det < DET_GUARD:
-        raise NonNormalizableStateError(
-            f"state too close to the EPR limit: det(A)={det} below guard"
-        )
+    a, b, det = _covariance_terms(state)
     sigma = np.zeros((4, 4))
     sigma[0, 0] = sigma[2, 2] = 0.5 * a
     sigma[0, 2] = sigma[2, 0] = 0.5 * b
@@ -219,12 +234,20 @@ def position_joint_density(
 ) -> BivariateGaussian:
     """Joint Gaussian of the detected positions after rotations (alpha, beta).
 
-    Exact marginalization of the rotated Wigner function over both momenta.
+    The position block of rotate_covariance(covariance_from_state(state),
+    alpha, beta), written in closed form.  With a = 1/delta^2, b = 1/gamma^2
+    and d = a^2 - b^2, the unrotated position block is A/2 and the momentum
+    block A^-1/2, so a rotation by t gives
+    var(t) = (a cos^2 t + (a/d) sin^2 t) / 2 and
+    cov = (b cos(alpha) cos(beta) - (b/d) sin(alpha) sin(beta)) / 2.
     """
-    cov = rotate_covariance(covariance_from_state(state), alpha, beta)
-    block = cov.position_block()
-    v1, v2 = block[0, 0], block[1, 1]
-    rho = block[0, 1] / math.sqrt(v1 * v2)
+    a, b, d = _covariance_terms(state)
+    ca, sa = math.cos(alpha), math.sin(alpha)
+    cb, sb = math.cos(beta), math.sin(beta)
+    v1 = 0.5 * (a * ca * ca + (a / d) * sa * sa)
+    v2 = 0.5 * (a * cb * cb + (a / d) * sb * sb)
+    cov = 0.5 * (b * ca * cb - (b / d) * sa * sb)
+    rho = cov / math.sqrt(v1 * v2)
     rho = min(1.0, max(-1.0, rho))
     return BivariateGaussian(var1=v1, var2=v2, corr=rho)
 
@@ -247,11 +270,7 @@ def closed_form_R_pi(state: GaussianTwoModeState, beta: float, x1, x2):
     Written directly in (delta, gamma, beta) as a marginal-times-conditional
     factorization; must agree with position_joint_density(state, pi, beta).
     """
-    a = 1.0 / state.delta**2
-    b = 0.0 if state.is_separable else 1.0 / state.gamma**2
-    d = a * a - b * b
-    if d < DET_GUARD:
-        raise NonNormalizableStateError("state too close to the EPR limit")
+    a, b, d = _covariance_terms(state)
     cb, sb = math.cos(beta), math.sin(beta)
     var1 = 0.5 * a
     var2 = 0.5 * a * (cb * cb + sb * sb / d)
@@ -265,11 +284,7 @@ def closed_form_R_half_pi(state: GaussianTwoModeState, beta: float, x1, x2):
 
     Must agree with position_joint_density(state, pi/2, beta).
     """
-    a = 1.0 / state.delta**2
-    b = 0.0 if state.is_separable else 1.0 / state.gamma**2
-    d = a * a - b * b
-    if d < DET_GUARD:
-        raise NonNormalizableStateError("state too close to the EPR limit")
+    a, b, d = _covariance_terms(state)
     cb, sb = math.cos(beta), math.sin(beta)
     var1 = 0.5 * a / d
     var2 = 0.5 * a * (cb * cb + sb * sb / d)

@@ -1,3 +1,5 @@
+"""Hypothesis strategies shared by the test modules."""
+
 import math
 
 from hypothesis import strategies as st

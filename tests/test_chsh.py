@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
-from conftest import angles, dark_widths, valid_states
+from strategies import angles, dark_widths, valid_states
 from prbox import (
     BivariateGaussian,
     GaussianTwoModeState,

@@ -1,12 +1,27 @@
 import json
 import math
 import os
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from prbox import (
+    REFERENCE_SETTINGS,
+    GaussianTwoModeState,
+    and_gate_success,
+    bell_S,
+    no_signaling_report,
+)
 from prbox.cli import main
 
 PI = math.pi
+STATE = GaussianTwoModeState(delta=0.75, gamma=1.25)
+# CSV/JSON column labels of NoSignalingReport entries [i, j]
+MARGINAL_LABELS = {
+    "A": np.array([["ab", "abp"], ["apb", "apbp"]]),
+    "B": np.array([["ab", "apb"], ["abp", "apbp"]]),
+}
 
 
 def run(tmp_path, *argv):
@@ -99,7 +114,39 @@ class TestChsh:
         assert len(doc["results"]) == 1
 
 
+    def test_row_equals_library_functions(self, tmp_path, capsys):
+        # precision 17 round-trips floats, so the row must match exactly
+        cfg = write_config(tmp_path, "r = 0, 1.3\nprecision = 17\n")
+        assert main(["chsh", "--config", cfg, "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["results"]
+        for row in rows:
+            settings = replace(REFERENCE_SETTINGS, r=row["r"])
+            report = no_signaling_report(STATE, settings)
+            assert row["S"] == bell_S(STATE, settings)
+            assert row["P_AND"] == and_gate_success(STATE, settings)
+            assert row["max_marginal_dev"] == report.max_deviation
+            for who, plus in (("A", report.alice_plus), ("B", report.bob_plus)):
+                for (i, j), label in np.ndenumerate(MARGINAL_LABELS[who]):
+                    assert row[f"{who}_plus_{label}"] == plus[i, j]
+
+
+DUPLICATE_ALPHAS = "sweep_alphas = pi, pi\nr = 1\nsweep_steps = 5\n"
+
+
 class TestSweep:
+    def test_colliding_csv_names_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, DUPLICATE_ALPHAS)
+        out_dir = tmp_path / "curves"
+        assert main(["sweep", "--config", cfg, "--out", str(out_dir)]) == 2
+        assert "sweep_alpha3.1416_r1.0000.csv" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_duplicate_curves_allowed_in_json(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, DUPLICATE_ALPHAS)
+        assert main(["sweep", "--config", cfg, "--format", "json"]) == 0
+        curves = json.loads(capsys.readouterr().out)["curves"]
+        assert len(curves) == 2 and curves[0] == curves[1]
+
     def test_fig1_style_run_produces_six_curves_plus_reference(self, tmp_path):
         cfg = write_config(
             tmp_path,

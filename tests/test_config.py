@@ -1,7 +1,9 @@
 import math
+from dataclasses import fields
 
 import pytest
 
+from prbox import config
 from prbox.config import ConfigError, RunConfig, parse_config_text, parse_number
 
 PI = math.pi
@@ -125,3 +127,15 @@ def test_runconfig_is_frozen():
     cfg = RunConfig()
     with pytest.raises(Exception):
         cfg.delta = 2.0
+
+
+def test_every_field_has_exactly_one_key_parser():
+    key_sets = (
+        config._FLOAT_KEYS,
+        config._INT_KEYS,
+        config._BOOL_KEYS,
+        config._LIST_KEYS,
+        config._STR_KEYS,
+    )
+    names = [f.name for f in fields(RunConfig)]
+    assert sorted(k for keys in key_sets for k in keys) == sorted(names)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
-from conftest import angles, valid_states
+from strategies import angles, valid_states
 from prbox import (
     BivariateGaussian,
     CovarianceMatrix4,
@@ -158,6 +158,28 @@ class TestPositionJointDensity:
         assert bg.var1 == pytest.approx(sigma[0, 0], rel=1e-12)
         assert bg.var2 == pytest.approx(sigma[2, 2], rel=1e-12)
         assert bg.cov == pytest.approx(sigma[0, 2], rel=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(valid_states(), angles, angles)
+    def test_closed_form_matches_rotated_covariance(self, state, alpha, beta):
+        block = rotate_covariance(
+            covariance_from_state(state), alpha, beta
+        ).position_block()
+        bg = position_joint_density(state, alpha, beta)
+        scale = math.sqrt(block[0, 0] * block[1, 1])
+        assert bg.var1 == pytest.approx(block[0, 0], rel=1e-12, abs=0.0)
+        assert bg.var2 == pytest.approx(block[1, 1], rel=1e-12, abs=0.0)
+        assert bg.cov == pytest.approx(block[0, 1], rel=0.0, abs=1e-12 * scale)
+
+    def test_near_epr_limit_still_has_a_position_block(self):
+        # The 4x4 path loses purity to rounding here; the closed form does not.
+        state = GaussianTwoModeState(delta=0.75, gamma=0.75001)
+        with pytest.raises(ValueError, match="pure"):
+            rotate_covariance(covariance_from_state(state), PI, 5 * PI / 4)
+        bg = position_joint_density(state, PI, 5 * PI / 4)
+        a, b = 0.75**-2, 0.75001**-2
+        d = (a - b) * (a + b)
+        assert bg.var2 == pytest.approx(0.25 * (a + a / d), rel=1e-9)
 
     @settings(max_examples=30, deadline=None)
     @given(valid_states(), angles, angles)
