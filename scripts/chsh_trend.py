@@ -11,29 +11,8 @@ import argparse
 import math
 from dataclasses import replace
 
-from prbox import (
-    GaussianTwoModeState,
-    REFERENCE_SETTINGS,
-    and_gate_success,
-    bell_S,
-    mc_bell_S,
-    postselected_probs,
-    pr_fidelity,
-)
-
-
-def kept_average(state, settings) -> float:
-    pairs = [
-        (settings.alpha, settings.beta),
-        (settings.alpha_prime, settings.beta),
-        (settings.alpha, settings.beta_prime),
-        (settings.alpha_prime, settings.beta_prime),
-    ]
-    kept = [
-        postselected_probs(state, a, b, settings.r).kept_fraction
-        for a, b in pairs
-    ]
-    return sum(kept) / 4.0
+from prbox import GaussianTwoModeState, REFERENCE_SETTINGS, mc_bell_S, pr_fidelity
+from prbox.chsh import S_from_tables, and_gate_from_tables, setting_tables
 
 
 def main() -> None:
@@ -48,27 +27,29 @@ def main() -> None:
 
     state = GaussianTwoModeState(args.delta, args.gamma)
     print(f"{'r':>5} {'H_ave_%':>8} {'S':>7} {'P_AND':>7} {'fidelity':>9}")
+    s_values = []
     for r in args.r:
-        settings = replace(REFERENCE_SETTINGS, r=r)
-        s = bell_S(state, settings)
+        tables = setting_tables(state, replace(REFERENCE_SETTINGS, r=r))
+        s = S_from_tables(tables)
+        s_values.append(s)
+        kept = sum(t.kept_fraction for t in tables) / 4.0
         print(
-            f"{r:5.2f} {100 * kept_average(state, settings):8.2f} "
-            f"{s:7.3f} {and_gate_success(state, settings):7.4f} "
+            f"{r:5.2f} {100 * kept:8.2f} "
+            f"{s:7.3f} {and_gate_from_tables(tables):7.4f} "
             f"{pr_fidelity(s):9.4f}"
         )
 
     r_check = args.r[len(args.r) // 2]
     settings = replace(REFERENCE_SETTINGS, r=r_check)
     s_mc, se = mc_bell_S(state, settings, args.mc_n, seed=args.seed)
-    s_exact = bell_S(state, settings)
+    s_exact = s_values[len(args.r) // 2]
     print(
         f"\nMC check at r={r_check:g}: S = {s_mc:.4f} +/- {se:.4f} "
         f"(quadrature {s_exact:.4f}, "
         f"{abs(s_mc - s_exact) / se:.1f} se away)"
     )
     tsirelson = 2.0 * math.sqrt(2.0)
-    beyond = [r for r in args.r
-              if bell_S(state, replace(REFERENCE_SETTINGS, r=r)) > tsirelson]
+    beyond = [r for r, s in zip(args.r, s_values) if s > tsirelson]
     if beyond:
         print(f"Tsirelson bound 2*sqrt(2) exceeded for r >= {min(beyond):g}")
 

@@ -5,6 +5,14 @@ from a flat key=value file (see config.py); a few flags override config
 fields.  Output is CSV or JSON at a configured precision, deterministic
 given the config (plus the seed for Monte Carlo runs).
 
+Every subcommand builds a document of raw values and writes it through
+``_write``, which states the one output rule.  JSON is the document plus
+``"schema_version": "1"``; CSV is the document's rows under a header taken
+from the row keys (``sweep`` writes one CSV file per curve).  In both, the
+four ``E_*`` correlation columns of ``chsh`` are printed at 3 decimals, other
+floats at ``precision`` significant digits with -0 printed as 0, and
+strings, integers and booleans as they are.
+
 Exit codes: 0 success, 2 config validation failure, 3 numerical failure,
 4 I/O failure.
 """
@@ -13,17 +21,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import shlex
 import sys
 
 from . import chsh as chsh_mod
 from . import montecarlo as mc_mod
-from .config import ConfigError, RunConfig, load_config, parse_number
-from .frft import PlanNotFoundError, plan_lens_system
+from .config import ConfigError, RunConfig, load_config, parse_config_text, parse_number
+from .frft import plan_lens_system
 from .optimize import maximize_S, tune_r
-from .state import GaussianTwoModeState, NonNormalizableStateError
+from .state import GaussianTwoModeState
 
 SCHEMA_VERSION = "1"
 
@@ -32,6 +39,10 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
+# Correlation columns of a chsh row, in setting_tables order, printed at 3
+# decimals (report convention).
+_E_COLUMNS = ("E_ab", "E_apb", "E_abp", "E_apbp")
+
 
 def _fmt(x: float, precision: int) -> str:
     if x == 0.0:
@@ -39,20 +50,48 @@ def _fmt(x: float, precision: int) -> str:
     return f"{x:.{precision}g}"
 
 
-def _round_sig(x: float, precision: int) -> float:
-    return float(_fmt(x, precision))
+def _json_value(v, precision: int, key: str = ""):
+    if isinstance(v, dict):
+        return {k: _json_value(x, precision, k) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_json_value(x, precision) for x in v]
+    if isinstance(v, (str, int)):  # bool is an int
+        return v
+    if key in _E_COLUMNS:
+        return round(v, 3)
+    return float(_fmt(v, precision))
 
 
-def _emit(text: str, out_path: str) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+def _cell(key: str, v, precision: int) -> str:
+    if isinstance(v, (str, int)):
+        return str(v)
+    if key in _E_COLUMNS:
+        return f"{v:.3f}"
+    return _fmt(v, precision)
+
+
+def _csv_text(rows: list[dict], precision: int, header: list[str] | None = None) -> str:
+    header = header or list(rows[0])
+    lines = [",".join(header)]
+    lines += [",".join(_cell(k, row[k], precision) for k in header) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _write(
+    cfg: RunConfig, doc: dict, rows: list[dict], header: list[str] | None = None
+) -> int:
+    """Write doc as JSON or rows as CSV to cfg.out_path, or to stdout."""
+    if cfg.out_format == "json":
+        doc = _json_value({"schema_version": SCHEMA_VERSION, **doc}, cfg.precision)
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    else:
+        text = _csv_text(rows, cfg.precision, header)
+    if cfg.out_path:
+        with open(cfg.out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _emit_json(obj: dict, out_path: str) -> None:
-    _emit(json.dumps(obj, indent=2, sort_keys=True) + "\n", out_path)
+    return EXIT_OK
 
 
 def _state_from_config(cfg: RunConfig) -> GaussianTwoModeState:
@@ -73,7 +112,6 @@ def _settings_from_config(cfg: RunConfig, r: float) -> chsh_mod.MeasurementSetti
 def cmd_sweep(cfg: RunConfig) -> int:
     state = _state_from_config(cfg)
     grid = cfg.beta_grid()
-    p = cfg.precision
     pairs = [(alpha, r) for alpha in cfg.sweep_alphas for r in cfg.r_dimensionless()]
     names = [f"sweep_alpha{alpha:.4f}_r{r:.4f}.csv" for alpha, r in pairs]
     if cfg.out_format == "csv":
@@ -93,60 +131,37 @@ def cmd_sweep(cfg: RunConfig) -> int:
         else None
     )
     if cfg.out_format == "json":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "curves": [
-                {
-                    "alpha_rad": _round_sig(c["alpha_rad"], p),
-                    "r": _round_sig(c["r"], p),
-                    "points": [
-                        [_round_sig(b, p), _round_sig(e, p)] for b, e in c["points"]
-                    ],
-                }
-                for c in curves
-            ],
-        }
+        doc = {"curves": curves}
         if reference is not None:
-            doc["reference"] = [
-                [_round_sig(b, p), _round_sig(v, p)] for b, v in reference
-            ]
-        _emit_json(doc, cfg.out_path)
-        return EXIT_OK
+            doc["reference"] = reference
+        return _write(cfg, doc, [])
+    files = {
+        name: [
+            {"beta_rad": b, "E": e, "alpha_rad": c["alpha_rad"], "r": c["r"]}
+            for b, e in c["points"]
+        ]
+        for c, name in zip(curves, names)
+    }
+    if reference is not None:
+        files["reference_curve.csv"] = [
+            {"beta_rad": b, "E_reference": v} for b, v in reference
+        ]
     out_dir = cfg.out_path or "."
     os.makedirs(out_dir, exist_ok=True)
-    for c, name in zip(curves, names):
-        lines = ["beta_rad,E,alpha_rad,r"]
-        for b, e in c["points"]:
-            lines.append(
-                f"{_fmt(b, p)},{_fmt(e, p)},"
-                f"{_fmt(c['alpha_rad'], p)},{_fmt(c['r'], p)}"
-            )
+    for name, rows in files.items():
         with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    if reference is not None:
-        lines = ["beta_rad,E_reference"]
-        for b, v in reference:
-            lines.append(f"{_fmt(b, p)},{_fmt(v, p)}")
-        with open(
-            os.path.join(out_dir, "reference_curve.csv"), "w", encoding="utf-8"
-        ) as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(_csv_text(rows, cfg.precision))
     return EXIT_OK
 
 
 def _chsh_row(cfg: RunConfig, state, r_cfg: float, r_dimless: float) -> dict:
     tables = chsh_mod.setting_tables(state, _settings_from_config(cfg, r_dimless))
-    e_vals = [chsh_mod.correlation_E(t) for t in tables]
     s = chsh_mod.S_from_tables(tables)
     report = chsh_mod.no_signaling_from_tables(tables)
-    h_ave = 100.0 * sum(t.kept_fraction for t in tables) / 4.0
     return {
         "r": r_cfg,
-        "H_ave_pct": h_ave,
-        "E_ab": e_vals[0],
-        "E_apb": e_vals[1],
-        "E_abp": e_vals[2],
-        "E_apbp": e_vals[3],
+        "H_ave_pct": 100.0 * sum(t.kept_fraction for t in tables) / 4.0,
+        **{col: chsh_mod.correlation_E(t) for col, t in zip(_E_COLUMNS, tables)},
         "S": s,
         "P_AND": chsh_mod.and_gate_from_tables(tables),
         "fidelity": chsh_mod.pr_fidelity(s),
@@ -164,44 +179,15 @@ def _chsh_row(cfg: RunConfig, state, r_cfg: float, r_dimless: float) -> dict:
 
 def cmd_chsh(cfg: RunConfig) -> int:
     state = _state_from_config(cfg)
-    p = cfg.precision
     rows = [
         _chsh_row(cfg, state, r_cfg, r_dim)
         for r_cfg, r_dim in zip(cfg.r_values, cfg.r_dimensionless())
     ]
-    # correlation functions printed at 3 decimals (report convention)
-    e_cols = ("E_ab", "E_apb", "E_abp", "E_apbp")
-    if cfg.out_format == "json":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "r_unit": cfg.r_unit,
-            "results": [
-                {
-                    k: (round(v, 3) if k in e_cols else _round_sig(v, p))
-                    for k, v in row.items()
-                }
-                for row in rows
-            ],
-        }
-        _emit_json(doc, cfg.out_path)
-        return EXIT_OK
-    cols = list(rows[0])
-    lines = [",".join(cols)]
-    for row in rows:
-        cells = []
-        for k in cols:
-            if k in e_cols:
-                cells.append(f"{row[k]:.3f}")
-            else:
-                cells.append(_fmt(row[k], p))
-        lines.append(",".join(cells))
-    _emit("\n".join(lines) + "\n", cfg.out_path)
-    return EXIT_OK
+    return _write(cfg, {"r_unit": cfg.r_unit, "results": rows}, rows)
 
 
 def cmd_mc(cfg: RunConfig) -> int:
     state = _state_from_config(cfg)
-    p = cfg.precision
     records = []
     for r_cfg, r_dim in zip(cfg.r_values, cfg.r_dimensionless()):
         pairs = chsh_mod.setting_pairs(_settings_from_config(cfg, r_dim))
@@ -231,30 +217,7 @@ def cmd_mc(cfg: RunConfig) -> int:
                     "n": cfg.mc_n,
                 }
             )
-    if cfg.out_format == "json":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "r_unit": cfg.r_unit,
-            "matrices": [
-                {
-                    k: (v if isinstance(v, (str, int)) else _round_sig(v, p))
-                    for k, v in rec.items()
-                }
-                for rec in records
-            ],
-        }
-        _emit_json(doc, cfg.out_path)
-        return EXIT_OK
-    cols = list(records[0].keys())
-    lines = [",".join(cols)]
-    for rec in records:
-        cells = [
-            str(v) if isinstance(v, (str, int)) else _fmt(v, p)
-            for v in (rec[k] for k in cols)
-        ]
-        lines.append(",".join(cells))
-    _emit("\n".join(lines) + "\n", cfg.out_path)
-    return EXIT_OK
+    return _write(cfg, {"r_unit": cfg.r_unit, "matrices": records}, records)
 
 
 def cmd_plan_frft(cfg: RunConfig) -> int:
@@ -264,34 +227,20 @@ def cmd_plan_frft(cfg: RunConfig) -> int:
         max_stages=cfg.frft_max_stages,
         angle_tol=cfg.frft_angle_tol,
     )
-    p = cfg.precision
-    if cfg.out_format == "json":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "target_rad": _round_sig(cfg.frft_target, p),
-            "composed_rad": _round_sig(plan.composed_order, p),
-            "total_z_cm": _round_sig(plan.total_z_cm, p),
-            "stages": [
-                {
-                    "angle_rad": _round_sig(s.order, p),
-                    "f_cm": _round_sig(s.focal_cm, p),
-                    "z_cm": _round_sig(s.z_cm, p),
-                }
-                for s in plan.stages
-            ],
-        }
-        _emit_json(doc, cfg.out_path)
-        return EXIT_OK
-    lines = ["angle_rad,f_cm,z_cm"]
-    for s in plan.stages:
-        lines.append(f"{_fmt(s.order, p)},{_fmt(s.focal_cm, p)},{_fmt(s.z_cm, p)}")
-    _emit("\n".join(lines) + "\n", cfg.out_path)
-    return EXIT_OK
+    stages = [
+        {"angle_rad": s.order, "f_cm": s.focal_cm, "z_cm": s.z_cm} for s in plan.stages
+    ]
+    doc = {
+        "target_rad": cfg.frft_target,
+        "composed_rad": plan.composed_order,
+        "total_z_cm": plan.total_z_cm,
+        "stages": stages,
+    }
+    return _write(cfg, doc, stages, header=["angle_rad", "f_cm", "z_cm"])
 
 
 def cmd_optimize(cfg: RunConfig, reproduce: str = "prbox-sim optimize") -> int:
     state = _state_from_config(cfg)
-    p = cfg.precision
     r = cfg.r_dimensionless()[0]
     result = maximize_S(
         state,
@@ -301,40 +250,26 @@ def cmd_optimize(cfg: RunConfig, reproduce: str = "prbox-sim optimize") -> int:
     )
     st = result.settings
     record = {
-        "schema_version": SCHEMA_VERSION,
-        "alpha_rad": _round_sig(st.alpha, p),
-        "alpha_prime_rad": _round_sig(st.alpha_prime, p),
-        "beta_rad": _round_sig(st.beta, p),
-        "beta_prime_rad": _round_sig(st.beta_prime, p),
-        "r": _round_sig(r, p),
-        "S": _round_sig(result.objective, p),
-        "fidelity": _round_sig(chsh_mod.pr_fidelity(result.objective), p),
+        "alpha_rad": st.alpha,
+        "alpha_prime_rad": st.alpha_prime,
+        "beta_rad": st.beta,
+        "beta_prime_rad": st.beta_prime,
+        "r": r,
+        "S": result.objective,
+        "fidelity": chsh_mod.pr_fidelity(result.objective),
         "iterations": result.iterations,
         "converged": result.converged,
         "reproduce": reproduce,
     }
     if cfg.target_fidelity > 0.0:
-        tuned = tune_r(
+        record["tuned_r"] = tune_r(
             state,
             _settings_from_config(cfg, r),
             cfg.target_fidelity,
             cfg.tune_r_max,
         )
-        record["tuned_r"] = _round_sig(tuned, p)
-        record["target_fidelity"] = _round_sig(cfg.target_fidelity, p)
-    if cfg.out_format == "json":
-        _emit_json(record, cfg.out_path)
-        return EXIT_OK
-    cols = [k for k in record if k != "schema_version"]
-    lines = [",".join(cols)]
-    lines.append(
-        ",".join(
-            str(record[k]) if not isinstance(record[k], float) else _fmt(record[k], p)
-            for k in cols
-        )
-    )
-    _emit("\n".join(lines) + "\n", cfg.out_path)
-    return EXIT_OK
+        record["target_fidelity"] = cfg.target_fidelity
+    return _write(cfg, record, [record])
 
 
 _COMMANDS = {
@@ -395,8 +330,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             overrides["frft_angle_tol"] = args.angle_tol
     if args.config is not None:
         return load_config(args.config, overrides)
-    from .config import parse_config_text
-
     return parse_config_text("", overrides)
 
 
@@ -412,18 +345,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (
-        NonNormalizableStateError,
-        chsh_mod.EmptyPostSelectionError,
-        mc_mod.InsufficientCountsError,
-        PlanNotFoundError,
-    ) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ValueError as exc:
+    except ValueError as exc:  # every named numerical error subclasses it
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -144,10 +144,11 @@ class CovarianceMatrix4:
         sigma = 0.5 * (sigma + sigma.T)
         if np.any(np.linalg.eigvalsh(sigma) <= 0.0):
             raise ValueError("covariance matrix must be positive definite")
-        nus = symplectic_eigenvalues(sigma)
-        if np.any(np.abs(nus - 0.5) > PURITY_TOL):
+        dev = np.max(np.abs(symplectic_eigenvalues(sigma) - 0.5))
+        if dev > PURITY_TOL:
             raise ValueError(
-                f"covariance is not pure: symplectic eigenvalues {nus} != 1/2"
+                f"covariance is not pure: max |nu - 1/2| = {dev:.3g} "
+                f"> PURITY_TOL = {PURITY_TOL:g}"
             )
         sigma.setflags(write=False)
         object.__setattr__(self, "sigma", sigma)

@@ -13,7 +13,12 @@ from prbox import (
     bell_S,
     no_signaling_report,
 )
+from prbox.chsh import EmptyPostSelectionError
 from prbox.cli import main
+from prbox.config import ConfigError
+from prbox.frft import PlanNotFoundError
+from prbox.montecarlo import InsufficientCountsError
+from prbox.state import NonNormalizableStateError
 
 PI = math.pi
 STATE = GaussianTwoModeState(delta=0.75, gamma=1.25)
@@ -247,6 +252,16 @@ class TestExitCodes:
         cfg = write_config(tmp_path, "delta = 1.25\ngamma = 0.75\nr = 0\n")
         assert main(["chsh", "--config", cfg]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "error",
+        [NonNormalizableStateError, EmptyPostSelectionError,
+         InsufficientCountsError, PlanNotFoundError],
+    )
+    def test_numerical_errors_reach_the_exit_3_clause(self, error):
+        # main maps ValueError to 3 after ConfigError (2) and before OSError (4)
+        assert issubclass(error, ValueError)
+        assert not issubclass(error, (ConfigError, OSError))
 
     def test_swap_widths_flag_rescues_swapped_config(self, tmp_path):
         cfg = write_config(tmp_path, "delta = 1.25\ngamma = 0.75\nr = 0\n")

@@ -138,6 +138,14 @@ class TestRotateCovariance:
         one_step = rotate_covariance(cov, a1 + a2, b1 + b2)
         assert np.allclose(two_step.sigma, one_step.sigma, rtol=0, atol=1e-12)
 
+    def test_purity_failure_names_the_deviation(self):
+        # Rounding in the rotation moves the symplectic eigenvalues by about
+        # 6e-10, too little to show when the eigenvalues themselves print.
+        state = GaussianTwoModeState(delta=0.75, gamma=0.75001)
+        message = r"max \|nu - 1/2\| = \d\.\d+e-10 > PURITY_TOL = 1e-10"
+        with pytest.raises(ValueError, match=message):
+            rotate_covariance(covariance_from_state(state), PI, 5 * PI / 4)
+
     @settings(max_examples=50, deadline=None)
     @given(valid_states(), angles, angles)
     def test_heisenberg_after_rotation(self, state, alpha, beta):
