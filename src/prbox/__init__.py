@@ -37,23 +37,16 @@ from .montecarlo import (
 from .optimize import SearchResult, maximize_S, tune_r
 from .state import (
     BivariateGaussian,
-    CovarianceMatrix4,
     GaussianTwoModeState,
     NonNormalizableStateError,
     closed_form_R_half_pi,
     closed_form_R_pi,
-    covariance_from_state,
     position_joint_density,
-    quad_form_matrix,
-    rotate_covariance,
-    symplectic_eigenvalues,
-    wigner_value,
 )
 
 __all__ = [
     "BivariateGaussian",
     "CountTable",
-    "CovarianceMatrix4",
     "FrftPlan",
     "FrftStage",
     "GaussianTwoModeState",
@@ -69,7 +62,6 @@ __all__ = [
     "closed_form_R_pi",
     "compose_orders",
     "correlation_E",
-    "covariance_from_state",
     "estimate_probabilities",
     "frft_distance",
     "frft_order_from_distance",
@@ -80,17 +72,13 @@ __all__ = [
     "position_joint_density",
     "postselected_probs",
     "pr_fidelity",
-    "quad_form_matrix",
     "quadrant_probability",
     "quantum_reference_curve",
-    "rotate_covariance",
     "sample_pairs",
     "sign_expectation",
     "simulate_counts",
     "sweep_beta",
-    "symplectic_eigenvalues",
     "tune_r",
-    "wigner_value",
 ]
 
 __version__ = "0.1.0"

@@ -78,9 +78,6 @@ class JointProbTable:
         if not 0.0 < self.kept_fraction <= 1.0 + 1e-12:
             raise ValueError(f"kept_fraction={self.kept_fraction} outside (0, 1]")
 
-    def is_inversion_symmetric(self, tol: float = 1e-9) -> bool:
-        return abs(self.p_pp - self.p_mm) <= tol and abs(self.p_pm - self.p_mp) <= tol
-
 
 def _upper_orthant(h1: float, h2: float, rho: float) -> float:
     """P(Z1 > h1, Z2 > h2) for standard bivariate normal with correlation rho.

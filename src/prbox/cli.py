@@ -27,7 +27,8 @@ import sys
 
 from . import chsh as chsh_mod
 from . import montecarlo as mc_mod
-from .config import ConfigError, RunConfig, load_config, parse_config_text, parse_number
+from .config import ConfigError, RunConfig, load_config, parse_config_text
+from .config import parse_list, parse_number
 from .frft import plan_lens_system
 from .optimize import maximize_S, tune_r
 from .state import GaussianTwoModeState
@@ -322,8 +323,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         if args.target is not None:
             overrides["frft_target"] = parse_number(args.target)
         if args.inventory is not None:
-            items = [s for s in args.inventory.split(",") if s.strip()]
-            overrides["frft_inventory_cm"] = tuple(parse_number(s) for s in items)
+            overrides["frft_inventory_cm"] = parse_list(args.inventory)
         if args.max_stages is not None:
             overrides["frft_max_stages"] = args.max_stages
         if args.angle_tol is not None:

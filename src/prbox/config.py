@@ -44,6 +44,14 @@ def parse_number(text: str) -> float:
         raise ConfigError(f"cannot parse number {text!r}") from None
 
 
+def parse_list(text: str) -> tuple[float, ...]:
+    """Parse a comma-separated list of numbers (at least one)."""
+    items = [s for s in (p.strip() for p in text.split(",")) if s]
+    if not items:
+        raise ConfigError(f"empty list value {text!r}")
+    return tuple(parse_number(s) for s in items)
+
+
 def _parse_bool(text: str) -> bool:
     t = text.strip().lower()
     if t in ("true", "yes", "1", "on"):
@@ -53,11 +61,10 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"cannot parse boolean {text!r}")
 
 
-def _parse_list(text: str) -> tuple[float, ...]:
-    items = [s for s in (p.strip() for p in text.split(",")) if s]
-    if not items:
-        raise ConfigError(f"empty list value {text!r}")
-    return tuple(parse_number(s) for s in items)
+_POSITIVE = (
+    "delta", "gamma", "scale_s_mm", "angle_grid_step", "refine_tol", "frft_angle_tol"
+)
+_AT_LEAST_ONE = ("mc_n", "mc_workers", "sweep_steps", "frft_max_stages")
 
 
 @dataclass(frozen=True)
@@ -103,32 +110,33 @@ class RunConfig:
     precision: int = 6
 
     def __post_init__(self) -> None:
-        if not self.delta > 0.0:
-            raise ConfigError(f"delta must be positive, got {self.delta}")
-        if not self.gamma > 0.0:
-            raise ConfigError(f"gamma must be positive, got {self.gamma}")
-        if not self.scale_s_mm > 0.0:
-            raise ConfigError(f"scale_s_mm must be positive, got {self.scale_s_mm}")
+        # every number is finite, except gamma = inf (the separable state)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            numbers = {"float": (value,), "tuple[float, ...]": value}.get(f.type, ())
+            if f.name != "gamma" and not all(math.isfinite(v) for v in numbers):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+        for name in _POSITIVE:
+            if not getattr(self, name) > 0.0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in _AT_LEAST_ONE:
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.frft_inventory_cm or min(self.frft_inventory_cm) <= 0.0:
+            raise ConfigError(
+                "frft_inventory_cm must be a non-empty list of positive focal "
+                f"lengths, got {self.frft_inventory_cm}"
+            )
         if self.r_unit not in ("dimensionless", "mm"):
             raise ConfigError(
                 f"r_unit must be 'dimensionless' or 'mm', got {self.r_unit!r}"
             )
         if any(r < 0.0 for r in self.r_values):
             raise ConfigError(f"r values must be non-negative, got {self.r_values}")
-        if self.mc_n < 1:
-            raise ConfigError(f"mc_n must be >= 1, got {self.mc_n}")
-        if self.mc_workers < 1:
-            raise ConfigError(f"mc_workers must be >= 1, got {self.mc_workers}")
-        if self.sweep_steps < 1:
-            raise ConfigError(f"sweep_steps must be >= 1, got {self.sweep_steps}")
         if self.out_format not in ("csv", "json"):
             raise ConfigError(f"format must be 'csv' or 'json', got {self.out_format}")
         if not 1 <= self.precision <= 17:
             raise ConfigError(f"precision must be in [1, 17], got {self.precision}")
-        if self.frft_max_stages < 1:
-            raise ConfigError(
-                f"frft_max_stages must be >= 1, got {self.frft_max_stages}"
-            )
 
     def effective_widths(self) -> tuple[float, float]:
         """(delta, gamma) after the optional swap-widths convenience flag."""
@@ -182,7 +190,7 @@ def parse_config_text(text: str, overrides: dict | None = None) -> RunConfig:
         elif key in _BOOL_KEYS:
             values[key] = _parse_bool(val)
         elif key in _LIST_KEYS:
-            values[key] = _parse_list(val)
+            values[key] = parse_list(val)
         elif key in _STR_KEYS:
             values[key] = val
         else:

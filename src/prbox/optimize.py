@@ -42,6 +42,7 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, int]:
     fc, fd = f(c), f(d)
     evals += 2
     while abs(hi - lo) > tol:
+        width = hi - lo
         if fc > fd:
             hi, d, fd = d, c, fc
             c = hi - (hi - lo) * _INV_GOLDEN
@@ -51,6 +52,8 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, int]:
             d = lo + (hi - lo) * _INV_GOLDEN
             fd = f(d)
         evals += 1
+        if hi - lo >= width:  # no longer shrinks at float resolution
+            break
     return 0.5 * (lo + hi), evals
 
 
@@ -66,6 +69,11 @@ def maximize_S(
     Returns a local optimum; no global guarantee.  Deterministic: grid ties
     are broken lexicographically in (alpha, alpha', beta, beta').
     """
+    if not (angle_grid_step > 0.0 and refine_tol > 0.0):
+        raise ValueError(
+            f"angle_grid_step and refine_tol must be positive, got "
+            f"{angle_grid_step} and {refine_tol}"
+        )
     grid = np.arange(0.0, TWO_PI, angle_grid_step)
     n = len(grid)
     e_tab = np.empty((n, n))

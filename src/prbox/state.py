@@ -1,17 +1,17 @@
-"""Two-mode Gaussian photon-pair state: covariance construction, phase-space
-rotations and position-space marginals.
+"""Two-mode Gaussian photon-pair state and its rotated position marginal.
 
 Conventions: dimensionless quadratures with [x, p] = i and vacuum quadrature
-variance 1/2.  The coordinate order of all 4x4 covariance matrices is
-(x1, p1, x2, p2).  The pair is parameterized by two positive widths
+variance 1/2.  The pair is parameterized by two positive widths
 (delta, gamma): the momentum-space wavefunction is proportional to
 exp(-(q1^2 + q2^2)/(2 delta^2) - q1 q2 / gamma^2), which is normalizable
 only for gamma > delta.
 
-position_joint_density writes the rotated position block in closed form.
-The 4x4 covariance and rotate_covariance are the full phase-space picture
-(Wigner values, purity) and the reference the closed form is tested
-against.
+Every table starts from one object, the 2x2 covariance of the detected
+positions after local phase-space rotations x -> cos(t) x + sin(t) p, and
+position_joint_density writes it in closed form from a = 1/delta^2,
+b = 1/gamma^2 and d = a^2 - b^2.  The test suite checks it against an
+independently assembled 4x4 phase-space covariance over (x1, p1, x2, p2),
+rotated as a matrix, and against brute-force moments of the wavefunction.
 """
 
 from __future__ import annotations
@@ -22,17 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 DET_GUARD = 1e-14
-PURITY_TOL = 1e-10
-
-# symplectic form for (x1, p1, x2, p2)
-_OMEGA = np.array(
-    [
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [0.0, 0.0, -1.0, 0.0],
-    ]
-)
 
 
 class NonNormalizableStateError(ValueError):
@@ -46,8 +35,8 @@ class GaussianTwoModeState:
     detector length scale ``scale_s`` (millimeters per dimensionless unit).
 
     ``gamma = inf`` is the separable limit (no q1*q2 coupling).  ``gamma ==
-    delta`` is the singular EPR limit: it is accepted at construction so the
-    quadratic form can be inspected, but no covariance matrix exists there.
+    delta`` is the singular EPR limit: it is accepted at construction, but no
+    covariance matrix exists there and position_joint_density refuses it.
     """
 
     delta: float
@@ -101,10 +90,6 @@ class BivariateGaussian:
     def cov(self) -> float:
         return self.corr * self.std1 * self.std2
 
-    def covariance(self) -> np.ndarray:
-        c = self.cov
-        return np.array([[self.var1, c], [c, self.var2]])
-
     def pdf(self, x1, x2):
         """Joint probability density, broadcasting over array inputs."""
         rho = self.corr
@@ -117,66 +102,17 @@ class BivariateGaussian:
         return np.exp(-0.5 * q) / (2.0 * math.pi * math.sqrt(det))
 
 
-def symplectic_eigenvalues(sigma: np.ndarray) -> np.ndarray:
-    """Symplectic spectrum of a 4x4 covariance matrix (two values, sorted)."""
-    eigs = np.linalg.eigvals(_OMEGA @ sigma)
-    nus = np.sort(np.abs(eigs))
-    # eigenvalues come in +-i*nu pairs
-    return np.array([nus[0], nus[2]])
-
-
-@dataclass(frozen=True)
-class CovarianceMatrix4:
-    """Pure-state 4x4 phase-space covariance over (x1, p1, x2, p2).
-
-    Validated at construction: symmetric, positive definite, and pure (both
-    symplectic eigenvalues equal 1/2 within ``PURITY_TOL``).
-    """
-
-    sigma: np.ndarray
-
-    def __post_init__(self) -> None:
-        sigma = np.array(self.sigma, dtype=float)
-        if sigma.shape != (4, 4):
-            raise ValueError(f"expected 4x4 matrix, got shape {sigma.shape}")
-        if not np.allclose(sigma, sigma.T, atol=1e-10, rtol=0.0):
-            raise ValueError("covariance matrix must be symmetric")
-        sigma = 0.5 * (sigma + sigma.T)
-        if np.any(np.linalg.eigvalsh(sigma) <= 0.0):
-            raise ValueError("covariance matrix must be positive definite")
-        dev = np.max(np.abs(symplectic_eigenvalues(sigma) - 0.5))
-        if dev > PURITY_TOL:
-            raise ValueError(
-                f"covariance is not pure: max |nu - 1/2| = {dev:.3g} "
-                f"> PURITY_TOL = {PURITY_TOL:g}"
-            )
-        sigma.setflags(write=False)
-        object.__setattr__(self, "sigma", sigma)
-
-    def position_block(self) -> np.ndarray:
-        """2x2 covariance of (x1, x2)."""
-        return self.sigma[np.ix_([0, 2], [0, 2])]
-
-    def mode_variances(self, mode: int) -> tuple[float, float]:
-        """(Var x, Var p) of mode 1 or 2."""
-        i = 0 if mode == 1 else 2
-        return float(self.sigma[i, i]), float(self.sigma[i + 1, i + 1])
-
-
-def _quad_form_entries(state: GaussianTwoModeState) -> tuple[float, float]:
-    """Diagonal a = 1/delta^2 and off-diagonal b = 1/gamma^2 of A."""
-    return 1.0 / state.delta**2, 0.0 if state.is_separable else 1.0 / state.gamma**2
-
-
 def _covariance_terms(state: GaussianTwoModeState) -> tuple[float, float, float]:
-    """(a, b, d = det A = a^2 - b^2), refusing states at or too near the EPR
-    limit, where no covariance matrix exists."""
+    """Entries a = 1/delta^2 and b = 1/gamma^2 of the momentum-space quadratic
+    form A = [[a, b], [b, a]] and d = det A = a^2 - b^2, refusing states at
+    or too near the EPR limit, where no covariance matrix exists."""
     if state.gamma <= state.delta:
         raise NonNormalizableStateError(
             f"gamma={state.gamma} <= delta={state.delta}: no covariance "
             "matrix exists (positive definiteness requires gamma > delta)"
         )
-    a, b = _quad_form_entries(state)
+    a = 1.0 / state.delta**2
+    b = 0.0 if state.is_separable else 1.0 / state.gamma**2
     d = a * a - b * b
     if d < DET_GUARD:
         raise NonNormalizableStateError(
@@ -185,60 +121,14 @@ def _covariance_terms(state: GaussianTwoModeState) -> tuple[float, float, float]
     return a, b, d
 
 
-def quad_form_matrix(state: GaussianTwoModeState) -> np.ndarray:
-    """2x2 matrix A of the momentum-space wavefunction exp(-q^T A q / 2)."""
-    a, b = _quad_form_entries(state)
-    return np.array([[a, b], [b, a]])
-
-
-def covariance_from_state(state: GaussianTwoModeState) -> CovarianceMatrix4:
-    """Phase-space covariance of the pair: momentum block A^-1/2, position
-    block A/2, zero cross-correlations (real wavefunction)."""
-    a, b, det = _covariance_terms(state)
-    sigma = np.zeros((4, 4))
-    sigma[0, 0] = sigma[2, 2] = 0.5 * a
-    sigma[0, 2] = sigma[2, 0] = 0.5 * b
-    sigma[1, 1] = sigma[3, 3] = 0.5 * a / det
-    sigma[1, 3] = sigma[3, 1] = -0.5 * b / det
-    return CovarianceMatrix4(sigma)
-
-
-def rotate_covariance(
-    cov: CovarianceMatrix4, alpha: float, beta: float
-) -> CovarianceMatrix4:
-    """Local phase-space rotations x -> cos(t) x + sin(t) p on each mode."""
-    rot = np.zeros((4, 4))
-    for theta, i in ((alpha, 0), (beta, 2)):
-        c, s = math.cos(theta), math.sin(theta)
-        rot[i, i] = c
-        rot[i, i + 1] = s
-        rot[i + 1, i] = -s
-        rot[i + 1, i + 1] = c
-    sigma = rot @ cov.sigma @ rot.T
-    return CovarianceMatrix4(0.5 * (sigma + sigma.T))
-
-
-def wigner_value(cov: CovarianceMatrix4, point) -> np.ndarray:
-    """Normalized Gaussian Wigner density at phase-space point(s) (..., 4)."""
-    sigma = cov.sigma
-    det = np.linalg.det(sigma)
-    if det < DET_GUARD:
-        raise ValueError(f"covariance determinant {det} below guard")
-    inv = np.linalg.inv(sigma)
-    xi = np.asarray(point, dtype=float)
-    q = np.einsum("...i,ij,...j->...", xi, inv, xi)
-    return np.exp(-0.5 * q) / (4.0 * math.pi**2 * math.sqrt(det))
-
-
 def position_joint_density(
     state: GaussianTwoModeState, alpha: float, beta: float
 ) -> BivariateGaussian:
     """Joint Gaussian of the detected positions after rotations (alpha, beta).
 
-    The position block of rotate_covariance(covariance_from_state(state),
-    alpha, beta), written in closed form.  With a = 1/delta^2, b = 1/gamma^2
-    and d = a^2 - b^2, the unrotated position block is A/2 and the momentum
-    block A^-1/2, so a rotation by t gives
+    With a = 1/delta^2, b = 1/gamma^2 and d = a^2 - b^2, the unrotated
+    position block is A/2 and the momentum block A^-1/2, with no x-p
+    cross-correlations (real wavefunction), so a rotation by t gives
     var(t) = (a cos^2 t + (a/d) sin^2 t) / 2 and
     cov = (b cos(alpha) cos(beta) - (b/d) sin(alpha) sin(beta)) / 2.
     """

@@ -103,7 +103,7 @@ class TestPostselectedProbs:
         t = postselected_probs(state, alpha, beta, r)
         total = t.p_pp + t.p_pm + t.p_mp + t.p_mm
         assert total == pytest.approx(1.0, abs=1e-9)
-        assert t.is_inversion_symmetric(1e-9)
+        assert t.p_pp == t.p_mm and t.p_pm == t.p_mp
         assert 0.0 < t.kept_fraction <= 1.0 + 1e-12
 
     def test_kept_fraction_strictly_decreasing_in_r(self):

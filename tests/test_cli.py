@@ -73,7 +73,53 @@ class TestPlanFrft:
 
     def test_empty_inventory_fails(self, capsys):
         code = main(["plan-frft", "--target", "pi/2", "--inventory", ""])
-        assert code != 0
+        assert code == 2
+        assert "empty list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config,flags,key",
+        [
+            ("", ["--inventory", "25,-15"], "frft_inventory_cm"),
+            ("frft_inventory_cm = 25, 0\n", [], "frft_inventory_cm"),
+            ("", ["--angle-tol", "-1"], "frft_angle_tol"),
+            ("", ["--angle-tol", "nan"], "frft_angle_tol"),
+            ("", ["--target", "nan"], "frft_target"),
+        ],
+    )
+    def test_bad_plan_inputs_are_config_errors(
+        self, tmp_path, capsys, config, flags, key
+    ):
+        cfg = write_config(tmp_path, config)
+        assert main(["plan-frft", "--config", cfg, *flags]) == 2
+        assert key in capsys.readouterr().err
+
+
+class TestDegenerateConfig:
+    @pytest.mark.parametrize(
+        "command,config,key",
+        [
+            ("optimize", "refine_tol = 0", "refine_tol"),
+            ("optimize", "refine_tol = -1e-3", "refine_tol"),
+            ("optimize", "angle_grid_step = 0", "angle_grid_step"),
+            ("optimize", "angle_grid_step = -0.1", "angle_grid_step"),
+            ("sweep", "reference_curve = on\nreference_phase = nan", "reference_phase"),
+            ("sweep", "sweep_alphas = nan", "sweep_alphas"),
+            ("sweep", "sweep_beta_max = inf", "sweep_beta_max"),
+            ("chsh", "r = nan", "r_values"),
+            ("optimize", "target_fidelity = 0.8\ntune_r_max = inf", "tune_r_max"),
+        ],
+    )
+    def test_exits_2_naming_the_key(self, tmp_path, capsys, command, config, key):
+        cfg = write_config(tmp_path, config + "\n")
+        code = main([command, "--config", cfg, "--format", "json"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert key in err
+        assert out == ""
+
+    def test_separable_gamma_inf_is_accepted(self, tmp_path):
+        cfg = write_config(tmp_path, "gamma = inf\nr = 0\n")
+        assert main(["chsh", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 0
 
 
 class TestChsh:

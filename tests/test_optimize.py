@@ -51,6 +51,18 @@ class TestMaximizeS:
         assert coarse.converged
         assert coarse.iterations > 0
 
+    @pytest.mark.parametrize("step,tol", [(0.0, 1e-3), (-0.1, 1e-3), (PI / 2, 0.0)])
+    def test_rejects_nonpositive_step_or_tolerance(self, step, tol):
+        with pytest.raises(ValueError, match="must be positive"):
+            maximize_S(STATE, r=1.0, angle_grid_step=step, refine_tol=tol)
+
+    def test_tolerance_below_float_resolution_returns(self):
+        # the golden-section bracket stops shrinking near 1e-16 rad
+        result = maximize_S(
+            STATE, r=1.0, angle_grid_step=PI / 2, refine_tol=1e-300, max_sweeps=1
+        )
+        assert not result.converged
+
 
 class TestTuneR:
     def test_target_at_r_zero_returns_zero(self):
