@@ -6,9 +6,10 @@ Detection outcomes are the signs of the two rotated positions; events with
 either position inside the dark strip |x| <= r are discarded, and the four
 surviving sign combinations are renormalized to a probability table.  The
 pair is a zero-mean Gaussian and the strip is symmetric, so a table takes
-two orthant masses.  S, the AND-gate success and the no-signaling marginals
-are each one formula over the four tables of setting_tables, so a caller
-needing several of them computes the tables once.
+two orthant masses, each Owen's T closed form in the bulk and a quadrature
+of the tail integral where that form cancels.  S, the AND-gate success and
+the no-signaling marginals are each one formula over the four tables of
+setting_tables, so a caller needing several of them computes the tables once.
 """
 
 from __future__ import annotations
@@ -18,12 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import ndtr
+from scipy.special import log_ndtr, ndtr, owens_t
 
 from .state import BivariateGaussian, GaussianTwoModeState, position_joint_density
 
-QUAD_ABS_TOL = 1e-12
-MIN_KEPT_FRACTION = 1e-12
+# Relative accuracy target of an orthant mass.  Owen's T form errs by about
+# 1e-14 of its leading term, so it meets the target while the mass is at
+# least CANCELLATION_SHARE of that term; below that the tail is integrated.
+ORTHANT_RTOL = 1e-10
+CANCELLATION_SHARE = 1e-14 / ORTHANT_RTOL
 DEGENERATE_CORR = 1.0 - 1e-12
 
 
@@ -80,28 +84,39 @@ class JointProbTable:
 
 
 def _upper_orthant(h1: float, h2: float, rho: float) -> float:
-    """P(Z1 > h1, Z2 > h2) for standard bivariate normal with correlation rho.
-
-    Reduced to a 1D integral of the normal density times a conditional tail
-    CDF, evaluated by adaptive quadrature.
-    """
-    if rho >= DEGENERATE_CORR:
-        # Z2 = Z1 almost surely
-        return float(ndtr(-max(h1, h2)))
-    if rho <= -DEGENERATE_CORR:
-        # Z2 = -Z1: need Z1 > h1 and Z1 < -h2
-        return float(max(0.0, ndtr(-h2) - ndtr(h1)))
+    """P(Z1 > h1, Z2 > h2), h1, h2 >= 0, for a standard bivariate normal with
+    correlation rho, to about ORTHANT_RTOL relative: the arcsine law where
+    h1^2 + h2^2 underflows, Owen's T form (Owen 1956) in the bulk, and where
+    that difference cancels, the integral of the density times the
+    conditional tail, relative to its integrand at the lower limit."""
+    if abs(rho) >= DEGENERATE_CORR:
+        # Z2 = Z1 almost surely; Z2 = -Z1 never exceeds h2 when Z1 > h1
+        return float(ndtr(-max(h1, h2))) if rho > 0.0 else 0.0
+    if h1 * h1 + h2 * h2 == 0.0:
+        return 0.25 + math.asin(rho) / (2.0 * math.pi)
     s = math.sqrt(1.0 - rho * rho)
+    lead = 0.5 * float(ndtr(-h1) + ndtr(-h2))
+    t1 = owens_t(h1, (h2 - rho * h1) / (h1 * s))
+    t2 = owens_t(h2, (h1 - rho * h2) / (h2 * s))
+    bulk = lead - float(t1) - float(t2)
+    if bulk > CANCELLATION_SHARE * lead:
+        return bulk
+    # along the larger threshold the integrand peaks at the lower limit
+    h, k = max(h1, h2), min(h1, h2)
 
-    def integrand(z: float) -> float:
-        return (
-            math.exp(-0.5 * z * z)
-            / math.sqrt(2.0 * math.pi)
-            * ndtr(-(h2 - rho * z) / s)
-        )
+    def log_f(z: float) -> float:
+        return -0.5 * z * z + float(log_ndtr((rho * z - k) / s))
 
-    val, _ = quad(integrand, h1, np.inf, epsabs=QUAD_ABS_TOL, epsrel=1e-11, limit=200)
-    return float(min(1.0, max(0.0, val)))
+    # log-derivative at z = h; phi(w) / Phi(w) is the normal hazard at -w
+    w = (rho * h - k) / s
+    hazard = math.exp(-0.5 * w * w - float(log_ndtr(w))) / math.sqrt(2.0 * math.pi)
+    scale = 1.0 / max(h - (rho / s) * hazard, 1.0)
+    log_f0 = log_f(h)
+    if log_f0 < -746.0:  # exp(log_f0) underflows to zero
+        return 0.0
+    val, _ = quad(lambda u: math.exp(log_f(h + scale * u) - log_f0), 0.0, math.inf,
+                  epsabs=0.0, epsrel=1e-2 * ORTHANT_RTOL, limit=200)
+    return math.exp(log_f0) * scale * val / math.sqrt(2.0 * math.pi)
 
 
 def quadrant_probability(
@@ -112,9 +127,7 @@ def quadrant_probability(
         raise ValueError(f"r must be non-negative, got {r}")
     if sign1 not in (-1, 1) or sign2 not in (-1, 1):
         raise ValueError("signs must be +1 or -1")
-    h1 = r / bg.std1
-    h2 = r / bg.std2
-    return _upper_orthant(h1, h2, sign1 * sign2 * bg.corr)
+    return _upper_orthant(r / bg.std1, r / bg.std2, sign1 * sign2 * bg.corr)
 
 
 def postselected_probs(
@@ -131,10 +144,10 @@ def postselected_probs(
     m_pm = quadrant_probability(bg, +1, -1, r)
     m_mp, m_mm = m_pm, m_pp
     kept = m_pp + m_pm + m_mp + m_mm
-    if kept < MIN_KEPT_FRACTION:
+    if not kept >= np.finfo(float).tiny:
         raise EmptyPostSelectionError(
-            f"kept fraction {kept} below {MIN_KEPT_FRACTION}: dark region "
-            f"half-width r={r} removes essentially all probability mass"
+            f"kept fraction {kept} below the smallest normal double: dark "
+            f"region half-width r={r} removes essentially all probability mass"
         )
     return JointProbTable(
         p_pp=m_pp / kept,

@@ -130,6 +130,10 @@ def plan_lens_system(
     once.  Candidate plans are ranked by deviation from the target, then by
     stage count, then by total propagation distance.
     """
+    if not math.isfinite(target):
+        raise ValueError(f"target must be finite, got {target}")
+    if not (angle_tol > 0.0 and math.isfinite(angle_tol)):
+        raise ValueError(f"angle_tol must be finite and positive, got {angle_tol}")
     inventory = [float(f) for f in inventory]
     if not inventory:
         raise ValueError("lens inventory is empty")

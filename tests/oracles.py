@@ -4,13 +4,15 @@ Everything here is deliberately written without calling the package's own
 covariance/marginalization machinery: moments come from direct numerical
 integration of the pair wavefunction, and sign-correlation values from
 tensor-product Gauss-Legendre quadrature of the 4D Gaussian phase-space
-density, split per quadrant so every integrand is smooth.
+density, split per quadrant so every integrand is smooth, and orthant masses
+from a 40-digit mpmath integral.
 """
 
 from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
@@ -143,3 +145,31 @@ def mc_quadrant_probability(
         remaining -= m
     p = hits / n
     return p, math.sqrt(max(p * (1.0 - p), 1e-300) / n)
+
+
+def mp_upper_orthant(h: float, k: float, rho: float, dps: int = 40) -> float:
+    """P(Z1 > h, Z2 > k) for a standard bivariate normal with correlation
+    rho and h, k >= 0, as the integral over z > h of the normal density
+    times the conditional tail of Z2, in dps-digit mpmath.
+
+    The roles of h and k are swapped if needed so that the integrand peaks
+    at the lower limit.  mpmath's quadrature tolerance is absolute, so the
+    integrand is divided by its value there, and breakpoints are placed on
+    the scale of its log-derivative, which resolves masses of any size.
+    """
+    with mpmath.workdps(dps):
+        h, k = max(h, k), min(h, k)
+        mh, mk, mr = mpmath.mpf(h), mpmath.mpf(k), mpmath.mpf(rho)
+        s = mpmath.sqrt(1 - mr * mr)
+
+        def f(z):
+            return mpmath.npdf(z) * mpmath.ncdf((mr * z - mk) / s)
+
+        w = (mr * mh - mk) / s
+        rate = mh - (mr / s) * mpmath.npdf(w) / mpmath.ncdf(w)
+        scale = 1 / max(rate, 1)
+        f0 = f(mh)
+        tail = mpmath.quad(
+            lambda u: f(mh + scale * u) / f0, [0, 1, 4, 16, 64, 256, mpmath.inf]
+        )
+        return float(f0 * scale * tail)

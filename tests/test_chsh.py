@@ -1,9 +1,12 @@
 import math
+import sys
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from strategies import angles, dark_widths, valid_states
@@ -25,7 +28,7 @@ from prbox import (
     sign_expectation,
     sweep_beta,
 )
-from prbox.chsh import EmptyPostSelectionError
+from prbox.chsh import EmptyPostSelectionError, setting_pairs
 
 PI = math.pi
 STATE = GaussianTwoModeState(delta=0.75, gamma=1.25)
@@ -66,6 +69,48 @@ class TestQuadrantProbability:
             quadrant_probability(bg, 1, 1, -0.1)
         with pytest.raises(ValueError):
             quadrant_probability(bg, 2, 1, 0.0)
+
+
+def assert_orthants_match_oracle(bg, r):
+    """Both sign patterns of quadrant_probability within 1e-9 relative of
+    the 40-digit oracle; a mass below the normal doubles must underflow."""
+    h1, h2 = r / bg.std1, r / bg.std2
+    for sign2 in (1, -1):
+        want = oracles.mp_upper_orthant(h1, h2, sign2 * bg.corr)
+        got = quadrant_probability(bg, 1, sign2, r)
+        if want < sys.float_info.min:
+            assert got < sys.float_info.min
+        else:
+            assert abs(got - want) <= 1e-9 * want, (h1, h2, sign2 * bg.corr)
+
+
+class TestOrthantAccuracy:
+    @pytest.mark.parametrize(
+        "h,k", [(0.0, 0.0), (0.5, 2.0), (3.0, 6.0), (8.0, 8.0), (12.0, 3.0)]
+    )
+    def test_oracle_matches_independent_product(self, h, k):
+        # at rho = 0 the orthant is the product of the two normal tails
+        with mpmath.workdps(40):
+            want = float(mpmath.ncdf(-h) * mpmath.ncdf(-k))
+        assert oracles.mp_upper_orthant(h, k, 0.0) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("rho", [-0.9, 0.3])
+    def test_oracle_matches_arcsine_law(self, rho):
+        want = 0.25 + math.asin(rho) / (2.0 * PI)
+        assert oracles.mp_upper_orthant(0.0, 0.0, rho) == pytest.approx(want, rel=1e-14)
+
+    @settings(max_examples=15, deadline=None)
+    @given(valid_states(), angles, angles, st.floats(min_value=0.0, max_value=8.0))
+    @example(GaussianTwoModeState(delta=1.0, gamma=2.0), 0.0, 0.0, 5e-324)
+    def test_relative_accuracy_up_to_r_8(self, state, alpha, beta, r):
+        assert_orthants_match_oracle(position_joint_density(state, alpha, beta), r)
+
+    @pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0])
+    def test_relative_accuracy_at_reference_settings(self, r):
+        # (a, b') and (a', b') repeat these masses, the latter with the
+        # sign of the correlation flipped
+        for alpha, beta in setting_pairs(REFERENCE_SETTINGS)[:2]:
+            assert_orthants_match_oracle(position_joint_density(STATE, alpha, beta), r)
 
 
 class TestPostselectedProbs:

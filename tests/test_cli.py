@@ -164,6 +164,13 @@ class TestChsh:
         assert doc["schema_version"] == "1"
         assert len(doc["results"]) == 1
 
+    @pytest.mark.parametrize("r", [4.0, 8.0])
+    def test_wide_dark_region_is_resolved(self, tmp_path, capsys, r):
+        cfg = write_config(tmp_path, f"r = {r}\nprecision = 17\n")
+        assert main(["chsh", "--config", cfg, "--format", "json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["results"]
+        assert 0.0 < row["H_ave_pct"] < 1e-5
+        assert 4.0 - 1e-5 < row["S"] <= 4.0
 
     def test_row_equals_library_functions(self, tmp_path, capsys):
         # precision 17 round-trips floats, so the row must match exactly

@@ -124,6 +124,17 @@ class TestPlanner:
         with pytest.raises(ValueError, match="empty"):
             plan_lens_system(PI / 2, [], max_stages=1)
 
+    @pytest.mark.parametrize(
+        "target,angle_tol,name",
+        [(math.nan, 1e-6, "target"), (math.inf, 1e-6, "target"),
+         (5 * PI / 4, math.nan, "angle_tol"), (5 * PI / 4, math.inf, "angle_tol"),
+         (5 * PI / 4, 0.0, "angle_tol"), (5 * PI / 4, -1e-6, "angle_tol")],
+    )
+    def test_non_finite_target_or_tolerance_rejected(self, target, angle_tol, name):
+        with pytest.raises(ValueError, match=name) as info:
+            plan_lens_system(target, [25.0, 15.0], max_stages=2, angle_tol=angle_tol)
+        assert not isinstance(info.value, PlanNotFoundError)
+
     def test_unreachable_target_reports_best_deviation(self):
         with pytest.raises(PlanNotFoundError, match="deviation"):
             plan_lens_system(3 * PI / 2, [25.0], max_stages=1)

@@ -1,24 +1,29 @@
-"""The benchmark's traced pass wraps prbox functions by name; a renamed or
-removed function breaks it.  Checked here against perfbench/spans.py."""
+"""The benchmark's traced pass wraps prbox functions by name, and reads the
+import times of prbox and scipy.integrate; a renamed or removed function, or
+an import dropped from prbox, breaks it.  Checked here against
+perfbench/spans.py and perfbench/run.py."""
 
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
 import prbox
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+def load_perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py"
+    )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_traced_names_are_wrapped_and_restored():
-    spans = load_spans()
+    spans = load_perfbench("spans")
     originals = {
         (mod, name): getattr(importlib.import_module(mod), name)
         for mod, name in spans.TRACED
@@ -35,3 +40,10 @@ def test_traced_names_are_wrapped_and_restored():
 def test_every_exported_name_resolves():
     for name in prbox.__all__:
         assert hasattr(prbox, name), name
+
+
+def test_traced_pass_reads_both_import_times(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    times = load_perfbench("run").import_seconds()
+    for key in ("setup.import_prbox_s", "setup.import_scipy_integrate_s"):
+        assert math.isfinite(times[key]), key
