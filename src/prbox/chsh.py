@@ -10,6 +10,9 @@ two orthant masses, each Owen's T closed form in the bulk and a quadrature
 of the tail integral where that form cancels.  S, the AND-gate success and
 the no-signaling marginals are each one formula over the four tables of
 setting_tables, so a caller needing several of them computes the tables once.
+correlation_grid gives E over an outer product of angle lists as one array
+call, bit-identical to the per-table path; sweep_beta and the optimizer's
+grid use it.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from scipy.integrate import quad
 from scipy.special import log_ndtr, ndtr, owens_t
 
 from .state import BivariateGaussian, GaussianTwoModeState, position_joint_density
+from .state import _covariance_terms
 
 # Relative accuracy target of an orthant mass.  Owen's T form errs by about
 # 1e-14 of its leading term, so it meets the target while the mass is at
@@ -29,6 +33,8 @@ from .state import BivariateGaussian, GaussianTwoModeState, position_joint_densi
 ORTHANT_RTOL = 1e-10
 CANCELLATION_SHARE = 1e-14 / ORTHANT_RTOL
 DEGENERATE_CORR = 1.0 - 1e-12
+# A kept mass below the smallest normal double is not resolved.
+MIN_NORMAL = float(np.finfo(float).tiny)
 
 
 class EmptyPostSelectionError(ValueError):
@@ -144,7 +150,7 @@ def postselected_probs(
     m_pm = quadrant_probability(bg, +1, -1, r)
     m_mp, m_mm = m_pm, m_pp
     kept = m_pp + m_pm + m_mp + m_mm
-    if not kept >= np.finfo(float).tiny:
+    if not kept >= MIN_NORMAL:
         raise EmptyPostSelectionError(
             f"kept fraction {kept} below the smallest normal double: dark "
             f"region half-width r={r} removes essentially all probability mass"
@@ -161,6 +167,56 @@ def postselected_probs(
 def correlation_E(table: JointProbTable) -> float:
     """E = P(+,+) + P(-,-) - P(+,-) - P(-,+)."""
     return table.p_pp + table.p_mm - table.p_pm - table.p_mp
+
+
+def _upper_orthants(h1, h2, rho, valid) -> np.ndarray:
+    """_upper_orthant over arrays: Owen's T form where it holds, and the
+    scalar function at every other valid element."""
+    s = np.sqrt(1.0 - rho * rho)
+    lead = 0.5 * (ndtr(-h1) + ndtr(-h2))
+    t1 = owens_t(h1, (h2 - rho * h1) / (h1 * s))
+    t2 = owens_t(h2, (h1 - rho * h2) / (h2 * s))
+    mass = lead - t1 - t2
+    bulk = (abs(rho) < DEGENERATE_CORR) & (h1 * h2 > 0.0)
+    for i in zip(*np.nonzero(valid & ~(bulk & (mass > CANCELLATION_SHARE * lead)))):
+        mass[i] = _upper_orthant(float(h1[i]), float(h2[i]), float(rho[i]))
+    return mass
+
+
+def correlation_grid(
+    state: GaussianTwoModeState, alphas, betas, r: float
+) -> np.ndarray:
+    """E[i, j] = correlation_E(postselected_probs(state, alphas[i], betas[j], r))
+    for two angle sequences, as array operations in the scalar path's order,
+    so every element is bit-identical to it.  Where the scalar path would
+    raise, the first such element in row-major order is recomputed by
+    postselected_probs, which raises its own error."""
+    a, b, d = _covariance_terms(state)
+    ca, sa = np.array([[math.cos(t), math.sin(t)] for t in alphas]).reshape(-1, 2).T
+    cb, sb = np.array([[math.cos(t), math.sin(t)] for t in betas]).reshape(-1, 2).T
+    v1 = 0.5 * (a * ca * ca + (a / d) * sa * sa)
+    v2 = 0.5 * (a * cb * cb + (a / d) * sb * sb)
+    cov = 0.5 * (np.outer(b * ca, cb) - np.outer((b / d) * sa, sb))
+    valid = np.logical_and.outer(v1 > 0.0, v2 > 0.0) & (r >= 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = np.minimum(1.0, np.maximum(-1.0, cov / np.sqrt(np.outer(v1, v2))))
+        h1, h2, rho = np.broadcast_arrays(
+            (r / np.sqrt(v1))[:, None], (r / np.sqrt(v2))[None, :], rho
+        )
+        m_pp = _upper_orthants(h1, h2, rho, valid)
+        m_pm = _upper_orthants(h1, h2, -rho, valid)
+        kept = ((m_pp + m_pm) + m_pm) + m_pp
+        p_pp, p_pm = m_pp / kept, m_pm / kept
+    total = ((p_pp + p_pm) + p_pm) + p_pp
+    ok = valid & (kept >= MIN_NORMAL) & (kept <= 1.0 + 1e-12)
+    ok &= abs(total - 1.0) <= 1e-9
+    for p in (p_pp, p_pm):
+        ok &= (-1e-12 <= p) & (p <= 1.0 + 1e-12)
+    if not ok.all():
+        i, j = np.unravel_index(np.argmin(ok), ok.shape)
+        postselected_probs(state, alphas[i], betas[j], r)
+        raise AssertionError(f"only the array table at ({alphas[i]}, {betas[j]}) fails")
+    return ((p_pp + p_pp) - p_pm) - p_pm
 
 
 def sign_expectation(
@@ -277,10 +333,8 @@ def sweep_beta(
     grid = list(grid)
     if not grid:
         raise ValueError("beta grid must be non-empty")
-    return [
-        (float(b), correlation_E(postselected_probs(state, alpha, b, r)))
-        for b in grid
-    ]
+    e = correlation_grid(state, [alpha], grid, r)[0]
+    return list(zip(map(float, grid), e.tolist()))
 
 
 def quantum_reference_curve(grid, phase: float = 0.0) -> list[tuple[float, float]]:

@@ -1,9 +1,10 @@
 """Derivative-free search over measurement settings and dark-region width.
 
-maximize_S: coarse grid over the four rotation angles (vectorized through a
-2D table of pairwise correlation functions), followed by coordinate-wise
-golden-section refinement.  tune_r: bisection on the monotone fidelity(r)
-at fixed angles.
+maximize_S: coarse grid over the four rotation angles from one correlation_grid
+array, then coordinate-wise golden-section refinement, which keeps the tables of
+one call keyed by (alpha, beta), so a step that moves one angle computes only
+the two setting-pair tables it changes.  tune_r: bisection on the monotone
+fidelity(r) at fixed angles.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ import numpy as np
 
 from .chsh import (
     MeasurementSettings,
+    S_from_tables,
     bell_S,
-    correlation_E,
+    correlation_grid,
     postselected_probs,
     pr_fidelity,
 )
@@ -76,10 +78,7 @@ def maximize_S(
         )
     grid = np.arange(0.0, TWO_PI, angle_grid_step)
     n = len(grid)
-    e_tab = np.empty((n, n))
-    for i, a in enumerate(grid):
-        for j, b in enumerate(grid):
-            e_tab[i, j] = correlation_E(postselected_probs(state, a, b, r))
+    e_tab = correlation_grid(state, grid, grid, r)
     # S[i, j, k, l] = E(a_i, b_k) + E(a'_j, b_k) + E(a_i, b_l) - E(a'_j, b_l)
     s_tab = (
         e_tab[:, None, :, None]
@@ -91,11 +90,16 @@ def maximize_S(
     angles = [grid[i], grid[j], grid[k], grid[l]]
     iterations = n * n
 
+    tables = {}
+
+    def table(a: float, b: float):
+        if (a, b) not in tables:
+            tables[a, b] = postselected_probs(state, a, b, r)
+        return tables[a, b]
+
     def objective(vals) -> float:
-        st = MeasurementSettings(
-            alpha=vals[0], alpha_prime=vals[1], beta=vals[2], beta_prime=vals[3], r=r
-        )
-        return bell_S(state, st)
+        a, ap, b, bp = vals
+        return S_from_tables((table(a, b), table(ap, b), table(a, bp), table(ap, bp)))
 
     half = angle_grid_step
     converged = False

@@ -28,11 +28,12 @@ from prbox import (
     sign_expectation,
     sweep_beta,
 )
-from prbox.chsh import EmptyPostSelectionError, setting_pairs
+from prbox.chsh import EmptyPostSelectionError, correlation_grid, setting_pairs
 
 PI = math.pi
 STATE = GaussianTwoModeState(delta=0.75, gamma=1.25)
 SEPARABLE = GaussianTwoModeState(delta=1.0, gamma=math.inf)
+NEAR_EPR = GaussianTwoModeState(delta=0.75, gamma=0.75001)
 
 
 class TestQuadrantProbability:
@@ -306,6 +307,51 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             sweep_beta(STATE, PI, 0.0, [])
+
+
+wide_angles = st.lists(
+    st.floats(min_value=-10.0, max_value=15.0), min_size=1, max_size=4
+)
+REF_ALPHAS = [PI, PI / 2]
+REF_BETAS = [5 * PI / 4, 3 * PI / 4]
+
+
+class TestCorrelationGrid:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.one_of(valid_states(), st.sampled_from([SEPARABLE, NEAR_EPR])),
+        wide_angles,
+        wide_angles,
+        st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=8.0)),
+    )
+    # the arcsine law, Owen's T and the tail quadrature each fill the table
+    @example(STATE, REF_ALPHAS, REF_BETAS, 0.0)
+    @example(STATE, REF_ALPHAS, REF_BETAS, 1.0)
+    @example(STATE, REF_ALPHAS, REF_BETAS, 6.0)
+    @example(NEAR_EPR, [-2.5, PI, 7.0], [-0.3, 5 * PI / 4, 13.0], 2.0)
+    @example(SEPARABLE, [0.0, -PI], [PI / 2, 2.0 * PI + 1.0], 0.5)
+    def test_bit_identical_to_scalar_path(self, state, alphas, betas, r):
+        grid = correlation_grid(state, alphas, betas, r)
+        assert grid.shape == (len(alphas), len(betas))
+        for i, a in enumerate(alphas):
+            for j, b in enumerate(betas):
+                assert grid[i, j] == correlation_E(postselected_probs(state, a, b, r))
+
+    def test_sweep_matches_scalar_loop(self):
+        grid = [-1.0, 0.0, 2.5, 7.5]
+        curve = sweep_beta(NEAR_EPR, PI / 2, 1.5, grid)
+        assert curve == [
+            (b, correlation_E(postselected_probs(NEAR_EPR, PI / 2, b, 1.5))) for b in grid
+        ]
+        assert all(type(e) is float for _, e in curve)
+
+    def test_sweep_raises_the_scalar_error(self):
+        grid = [-1.0, 0.5, 7.0]
+        with pytest.raises(EmptyPostSelectionError) as scalar:
+            postselected_probs(STATE, PI, grid[0], 40.0)
+        with pytest.raises(EmptyPostSelectionError) as swept:
+            sweep_beta(STATE, PI, 40.0, grid)
+        assert str(swept.value) == str(scalar.value)
 
 
 class TestReferenceCurve:

@@ -34,6 +34,11 @@ CASES = {
         "angle_grid_step = pi/2\nrefine_tol = 1e-2\ntarget_fidelity = 0.8\n",
         ["optimize"],
     ),
+    "optimize_default": ("target_fidelity = 0.9275\n", ["optimize"]),
+    "sweep_wide": (
+        "r = 2\nsweep_steps = 13\nsweep_beta_min = -1.5\nsweep_beta_max = 7.5\n",
+        ["sweep"],
+    ),
 }
 
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import prbox.optimize
 from prbox import (
     GaussianTwoModeState,
     REFERENCE_SETTINGS,
@@ -17,6 +18,7 @@ PI = math.pi
 TSIRELSON = 2.0 * math.sqrt(2.0)
 STATE = GaussianTwoModeState(delta=0.75, gamma=1.25)
 SEPARABLE = GaussianTwoModeState(delta=1.0, gamma=math.inf)
+STRONG = GaussianTwoModeState(delta=0.5, gamma=0.6)
 
 
 class TestMaximizeS:
@@ -62,6 +64,57 @@ class TestMaximizeS:
             STATE, r=1.0, angle_grid_step=PI / 2, refine_tol=1e-300, max_sweeps=1
         )
         assert not result.converged
+
+
+class TestTableReuse:
+    @pytest.fixture
+    def computed(self, monkeypatch):
+        """(alpha, beta) of every table maximize_S computes, in call order."""
+        pairs = []
+        scalar = prbox.optimize.postselected_probs
+
+        def counting(state, alpha, beta, r):
+            pairs.append((alpha, beta))
+            return scalar(state, alpha, beta, r)
+
+        monkeypatch.setattr(prbox.optimize, "postselected_probs", counting)
+        return pairs
+
+    def test_each_table_computed_once_per_call(self, computed):
+        first = maximize_S(STATE, r=1.0, angle_grid_step=PI / 6, refine_tol=1e-3)
+        n = len(computed)
+        # every refinement step computes the two tables its moved angle changes
+        assert n >= 2 * (first.iterations - 12 * 12)
+        assert len(set(computed)) == n
+        # a second call recomputes every table: nothing is kept across calls
+        second = maximize_S(STATE, r=1.0, angle_grid_step=PI / 6, refine_tol=1e-3)
+        assert computed[n:] == computed[:n]
+        assert first == second
+
+    # exact results of the per-table search: reusing tables moves no bit
+    @pytest.mark.parametrize(
+        "state,angles,objective,iterations,converged",
+        [
+            (
+                STRONG,
+                (1.7287172502856785, 3.9929749995356163, 4.020295109513608,
+                 4.88267547869755),
+                3.8296235347770566, 2284, False,
+            ),
+            (
+                STATE,
+                (3.141563744782534, 1.5708252356021557, 4.240377975388208,
+                 2.0427495141768595),
+                2.9422724926900723, 728, True,
+            ),
+        ],
+    )
+    def test_pinned_default_search(self, state, angles, objective, iterations, converged):
+        result = maximize_S(state, r=1.0)
+        got = result.settings
+        assert (got.alpha, got.alpha_prime, got.beta, got.beta_prime) == angles
+        assert result.objective == objective
+        assert (result.iterations, result.converged) == (iterations, converged)
 
 
 class TestTuneR:
