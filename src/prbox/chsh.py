@@ -12,7 +12,7 @@ the no-signaling marginals are each one formula over the four tables of
 setting_tables, so a caller needing several of them computes the tables once.
 correlation_grid gives E over an outer product of angle lists as one array
 call, bit-identical to the per-table path; sweep_beta and the optimizer's
-grid use it.
+grid use it, and bell_S_gradient sums its exact derivatives into grad S.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ CANCELLATION_SHARE = 1e-14 / ORTHANT_RTOL
 DEGENERATE_CORR = 1.0 - 1e-12
 # A kept mass below the smallest normal double is not resolved.
 MIN_NORMAL = float(np.finfo(float).tiny)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 class EmptyPostSelectionError(ValueError):
@@ -184,13 +185,14 @@ def _upper_orthants(h1, h2, rho, valid) -> np.ndarray:
 
 
 def correlation_grid(
-    state: GaussianTwoModeState, alphas, betas, r: float
-) -> np.ndarray:
+    state: GaussianTwoModeState, alphas, betas, r: float, gradient: bool = False
+):
     """E[i, j] = correlation_E(postselected_probs(state, alphas[i], betas[j], r))
     for two angle sequences, as array operations in the scalar path's order,
     so every element is bit-identical to it.  Where the scalar path would
     raise, the first such element in row-major order is recomputed by
-    postselected_probs, which raises its own error."""
+    postselected_probs, which raises its own error.  With gradient=True,
+    returns (E, dE/dalpha, dE/dbeta, dE/dr), each of E's shape."""
     a, b, d = _covariance_terms(state)
     ca, sa = np.array([[math.cos(t), math.sin(t)] for t in alphas]).reshape(-1, 2).T
     cb, sb = np.array([[math.cos(t), math.sin(t)] for t in betas]).reshape(-1, 2).T
@@ -216,7 +218,39 @@ def correlation_grid(
         i, j = np.unravel_index(np.argmin(ok), ok.shape)
         postselected_probs(state, alphas[i], betas[j], r)
         raise AssertionError(f"only the array table at ({alphas[i]}, {betas[j]}) fails")
-    return ((p_pp + p_pp) - p_pm) - p_pm
+    e = ((p_pp + p_pp) - p_pm) - p_pm
+    if not gradient:
+        return e
+    # An orthant of correlation c has dP/dh1 = -phi(h1) Phi(-(h2 - c h1)/s), the
+    # same with h1, h2 swapped, and dP/dc = phi2(h1, h2; c) (Plackett 1954).
+    # They are taken over kept in log space, so they stay finite wherever kept
+    # is a normal double; E = (m_pp - m_pm) / (m_pp + m_pm), kept = 2 (m_pp + m_pm).
+    s, log_kept = np.sqrt(1.0 - rho * rho), np.log(kept)
+
+    def over_kept(c):
+        d1 = -np.exp(log_ndtr((c * h1 - h2) / s) - 0.5 * h1 * h1 - log_kept)
+        d2 = -np.exp(log_ndtr((c * h2 - h1) / s) - 0.5 * h2 * h2 - log_kept)
+        dc = np.exp((c * h1 * h2 - 0.5 * (h1 * h1 + h2 * h2)) / (s * s) - log_kept) / s
+        return d1 / _SQRT_2PI, d2 / _SQRT_2PI, dc / (2.0 * math.pi)
+
+    (u1, u2, uc), (w1, w2, wc) = over_kept(rho), over_kept(-rho)
+
+    def d_e(dh1, dh2, drho):
+        u, w = u1 * dh1 + u2 * dh2 + uc * drho, w1 * dh1 + w2 * dh2 - wc * drho
+        return 2.0 * (u * (1.0 - e) - w * (1.0 + e))
+
+    # dv/dt = (a/d - a) sin t cos t; h = r / sqrt(v); rho = cov / sqrt(v1 v2)
+    dlv1 = ((0.5 * (a / d - a)) * sa * ca / v1)[:, None]
+    dlv2 = ((0.5 * (a / d - a)) * sb * cb / v2)[None, :]
+    sq = np.sqrt(np.outer(v1, v2))
+    da_cov = -0.5 * (np.outer(b * sa, cb) + np.outer((b / d) * ca, sb))
+    db_cov = -0.5 * (np.outer(b * ca, sb) + np.outer((b / d) * sa, cb))
+    return (
+        e,
+        d_e(-h1 * dlv1, 0.0, da_cov / sq - rho * dlv1),
+        d_e(0.0, -h2 * dlv2, db_cov / sq - rho * dlv2),
+        d_e((1.0 / np.sqrt(v1))[:, None], (1.0 / np.sqrt(v2))[None, :], 0.0),
+    )
 
 
 def sign_expectation(
@@ -257,6 +291,20 @@ def S_from_tables(tables: tuple[JointProbTable, ...]) -> float:
 def bell_S(state: GaussianTwoModeState, settings: MeasurementSettings) -> float:
     """S = E(a,b) + E(a',b) + E(a,b') - E(a',b') from post-selected tables."""
     return S_from_tables(setting_tables(state, settings))
+
+
+def bell_S_gradient(
+    state: GaussianTwoModeState, settings: MeasurementSettings
+) -> tuple[float, np.ndarray]:
+    """bell_S, bit-identical, and its exact gradient in (alpha, alpha', beta,
+    beta', r), from the four setting tables as one correlation_grid call."""
+    e, e_a, e_b, e_r = correlation_grid(
+        state, (settings.alpha, settings.alpha_prime),
+        (settings.beta, settings.beta_prime), settings.r, gradient=True,
+    )
+    sign = np.array([[1.0, 1.0], [1.0, -1.0]])  # E[i, j] at (alpha_i, beta_j)
+    grad = [*(sign * e_a).sum(axis=1), *(sign * e_b).sum(axis=0), (sign * e_r).sum()]
+    return float(((e[0, 0] + e[1, 0]) + e[0, 1]) - e[1, 1]), np.array(grad)
 
 
 def pr_fidelity(s: float) -> float:

@@ -28,7 +28,12 @@ from prbox import (
     sign_expectation,
     sweep_beta,
 )
-from prbox.chsh import EmptyPostSelectionError, correlation_grid, setting_pairs
+from prbox.chsh import (
+    EmptyPostSelectionError,
+    bell_S_gradient,
+    correlation_grid,
+    setting_pairs,
+)
 
 PI = math.pi
 STATE = GaussianTwoModeState(delta=0.75, gamma=1.25)
@@ -352,6 +357,64 @@ class TestCorrelationGrid:
         with pytest.raises(EmptyPostSelectionError) as swept:
             sweep_beta(STATE, PI, 40.0, grid)
         assert str(swept.value) == str(scalar.value)
+
+
+def _difference(f, x: float, h: float, forward: bool = False) -> float:
+    """Richardson-extrapolated difference quotient of f at x, central or, for
+    r near 0 where f is undefined below x, forward; both err by O(h^4)."""
+
+    def quotient(h):
+        if forward:
+            return (-3.0 * f(x) + 4.0 * f(x + h) - f(x + 2.0 * h)) / (2.0 * h)
+        return (f(x + h) - f(x - h)) / (2.0 * h)
+
+    return (4.0 * quotient(h / 2.0) - quotient(h)) / 3.0
+
+
+GRADIENT_FIELDS = ("alpha", "alpha_prime", "beta", "beta_prime", "r")
+
+
+class TestBellSGradient:
+    @settings(max_examples=60, deadline=None)
+    @given(valid_states(), angles, angles, angles, angles,
+           st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=3.0)))
+    @example(STATE, PI, PI / 2, 5 * PI / 4, 3 * PI / 4, 1.0)
+    @example(GaussianTwoModeState(1.5, 1.78125), 0.0, 0.0, 0.0, 1.0, 3.0)
+    def test_matches_differences_of_bell_S(self, state, a, ap, b, bp, r):
+        settings_ = MeasurementSettings(a, ap, b, bp, r)
+        s, grad = bell_S_gradient(state, settings_)
+        assert s == bell_S(state, settings_)
+        h = 1e-3  # balances the O(h^4) error against 1e-10 noise in the masses
+        for name, g in zip(GRADIENT_FIELDS, grad):
+            x = getattr(settings_, name)
+
+            def along(v, name=name):
+                return bell_S(state, replace(settings_, **{name: v}))
+
+            want = _difference(along, x, h, forward=(name == "r" and x < h))
+            assert abs(g - want) <= 1e-6 * max(abs(want), 1.0), name
+
+    @settings(max_examples=40, deadline=None)
+    @given(angles, angles, angles, angles, st.floats(min_value=0.0, max_value=12.0))
+    @example(PI, PI / 2, 5 * PI / 4, 3 * PI / 4, 12.0)
+    def test_finite_wherever_bell_S_is(self, a, ap, b, bp, r):
+        settings_ = MeasurementSettings(a, ap, b, bp, r)
+        try:
+            want = bell_S(STATE, settings_)
+        except EmptyPostSelectionError:
+            with pytest.raises(EmptyPostSelectionError):
+                bell_S_gradient(STATE, settings_)
+            return
+        s, grad = bell_S_gradient(STATE, settings_)
+        assert s == want
+        assert np.isfinite(grad).all()
+
+    @settings(max_examples=30, deadline=None)
+    @given(angles, angles, angles, angles, dark_widths)
+    def test_zero_on_the_separable_state(self, a, ap, b, bp, r):
+        s, grad = bell_S_gradient(SEPARABLE, MeasurementSettings(a, ap, b, bp, r))
+        assert s == 0.0
+        assert (grad == 0.0).all()
 
 
 class TestReferenceCurve:
