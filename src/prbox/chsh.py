@@ -7,12 +7,13 @@ either position inside the dark strip |x| <= r are discarded, and the four
 surviving sign combinations are renormalized to a probability table.  The
 pair is a zero-mean Gaussian and the strip is symmetric, so a table takes
 two orthant masses, each Owen's T closed form in the bulk and a quadrature
-of the tail integral where that form cancels.  S, the AND-gate success and
-the no-signaling marginals are each one formula over the four tables of
-setting_tables, so a caller needing several of them computes the tables once.
-correlation_grid gives E over an outer product of angle lists as one array
-call, bit-identical to the per-table path; sweep_beta and the optimizer's
-grid use it, and bell_S_gradient sums its exact derivatives into grad S.
+of the tail integral where that form cancels.  postselected_tables is the
+one kernel: it computes the tables over an outer product of angle lists as
+array operations, and postselected_probs, setting_tables, correlation_grid
+and sweep_beta read from it.  S, the AND-gate success and the no-signaling
+marginals are each one formula over the four tables of setting_tables, so a
+caller needing several of them computes the tables once; bell_S_gradient
+sums the kernel's exact derivatives into grad S.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import log_ndtr, ndtr, owens_t
 
-from .state import BivariateGaussian, GaussianTwoModeState, position_joint_density
-from .state import _covariance_terms
+from .state import BivariateGaussian, GaussianTwoModeState, position_joint_density, rotated_block
 
 # Relative accuracy target of an orthant mass.  Owen's T form errs by about
 # 1e-14 of its leading term, so it meets the target while the mass is at
@@ -36,10 +36,17 @@ DEGENERATE_CORR = 1.0 - 1e-12
 # A kept mass below the smallest normal double is not resolved.
 MIN_NORMAL = float(np.finfo(float).tiny)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+# Signs of the correlations of the (m_pp, m_pm) orthants, on a leading axis.
+_PLUS_MINUS = np.array([1.0, -1.0])[:, None, None]
 
 
 class EmptyPostSelectionError(ValueError):
     """Dark region so wide that essentially no probability mass survives."""
+
+
+def _check_r(r: float) -> None:
+    if not (r >= 0.0 and math.isfinite(r)):
+        raise ValueError(f"r must be a finite non-negative real, got {r}")
 
 
 @dataclass(frozen=True)
@@ -56,8 +63,7 @@ class MeasurementSettings:
         for name in ("alpha", "alpha_prime", "beta", "beta_prime"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if not (self.r >= 0.0 and math.isfinite(self.r)):
-            raise ValueError(f"r must be a finite non-negative real, got {self.r}")
+        _check_r(self.r)
 
 
 REFERENCE_SETTINGS = MeasurementSettings(
@@ -70,7 +76,8 @@ REFERENCE_SETTINGS = MeasurementSettings(
 
 @dataclass(frozen=True)
 class JointProbTable:
-    """Renormalized post-selected sign probabilities and the kept fraction."""
+    """Renormalized post-selected sign probabilities and the kept fraction,
+    as postselected_tables computes and checks them."""
 
     p_pp: float
     p_pm: float
@@ -78,37 +85,12 @@ class JointProbTable:
     p_mm: float
     kept_fraction: float
 
-    def __post_init__(self) -> None:
-        for name in ("p_pp", "p_pm", "p_mp", "p_mm"):
-            v = getattr(self, name)
-            if not (-1e-12 <= v <= 1.0 + 1e-12):
-                raise ValueError(f"{name}={v} outside [0, 1]")
-        total = self.p_pp + self.p_pm + self.p_mp + self.p_mm
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {total}, expected 1")
-        if not 0.0 < self.kept_fraction <= 1.0 + 1e-12:
-            raise ValueError(f"kept_fraction={self.kept_fraction} outside (0, 1]")
 
-
-def _upper_orthant(h1: float, h2: float, rho: float) -> float:
-    """P(Z1 > h1, Z2 > h2), h1, h2 >= 0, for a standard bivariate normal with
-    correlation rho, to about ORTHANT_RTOL relative: the arcsine law where
-    h1^2 + h2^2 underflows, Owen's T form (Owen 1956) in the bulk, and where
-    that difference cancels, the integral of the density times the
-    conditional tail, relative to its integrand at the lower limit."""
-    if abs(rho) >= DEGENERATE_CORR:
-        # Z2 = Z1 almost surely; Z2 = -Z1 never exceeds h2 when Z1 > h1
-        return float(ndtr(-max(h1, h2))) if rho > 0.0 else 0.0
-    if h1 * h1 + h2 * h2 == 0.0:
-        return 0.25 + math.asin(rho) / (2.0 * math.pi)
+def _tail_orthant(h1: float, h2: float, rho: float) -> float:
+    """P(Z1 > h1, Z2 > h2) where Owen's T form cancels: the integral of the
+    density times the conditional tail along the larger threshold, where the
+    integrand peaks at the lower limit, relative to its value there."""
     s = math.sqrt(1.0 - rho * rho)
-    lead = 0.5 * float(ndtr(-h1) + ndtr(-h2))
-    t1 = owens_t(h1, (h2 - rho * h1) / (h1 * s))
-    t2 = owens_t(h2, (h1 - rho * h2) / (h2 * s))
-    bulk = lead - float(t1) - float(t2)
-    if bulk > CANCELLATION_SHARE * lead:
-        return bulk
-    # along the larger threshold the integrand peaks at the lower limit
     h, k = max(h1, h2), min(h1, h2)
 
     def log_f(z: float) -> float:
@@ -116,53 +98,117 @@ def _upper_orthant(h1: float, h2: float, rho: float) -> float:
 
     # log-derivative at z = h; phi(w) / Phi(w) is the normal hazard at -w
     w = (rho * h - k) / s
-    hazard = math.exp(-0.5 * w * w - float(log_ndtr(w))) / math.sqrt(2.0 * math.pi)
+    hazard = math.exp(-0.5 * w * w - float(log_ndtr(w))) / _SQRT_2PI
     scale = 1.0 / max(h - (rho / s) * hazard, 1.0)
     log_f0 = log_f(h)
     if log_f0 < -746.0:  # exp(log_f0) underflows to zero
         return 0.0
     val, _ = quad(lambda u: math.exp(log_f(h + scale * u) - log_f0), 0.0, math.inf,
                   epsabs=0.0, epsrel=1e-2 * ORTHANT_RTOL, limit=200)
-    return math.exp(log_f0) * scale * val / math.sqrt(2.0 * math.pi)
+    return math.exp(log_f0) * scale * val / _SQRT_2PI
+
+
+def _orthants(h1, h2, rho) -> np.ndarray:
+    """P(Z1 > h1, Z2 > h2), h1, h2 >= 0, for standard bivariate normals with
+    correlation rho, over broadcast arrays, to about ORTHANT_RTOL relative:
+    the arcsine law where h1^2 + h2^2 underflows, Owen's T form (Owen 1956)
+    in the bulk, and _tail_orthant at the elements where that form cancels."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.sqrt(1.0 - rho * rho)
+        lead = 0.5 * (ndtr(-h1) + ndtr(-h2))
+        t1 = owens_t(h1, (h2 - rho * h1) / (h1 * s))
+        t2 = owens_t(h2, (h1 - rho * h2) / (h2 * s))
+        mass = lead - t1 - t2
+    arcsine = h1 * h1 + h2 * h2 == 0.0
+    degenerate = abs(rho) >= DEGENERATE_CORR
+    special = arcsine | degenerate
+    tail = ~(special | (mass > CANCELLATION_SHARE * lead))
+    if special.any():
+        mass = np.where(arcsine, 0.25 + np.arcsin(rho) / (2.0 * math.pi), mass)
+        # Z2 = Z1 almost surely; Z2 = -Z1 never exceeds h2 when Z1 > h1
+        mass = np.where(degenerate, np.where(rho > 0.0, ndtr(-np.maximum(h1, h2)), 0.0), mass)
+    if tail.any():
+        args = (np.broadcast_to(x, mass.shape)[tail].tolist() for x in (h1, h2, rho))
+        mass[tail] = [_tail_orthant(*x) for x in zip(*args)]
+    return mass
 
 
 def quadrant_probability(
     bg: BivariateGaussian, sign1: int, sign2: int, r: float
 ) -> float:
     """Un-normalized mass of bg over {sign1*x1 > r} x {sign2*x2 > r}."""
-    if r < 0.0:
-        raise ValueError(f"r must be non-negative, got {r}")
+    _check_r(r)
     if sign1 not in (-1, 1) or sign2 not in (-1, 1):
         raise ValueError("signs must be +1 or -1")
-    return _upper_orthant(r / bg.std1, r / bg.std2, sign1 * sign2 * bg.corr)
+    h1, h2, rho = np.array([[r / bg.std1], [r / bg.std2], [sign1 * sign2 * bg.corr]])
+    return float(_orthants(h1, h2, rho)[0])
+
+
+def _require(ok, value, error: type, message: str, *args) -> None:
+    """Raise error(message) for the first element of value, in row-major
+    order, where ok is false."""
+    if not ok.all():
+        raise error(message.format(float(value.flat[np.argmin(ok)]), *args))
+
+
+def postselected_tables(
+    state: GaussianTwoModeState, alphas, betas, r: float, gradient: bool = False
+):
+    """Post-selected tables at every (alphas[i], betas[j]), as checked arrays
+    (p_pp, p_pm, kept) of shape (len(alphas), len(betas)).  The pair has zero
+    mean and the dark strip is symmetric, so p_mm = p_pp and p_mp = p_pm, and
+    a table takes the orthants of correlation rho and -rho, here one call.
+    With gradient=True, also dm of shape (2, 3, len(alphas), len(betas)):
+    the derivatives of (m_pp, m_pm) in alpha, beta and r, each over kept."""
+    _check_r(r)
+    v1, v2, rho, *block_grad = rotated_block(state, alphas, betas, gradient)
+    h1, h2 = (r / np.sqrt(v1))[:, None], (r / np.sqrt(v2))[None, :]
+    c = rho * _PLUS_MINUS
+    m = _orthants(h1, h2, c)
+    kept = ((m[0] + m[1]) + m[1]) + m[0]
+    _require(kept >= MIN_NORMAL, kept, EmptyPostSelectionError,
+             "kept fraction {} below the smallest normal double: dark region "
+             "half-width r={} removes essentially all probability mass", r)
+    p_pp, p_pm = m / kept
+    for name, p in (("p_pp", p_pp), ("p_pm", p_pm)):
+        _require((-1e-12 <= p) & (p <= 1.0 + 1e-12), p, ValueError, name + "={} outside [0, 1]")
+    total = ((p_pp + p_pm) + p_pm) + p_pp
+    _require(abs(total - 1.0) <= 1e-9, total, ValueError, "probabilities sum to {}, expected 1")
+    _require(kept <= 1.0 + 1e-12, kept, ValueError, "kept_fraction={} outside (0, 1]")
+    if not gradient:
+        return p_pp, p_pm, kept
+    # An orthant of correlation c has dP/dh1 = -phi(h1) Phi(-(h2 - c h1)/s), the
+    # same with h1, h2 swapped, and dP/dc = phi2(h1, h2; c) (Plackett 1954).
+    # They are taken over kept in log space, so they stay finite wherever kept
+    # is a normal double.  dc/drho is +1 for m_pp and -1 for m_pm.
+    dlv1, dlv2, drho_a, drho_b = block_grad
+    s, log_kept = np.sqrt(1.0 - rho * rho), np.log(kept)
+    d1 = -np.exp(log_ndtr((c * h1 - h2) / s) - 0.5 * h1 * h1 - log_kept) / _SQRT_2PI
+    d2 = -np.exp(log_ndtr((c * h2 - h1) / s) - 0.5 * h2 * h2 - log_kept) / _SQRT_2PI
+    dc = np.exp((c * h1 * h2 - 0.5 * (h1 * h1 + h2 * h2)) / (s * s) - log_kept) / s
+    dc = dc / (2.0 * math.pi) * _PLUS_MINUS
+    # h = r / sqrt(v), so dh/dt = -h d ln sqrt(v)/dt and dh/dr = 1 / sqrt(v)
+    dm = (
+        d1 * (-h1 * dlv1[:, None]) + dc * drho_a,
+        d2 * (-h2 * dlv2[None, :]) + dc * drho_b,
+        d1 * (1.0 / np.sqrt(v1))[:, None] + d2 * (1.0 / np.sqrt(v2))[None, :],
+    )
+    return p_pp, p_pm, kept, np.stack(dm, axis=1)
 
 
 def postselected_probs(
     state: GaussianTwoModeState, alpha: float, beta: float, r: float
 ) -> JointProbTable:
-    """Renormalized post-selected sign probabilities at rotation (alpha, beta).
+    """Renormalized post-selected sign probabilities at rotation (alpha, beta):
+    the 1x1 case of postselected_tables."""
+    return _joint_tables(*postselected_tables(state, [alpha], [beta], r))[0]
 
-    The joint Gaussian has zero mean and the dark strip is symmetric, so the
-    table is inversion symmetric: m_mm = m_pp and m_mp = m_pm, and two
-    orthant masses fill it.
-    """
-    bg = position_joint_density(state, alpha, beta)
-    m_pp = quadrant_probability(bg, +1, +1, r)
-    m_pm = quadrant_probability(bg, +1, -1, r)
-    m_mp, m_mm = m_pm, m_pp
-    kept = m_pp + m_pm + m_mp + m_mm
-    if not kept >= MIN_NORMAL:
-        raise EmptyPostSelectionError(
-            f"kept fraction {kept} below the smallest normal double: dark "
-            f"region half-width r={r} removes essentially all probability mass"
-        )
-    return JointProbTable(
-        p_pp=m_pp / kept,
-        p_pm=m_pm / kept,
-        p_mp=m_mp / kept,
-        p_mm=m_mm / kept,
-        kept_fraction=kept,
-    )
+
+def _joint_tables(p_pp, p_pm, kept) -> tuple[JointProbTable, ...]:
+    """The tables of postselected_tables arrays, in column-major order, which
+    for a 2x2 grid is setting_pairs order."""
+    columns = (x.ravel(order="F").tolist() for x in (p_pp, p_pm, kept))
+    return tuple(JointProbTable(pp, pm, pm, pp, k) for pp, pm, k in zip(*columns))
 
 
 def correlation_E(table: JointProbTable) -> float:
@@ -170,87 +216,19 @@ def correlation_E(table: JointProbTable) -> float:
     return table.p_pp + table.p_mm - table.p_pm - table.p_mp
 
 
-def _upper_orthants(h1, h2, rho, valid) -> np.ndarray:
-    """_upper_orthant over arrays: Owen's T form where it holds, and the
-    scalar function at every other valid element."""
-    s = np.sqrt(1.0 - rho * rho)
-    lead = 0.5 * (ndtr(-h1) + ndtr(-h2))
-    t1 = owens_t(h1, (h2 - rho * h1) / (h1 * s))
-    t2 = owens_t(h2, (h1 - rho * h2) / (h2 * s))
-    mass = lead - t1 - t2
-    bulk = (abs(rho) < DEGENERATE_CORR) & (h1 * h2 > 0.0)
-    for i in zip(*np.nonzero(valid & ~(bulk & (mass > CANCELLATION_SHARE * lead)))):
-        mass[i] = _upper_orthant(float(h1[i]), float(h2[i]), float(rho[i]))
-    return mass
-
-
 def correlation_grid(
     state: GaussianTwoModeState, alphas, betas, r: float, gradient: bool = False
 ):
     """E[i, j] = correlation_E(postselected_probs(state, alphas[i], betas[j], r))
-    for two angle sequences, as array operations in the scalar path's order,
-    so every element is bit-identical to it.  Where the scalar path would
-    raise, the first such element in row-major order is recomputed by
-    postselected_probs, which raises its own error.  With gradient=True,
-    returns (E, dE/dalpha, dE/dbeta, dE/dr), each of E's shape."""
-    a, b, d = _covariance_terms(state)
-    ca, sa = np.array([[math.cos(t), math.sin(t)] for t in alphas]).reshape(-1, 2).T
-    cb, sb = np.array([[math.cos(t), math.sin(t)] for t in betas]).reshape(-1, 2).T
-    v1 = 0.5 * (a * ca * ca + (a / d) * sa * sa)
-    v2 = 0.5 * (a * cb * cb + (a / d) * sb * sb)
-    cov = 0.5 * (np.outer(b * ca, cb) - np.outer((b / d) * sa, sb))
-    valid = np.logical_and.outer(v1 > 0.0, v2 > 0.0) & (r >= 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho = np.minimum(1.0, np.maximum(-1.0, cov / np.sqrt(np.outer(v1, v2))))
-        h1, h2, rho = np.broadcast_arrays(
-            (r / np.sqrt(v1))[:, None], (r / np.sqrt(v2))[None, :], rho
-        )
-        m_pp = _upper_orthants(h1, h2, rho, valid)
-        m_pm = _upper_orthants(h1, h2, -rho, valid)
-        kept = ((m_pp + m_pm) + m_pm) + m_pp
-        p_pp, p_pm = m_pp / kept, m_pm / kept
-    total = ((p_pp + p_pm) + p_pm) + p_pp
-    ok = valid & (kept >= MIN_NORMAL) & (kept <= 1.0 + 1e-12)
-    ok &= abs(total - 1.0) <= 1e-9
-    for p in (p_pp, p_pm):
-        ok &= (-1e-12 <= p) & (p <= 1.0 + 1e-12)
-    if not ok.all():
-        i, j = np.unravel_index(np.argmin(ok), ok.shape)
-        postselected_probs(state, alphas[i], betas[j], r)
-        raise AssertionError(f"only the array table at ({alphas[i]}, {betas[j]}) fails")
+    for two angle sequences, from one postselected_tables call.  With
+    gradient=True, returns (E, dE/dalpha, dE/dbeta, dE/dr), each of E's shape."""
+    p_pp, p_pm, _, *dm = postselected_tables(state, alphas, betas, r, gradient)
     e = ((p_pp + p_pp) - p_pm) - p_pm
     if not gradient:
         return e
-    # An orthant of correlation c has dP/dh1 = -phi(h1) Phi(-(h2 - c h1)/s), the
-    # same with h1, h2 swapped, and dP/dc = phi2(h1, h2; c) (Plackett 1954).
-    # They are taken over kept in log space, so they stay finite wherever kept
-    # is a normal double; E = (m_pp - m_pm) / (m_pp + m_pm), kept = 2 (m_pp + m_pm).
-    s, log_kept = np.sqrt(1.0 - rho * rho), np.log(kept)
-
-    def over_kept(c):
-        d1 = -np.exp(log_ndtr((c * h1 - h2) / s) - 0.5 * h1 * h1 - log_kept)
-        d2 = -np.exp(log_ndtr((c * h2 - h1) / s) - 0.5 * h2 * h2 - log_kept)
-        dc = np.exp((c * h1 * h2 - 0.5 * (h1 * h1 + h2 * h2)) / (s * s) - log_kept) / s
-        return d1 / _SQRT_2PI, d2 / _SQRT_2PI, dc / (2.0 * math.pi)
-
-    (u1, u2, uc), (w1, w2, wc) = over_kept(rho), over_kept(-rho)
-
-    def d_e(dh1, dh2, drho):
-        u, w = u1 * dh1 + u2 * dh2 + uc * drho, w1 * dh1 + w2 * dh2 - wc * drho
-        return 2.0 * (u * (1.0 - e) - w * (1.0 + e))
-
-    # dv/dt = (a/d - a) sin t cos t; h = r / sqrt(v); rho = cov / sqrt(v1 v2)
-    dlv1 = ((0.5 * (a / d - a)) * sa * ca / v1)[:, None]
-    dlv2 = ((0.5 * (a / d - a)) * sb * cb / v2)[None, :]
-    sq = np.sqrt(np.outer(v1, v2))
-    da_cov = -0.5 * (np.outer(b * sa, cb) + np.outer((b / d) * ca, sb))
-    db_cov = -0.5 * (np.outer(b * ca, sb) + np.outer((b / d) * sa, cb))
-    return (
-        e,
-        d_e(-h1 * dlv1, 0.0, da_cov / sq - rho * dlv1),
-        d_e(0.0, -h2 * dlv2, db_cov / sq - rho * dlv2),
-        d_e((1.0 / np.sqrt(v1))[:, None], (1.0 / np.sqrt(v2))[None, :], 0.0),
-    )
+    # E = (m_pp - m_pm) / (m_pp + m_pm) and kept = 2 (m_pp + m_pm)
+    u, w = dm[0]
+    return (e, *(2.0 * (u * (1.0 - e) - w * (1.0 + e))))
 
 
 def sign_expectation(
@@ -277,9 +255,10 @@ def setting_tables(
 ) -> tuple[JointProbTable, ...]:
     """Post-selected tables of setting_pairs(settings), in that order.
     Every CHSH quantity is a function of these four tables."""
-    return tuple(
-        postselected_probs(state, a, b, settings.r) for a, b in setting_pairs(settings)
-    )
+    return _joint_tables(*postselected_tables(
+        state, (settings.alpha, settings.alpha_prime),
+        (settings.beta, settings.beta_prime), settings.r,
+    ))
 
 
 def S_from_tables(tables: tuple[JointProbTable, ...]) -> float:

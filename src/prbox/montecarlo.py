@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chsh import setting_pairs
+from .chsh import _check_r, setting_pairs
 from .state import BivariateGaussian, GaussianTwoModeState, position_joint_density
 
 CHUNK_SIZE = 250_000
@@ -149,8 +149,7 @@ def simulate_counts(
     """Sample n pairs, discard dark-region hits, bin the rest by sign."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if r < 0.0:
-        raise ValueError(f"r must be non-negative, got {r}")
+    _check_r(r)
     bg = position_joint_density(state, alpha, beta)
     chol = _cholesky_factor(bg)
     jobs = [(seed, idx, m, chol, r) for idx, m in enumerate(_chunk_sizes(n))]

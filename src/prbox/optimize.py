@@ -127,6 +127,8 @@ def tune_r(
         raise ValueError(f"target fidelity must be in (0, 1), got {target_fidelity}")
     if not r_max > 0.0:
         raise ValueError(f"r_max must be positive, got {r_max}")
+    if not (r_tol > 0.0 and math.isfinite(r_tol)):
+        raise ValueError(f"r_tol must be a finite positive real, got {r_tol}")
 
     lo, hi = 0.0, r_max
     f_lo, f_hi = (pr_fidelity(bell_S(state, replace(settings, r=x))) for x in (lo, hi))
@@ -138,7 +140,8 @@ def tune_r(
             f"maximum achievable is {f_hi:.6f}"
         )
     newton = math.nan
-    while hi - lo > r_tol:
+    # the bracket also ends once no double lies strictly inside it
+    while hi - lo > r_tol and lo < 0.5 * (lo + hi) < hi:
         x = newton if lo < newton < hi else 0.5 * (lo + hi)
         s, grad = bell_S_gradient(state, replace(settings, r=x))
         f_x, slope = pr_fidelity(s), grad[4] / 8.0

@@ -7,11 +7,12 @@ exp(-(q1^2 + q2^2)/(2 delta^2) - q1 q2 / gamma^2), which is normalizable
 only for gamma > delta.
 
 Every table starts from one object, the 2x2 covariance of the detected
-positions after local phase-space rotations x -> cos(t) x + sin(t) p, and
-position_joint_density writes it in closed form from a = 1/delta^2,
-b = 1/gamma^2 and d = a^2 - b^2.  The test suite checks it against an
-independently assembled 4x4 phase-space covariance over (x1, p1, x2, p2),
-rotated as a matrix, and against brute-force moments of the wavefunction.
+positions after local phase-space rotations x -> cos(t) x + sin(t) p.
+rotated_block writes it in closed form from a = 1/delta^2, b = 1/gamma^2
+and d = a^2 - b^2, over arrays of angles, and position_joint_density is its
+single-element case.  The test suite checks it against an independently
+assembled 4x4 phase-space covariance over (x1, p1, x2, p2), rotated as a
+matrix, and against brute-force moments of the wavefunction.
 """
 
 from __future__ import annotations
@@ -121,26 +122,44 @@ def _covariance_terms(state: GaussianTwoModeState) -> tuple[float, float, float]
     return a, b, d
 
 
-def position_joint_density(
-    state: GaussianTwoModeState, alpha: float, beta: float
-) -> BivariateGaussian:
-    """Joint Gaussian of the detected positions after rotations (alpha, beta).
+def rotated_block(state: GaussianTwoModeState, alphas, betas, gradient: bool = False):
+    """Variances var1[i] and var2[j] of the detected positions after rotations
+    alphas[i] and betas[j], and their correlation rho[i, j], as arrays.
 
     With a = 1/delta^2, b = 1/gamma^2 and d = a^2 - b^2, the unrotated
     position block is A/2 and the momentum block A^-1/2, with no x-p
     cross-correlations (real wavefunction), so a rotation by t gives
     var(t) = (a cos^2 t + (a/d) sin^2 t) / 2 and
     cov = (b cos(alpha) cos(beta) - (b/d) sin(alpha) sin(beta)) / 2.
+    With gradient=True, also d ln sqrt(var1) / d alpha, d ln sqrt(var2) /
+    d beta and the derivatives of rho in alpha and in beta.
     """
     a, b, d = _covariance_terms(state)
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    cb, sb = math.cos(beta), math.sin(beta)
-    v1 = 0.5 * (a * ca * ca + (a / d) * sa * sa)
-    v2 = 0.5 * (a * cb * cb + (a / d) * sb * sb)
-    cov = 0.5 * (b * ca * cb - (b / d) * sa * sb)
-    rho = cov / math.sqrt(v1 * v2)
-    rho = min(1.0, max(-1.0, rho))
-    return BivariateGaussian(var1=v1, var2=v2, corr=rho)
+    n = len(alphas)
+    c, s = np.array([[math.cos(t), math.sin(t)] for t in (*alphas, *betas)]).reshape(-1, 2).T
+    v = 0.5 * (a * c * c + (a / d) * s * s)
+    ca, sa, v1, cb, sb, v2 = c[:n], s[:n], v[:n], c[n:], s[n:], v[n:]
+    sq = np.sqrt(v1[:, None] * v2)
+    cov = 0.5 * ((b * ca)[:, None] * cb - ((b / d) * sa)[:, None] * sb)
+    rho = np.minimum(1.0, np.maximum(-1.0, cov / sq))
+    if not gradient:
+        return v1, v2, rho
+    # dvar/dt = (a/d - a) sin t cos t
+    dlv = (0.5 * (a / d - a)) * s * c / v
+    dlv1, dlv2 = dlv[:n], dlv[n:]
+    da_cov = -0.5 * ((b * sa)[:, None] * cb + ((b / d) * ca)[:, None] * sb)
+    db_cov = -0.5 * ((b * ca)[:, None] * sb + ((b / d) * sa)[:, None] * cb)
+    return (v1, v2, rho, dlv1, dlv2,
+            da_cov / sq - rho * dlv1[:, None], db_cov / sq - rho * dlv2[None, :])
+
+
+def position_joint_density(
+    state: GaussianTwoModeState, alpha: float, beta: float
+) -> BivariateGaussian:
+    """Joint Gaussian of the detected positions after rotations (alpha, beta):
+    the single element of rotated_block."""
+    v1, v2, rho = rotated_block(state, [alpha], [beta])
+    return BivariateGaussian(var1=float(v1[0]), var2=float(v2[0]), corr=float(rho[0, 0]))
 
 
 def _marginal_times_conditional(var1, var2, cov, x1, x2):

@@ -33,7 +33,9 @@ from prbox.chsh import (
     bell_S_gradient,
     correlation_grid,
     setting_pairs,
+    setting_tables,
 )
+from prbox.montecarlo import simulate_counts
 
 PI = math.pi
 STATE = GaussianTwoModeState(delta=0.75, gamma=1.25)
@@ -336,11 +338,26 @@ class TestCorrelationGrid:
     @example(NEAR_EPR, [-2.5, PI, 7.0], [-0.3, 5 * PI / 4, 13.0], 2.0)
     @example(SEPARABLE, [0.0, -PI], [PI / 2, 2.0 * PI + 1.0], 0.5)
     def test_bit_identical_to_scalar_path(self, state, alphas, betas, r):
+        # every element of one batched call equals the 1x1 call of
+        # postselected_probs, which guards the stacking of the +rho and -rho
+        # orthants and the index loop over tail elements
         grid = correlation_grid(state, alphas, betas, r)
         assert grid.shape == (len(alphas), len(betas))
         for i, a in enumerate(alphas):
             for j, b in enumerate(betas):
                 assert grid[i, j] == correlation_E(postselected_probs(state, a, b, r))
+
+    @pytest.mark.parametrize("r", [2.0, 3.0, 4.0])
+    def test_setting_tables_match_oracle(self, r):
+        # one 2x2 call; at r = 2 and 3 its elements mix Owen's T and the tail
+        # quadrature, and at r = 4 every element takes the tail
+        settings_ = replace(REFERENCE_SETTINGS, r=r)
+        tables = setting_tables(STATE, settings_)
+        for (alpha, beta), t in zip(setting_pairs(settings_), tables):
+            bg = position_joint_density(STATE, alpha, beta)
+            for p, corr in ((t.p_pp, bg.corr), (t.p_pm, -bg.corr)):
+                want = oracles.mp_upper_orthant(r / bg.std1, r / bg.std2, corr)
+                assert abs(p * t.kept_fraction - want) <= 1e-9 * want
 
     def test_sweep_matches_scalar_loop(self):
         grid = [-1.0, 0.0, 2.5, 7.5]
@@ -357,6 +374,23 @@ class TestCorrelationGrid:
         with pytest.raises(EmptyPostSelectionError) as swept:
             sweep_beta(STATE, PI, 40.0, grid)
         assert str(swept.value) == str(scalar.value)
+
+
+BAD_R_ENTRY_POINTS = {
+    "quadrant_probability": lambda r: quadrant_probability(
+        position_joint_density(STATE, PI, 5 * PI / 4), 1, 1, r),
+    "postselected_probs": lambda r: postselected_probs(STATE, PI, 5 * PI / 4, r),
+    "correlation_grid": lambda r: correlation_grid(STATE, REF_ALPHAS, REF_BETAS, r),
+    "sweep_beta": lambda r: sweep_beta(STATE, PI, r, [0.0, 1.0]),
+    "simulate_counts": lambda r: simulate_counts(STATE, PI, 5 * PI / 4, r, 100, 1),
+}
+
+
+@pytest.mark.parametrize("entry", BAD_R_ENTRY_POINTS)
+@pytest.mark.parametrize("r", [math.nan, math.inf, -1.0])
+def test_bad_dark_width_names_r(entry, r):
+    with pytest.raises(ValueError, match="r must be a finite non-negative real"):
+        BAD_R_ENTRY_POINTS[entry](r)
 
 
 def _difference(f, x: float, h: float, forward: bool = False) -> float:

@@ -204,6 +204,30 @@ class TestTuneR:
         with pytest.raises(ValueError):
             tune_r(STATE, REFERENCE_SETTINGS, 0.9, r_max=-1.0)
 
+    @pytest.fixture
+    def bounded(self, monkeypatch):
+        """Fail, rather than hang, a search past 200 gradient evaluations."""
+        evaluated = []
+        kernel = prbox.optimize.bell_S_gradient
+
+        def counting(state, settings):
+            evaluated.append(settings.r)
+            assert len(evaluated) <= 200, "bracket search does not end"
+            return kernel(state, settings)
+
+        monkeypatch.setattr(prbox.optimize, "bell_S_gradient", counting)
+
+    @pytest.mark.parametrize("r_tol", [0.0, -1.0, math.nan])
+    def test_rejects_degenerate_r_tol(self, bounded, r_tol):
+        with pytest.raises(ValueError, match="r_tol"):
+            tune_r(STATE, REFERENCE_SETTINGS, 0.9, r_max=3.0, r_tol=r_tol)
+
+    def test_r_tol_below_double_spacing_ends(self, bounded):
+        r_star = tune_r(STATE, REFERENCE_SETTINGS, 0.9, r_max=3.0, r_tol=1e-300)
+        assert 0.0 < r_star < 3.0
+        assert r_star == pytest.approx(
+            tune_r(STATE, REFERENCE_SETTINGS, 0.9, r_max=3.0), abs=1e-4)
+
     @pytest.mark.parametrize("target", [0.6, 0.8, 0.9275, 0.95])
     def test_root_within_r_tol(self, target):
         r_star = tune_r(STATE, REFERENCE_SETTINGS, target, r_max=3.0, r_tol=1e-4)
