@@ -191,13 +191,12 @@ def cmd_mc(cfg: RunConfig) -> int:
     state = _state_from_config(cfg)
     records = []
     for r_cfg, r_dim in zip(cfg.r_values, cfg.r_dimensionless()):
-        pairs = chsh_mod.setting_pairs(_settings_from_config(cfg, r_dim))
-        for k, (label, (a, b)) in enumerate(zip(chsh_mod.SETTING_LABELS, pairs)):
-            seed = mc_mod.derive_setting_seed(cfg.mc_seed, k)
-            counts = mc_mod.simulate_counts(
-                state, a, b, r_dim, cfg.mc_n, seed, workers=cfg.mc_workers
-            )
-            est = mc_mod.estimate_probabilities(counts)
+        settings = _settings_from_config(cfg, r_dim)
+        estimates = mc_mod.setting_estimates(
+            state, settings, cfg.mc_n, cfg.mc_seed, cfg.mc_workers
+        )
+        pairs = chsh_mod.setting_pairs(settings)
+        for label, (a, b), (seed, est) in zip(chsh_mod.SETTING_LABELS, pairs, estimates):
             records.append(
                 {
                     "r": r_cfg,

@@ -4,7 +4,9 @@ post-selected probabilities with binomial errors.
 
 Sampling is chunked with per-chunk seeds derived deterministically from
 (seed, chunk index), so results are bit-identical for a given seed
-regardless of how many workers execute the chunks.
+regardless of how many workers execute the chunks.  Each chunk is drawn and
+sign-binned block by block into reused buffers, so counts are bit-identical to
+binning ``sample_pairs`` and memory does not scale with CHUNK_SIZE.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .chsh import _check_r, setting_pairs
 from .state import BivariateGaussian, GaussianTwoModeState, position_joint_density
 
 CHUNK_SIZE = 250_000
+BLOCK_SIZE = 16_384
 MIN_KEPT_COUNT = 100
 _SEED_MASK = (1 << 64) - 1
 
@@ -93,9 +96,9 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def _chunk_sizes(n: int) -> list[int]:
-    full, rem = divmod(n, CHUNK_SIZE)
-    return [CHUNK_SIZE] * full + ([rem] if rem else [])
+def _chunk_sizes(n: int, size: int = CHUNK_SIZE) -> list[int]:
+    full, rem = divmod(n, size)
+    return [size] * full + ([rem] if rem else [])
 
 
 def _sample_chunk(seed: int, idx: int, m: int, chol) -> tuple[np.ndarray, np.ndarray]:
@@ -107,10 +110,14 @@ def _sample_chunk(seed: int, idx: int, m: int, chol) -> tuple[np.ndarray, np.nda
     return l00 * z[:, 0], l10 * z[:, 0] + l11 * z[:, 1]
 
 
+def _check_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def sample_pairs(bg: BivariateGaussian, n: int, seed: int) -> np.ndarray:
     """n i.i.d. position pairs from bg as an (n, 2) array; seed-deterministic."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_count("n", n)
     chol = _cholesky_factor(bg)
     chunks = [
         np.column_stack(_sample_chunk(seed, idx, m, chol))
@@ -120,21 +127,29 @@ def sample_pairs(bg: BivariateGaussian, n: int, seed: int) -> np.ndarray:
 
 
 def _bin_chunk(args) -> np.ndarray:
-    seed, idx, m, chol, r = args
-    x1, x2 = _sample_chunk(seed, idx, m, chol)
-    kept = (np.abs(x1) > r) & (np.abs(x2) > r)
-    up1 = x1 > 0
-    up2 = x2 > 0
-    return np.array(
-        [
-            int(np.count_nonzero(kept & up1 & up2)),
-            int(np.count_nonzero(kept & up1 & ~up2)),
-            int(np.count_nonzero(kept & ~up1 & up2)),
-            int(np.count_nonzero(kept & ~up1 & ~up2)),
-            int(m - np.count_nonzero(kept)),
-        ],
-        dtype=np.int64,
-    )
+    """Counts (kept, kept & up1, kept & up2, kept & up1 & up2) of one chunk, up
+    meaning x > 0.  Binned block by block into reused buffers, bit-identical to
+    binning the chunk's ``sample_pairs`` rows (successive ``out=`` draws continue
+    one stream), in memory that does not scale with CHUNK_SIZE."""
+    seed, idx, m, (l00, l10, l11), r = args
+    rng = _chunk_rng(seed, idx)
+    z = np.empty((BLOCK_SIZE, 2))
+    floats = np.empty((3, BLOCK_SIZE))
+    flags = np.empty((4, BLOCK_SIZE), dtype=bool)
+    c = np.zeros(4, dtype=np.int64)
+    for k in _chunk_sizes(m, BLOCK_SIZE):
+        x1, x2, t = floats[:, :k]
+        kept, up1, up2, both = flags[:, :k]
+        z0, z1 = rng.standard_normal(out=z[:k]).T
+        np.multiply(l00, z0, out=x1)
+        np.add(np.multiply(l10, z0, out=x2), np.multiply(l11, z1, out=t), out=x2)
+        np.greater(np.abs(x1, out=t), r, out=kept)
+        np.logical_and(kept, np.greater(np.abs(x2, out=t), r, out=up1), out=kept)
+        np.logical_and(kept, np.greater(x1, 0.0, out=up1), out=up1)
+        np.logical_and(kept, np.greater(x2, 0.0, out=up2), out=up2)
+        np.logical_and(up1, up2, out=both)
+        c += [np.count_nonzero(v) for v in (kept, up1, up2, both)]
+    return c
 
 
 def simulate_counts(
@@ -147,8 +162,8 @@ def simulate_counts(
     workers: int = 1,
 ) -> CountTable:
     """Sample n pairs, discard dark-region hits, bin the rest by sign."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_count("n", n)
+    _check_count("workers", workers)
     _check_r(r)
     bg = position_joint_density(state, alpha, beta)
     chol = _cholesky_factor(bg)
@@ -158,15 +173,9 @@ def simulate_counts(
             partials = list(pool.map(_bin_chunk, jobs))
     else:
         partials = [_bin_chunk(j) for j in jobs]
-    totals = np.sum(partials, axis=0)
+    n_kept, c1, c2, c12 = (int(c) for c in np.sum(partials, axis=0))
     return CountTable(
-        n_pp=int(totals[0]),
-        n_pm=int(totals[1]),
-        n_mp=int(totals[2]),
-        n_mm=int(totals[3]),
-        n_discarded=int(totals[4]),
-        seed=seed,
-        n_total=n,
+        c12, c1 - c12, c2 - c12, n_kept - c1 - c2 + c12, n - n_kept, seed=seed, n_total=n
     )
 
 
@@ -210,6 +219,14 @@ def derive_setting_seed(seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def setting_estimates(state: GaussianTwoModeState, settings, n, seed, workers=1):
+    """Yield (sub-seed, ProbEstimate) of each setting pair, in setting_pairs order."""
+    for k, (a, b) in enumerate(setting_pairs(settings)):
+        sub_seed = derive_setting_seed(seed, k)
+        counts = simulate_counts(state, a, b, settings.r, n, sub_seed, workers)
+        yield sub_seed, estimate_probabilities(counts)
+
+
 def mc_bell_S(
     state: GaussianTwoModeState,
     settings,
@@ -218,13 +235,9 @@ def mc_bell_S(
     workers: int = 1,
 ) -> tuple[float, float]:
     """Bell parameter estimate and standard error from four simulated tables."""
-    s_val = 0.0
-    var = 0.0
+    s_val = var = 0.0
     weights = (1.0, 1.0, 1.0, -1.0)
-    for k, ((a, b), w) in enumerate(zip(setting_pairs(settings), weights)):
-        sub_seed = derive_setting_seed(seed, k)
-        counts = simulate_counts(state, a, b, settings.r, n, sub_seed, workers)
-        est = estimate_probabilities(counts)
+    for w, (_, est) in zip(weights, setting_estimates(state, settings, n, seed, workers)):
         s_val += w * est.correlation_E
         var += est.correlation_E_se**2
     return s_val, math.sqrt(var)

@@ -1,5 +1,10 @@
+import importlib
+import json
 import math
+import tracemalloc
 from dataclasses import replace
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,12 +24,20 @@ from prbox import (
     sample_pairs,
     simulate_counts,
 )
-from prbox.montecarlo import InsufficientCountsError, derive_setting_seed
+from prbox.chsh import setting_pairs
+from prbox.cli import main
+from prbox.montecarlo import (
+    BLOCK_SIZE,
+    CHUNK_SIZE,
+    InsufficientCountsError,
+    derive_setting_seed,
+)
 
 PI = math.pi
 STATE = GaussianTwoModeState(delta=0.75, gamma=1.25)
 SEPARABLE = GaussianTwoModeState(delta=1.0, gamma=math.inf)
 BG = BivariateGaussian(var1=1.2, var2=0.6, corr=0.45)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 class TestSamplePairs:
@@ -50,6 +63,11 @@ class TestSamplePairs:
         z = 0.5 * math.log((1 + rho_hat) / (1 - rho_hat))
         z0 = 0.5 * math.log((1 + BG.corr) / (1 - BG.corr))
         assert abs(z - z0) < 4.0 / math.sqrt(n - 3)
+
+    @pytest.mark.parametrize("n", [0, -3, True, 2.5, 1e6, "10"])
+    def test_rejects_n_that_is_not_a_positive_integer(self, n):
+        with pytest.raises(ValueError, match=r"^n must be an integer >= 1"):
+            sample_pairs(BG, n, 0)
 
     def test_rejects_degenerate_correlation(self):
         bad = BivariateGaussian(var1=1.0, var2=1.0, corr=1.0)
@@ -91,6 +109,34 @@ class TestSimulateCounts:
         four = simulate_counts(STATE, workers=4, **kwargs)
         assert one == four
 
+    @pytest.mark.parametrize("n", [0, -3, True, False, 2.5, 1e6, "10"])
+    def test_rejects_n_that_is_not_a_positive_integer(self, n):
+        with pytest.raises(ValueError, match=r"^n must be an integer >= 1"):
+            simulate_counts(STATE, PI, 5 * PI / 4, 0.5, n, seed=1)
+
+    @pytest.mark.parametrize("workers", [0, -3, True, 2.5, "2"])
+    def test_rejects_workers_that_is_not_a_positive_integer(self, workers):
+        with pytest.raises(ValueError, match=r"^workers must be an integer >= 1"):
+            simulate_counts(STATE, PI, 5 * PI / 4, 0.5, 1000, seed=1, workers=workers)
+
+    def test_accepts_numpy_integers(self):
+        kwargs = dict(alpha=PI, beta=5 * PI / 4, r=0.5, seed=1)
+        want = simulate_counts(STATE, n=30_000, workers=2, **kwargs)
+        got = simulate_counts(STATE, n=np.int64(30_000), workers=np.int32(2), **kwargs)
+        assert got == want
+
+    def test_memory_does_not_scale_with_n(self):
+        # numpy reports its buffers to tracemalloc, so the peak is deterministic;
+        # binning whole 250k-pair chunks at once peaks at about 10 MB
+        simulate_counts(STATE, PI, 5 * PI / 4, 0.5, 1000, seed=1)
+        tracemalloc.start()
+        try:
+            simulate_counts(STATE, PI, 5 * PI / 4, 0.5, 1_000_000, seed=1, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
     def test_estimated_kept_fraction_decreases_with_r(self):
         n = 1_000_000
         kfs = [
@@ -98,6 +144,45 @@ class TestSimulateCounts:
             for r in (0.0, 0.25, 0.5, 0.75, 1.0, 1.5)
         ]
         assert all(a > b for a, b in zip(kfs, kfs[1:]))
+
+
+def _sign_binned(x: np.ndarray, r: float) -> dict:
+    """Counts of (n, 2) pairs binned by sign after discarding |x| <= r, in
+    plain numpy: the reference the blocked binning must equal exactly."""
+    kept = (np.abs(x[:, 0]) > r) & (np.abs(x[:, 1]) > r)
+    up1, up2 = x[:, 0] > 0, x[:, 1] > 0
+    return {
+        "n_pp": int(np.count_nonzero(kept & up1 & up2)),
+        "n_pm": int(np.count_nonzero(kept & up1 & ~up2)),
+        "n_mp": int(np.count_nonzero(kept & ~up1 & up2)),
+        "n_mm": int(np.count_nonzero(kept & ~up1 & ~up2)),
+        "n_discarded": int(np.count_nonzero(~kept)),
+    }
+
+
+class TestExactReference:
+    """simulate_counts equals sign-binning sample_pairs count for count, across
+    block and chunk boundaries, dark strips from none to nearly everything, and
+    worker counts.  This also pins that successive ``out=`` draws of one
+    generator continue the stream a single draw gives."""
+
+    ALPHA, BETA, SEED = PI, 5 * PI / 4, 21
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        bg = position_joint_density(STATE, self.ALPHA, self.BETA)
+        return cache(lambda n: sample_pairs(bg, n, self.SEED))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("r", [0.0, 0.5, 2.0, 6.0])
+    @pytest.mark.parametrize(
+        "n", [1, BLOCK_SIZE - 1, BLOCK_SIZE + 1, CHUNK_SIZE + 12_345, 777_777]
+    )
+    def test_counts_equal_binning_of_sample_pairs(self, pairs, n, r, workers):
+        got = simulate_counts(STATE, self.ALPHA, self.BETA, r, n, self.SEED, workers)
+        want = _sign_binned(pairs(n), r)
+        assert {key: getattr(got, key) for key in want} == want
+        assert (got.n_total, got.seed) == (n, self.SEED)
 
 
 class TestEstimateProbabilities:
@@ -159,7 +244,38 @@ class TestMcBellS:
             s_mc, se = mc_bell_S(state, settings, 1_000_000, seed=int(rng.integers(1 << 32)))
             assert abs(s_mc - bell_S(state, settings)) < 4.0 * se
 
+    def test_equals_the_sum_over_simulated_settings(self):
+        settings = replace(REFERENCE_SETTINGS, r=0.4)
+        s_val = var = 0.0
+        for k, ((a, b), w) in enumerate(zip(setting_pairs(settings), (1, 1, 1, -1))):
+            c = simulate_counts(STATE, a, b, 0.4, 50_000, derive_setting_seed(16, k))
+            est = estimate_probabilities(c)
+            s_val += w * est.correlation_E
+            var += est.correlation_E_se**2
+        assert mc_bell_S(STATE, settings, 50_000, seed=16) == (s_val, math.sqrt(var))
+
     def test_tsirelson_violation_significant(self):
         settings = replace(REFERENCE_SETTINGS, r=2.0)
         s_mc, se = mc_bell_S(STATE, settings, 10_000_000, seed=15)
         assert s_mc - 2.0 * math.sqrt(2.0) > 5.0 * se
+
+
+class TestBenchmarkChecks:
+    """The `sample` workload's r = 0.75 outputs pass the benchmark's own check
+    and do not depend on the worker count."""
+
+    def test_sample_outputs_pass_and_match_across_workers(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        workloads = importlib.import_module("workloads")
+        sample = workloads.sample(seed=1)
+        names = ("mc_r0.75_w1", "mc_r0.75_w2")
+        assert names in sample.twins
+        outputs = []
+        for inv in [i for i in sample.invocations if i.name in names]:
+            cfg, out = tmp_path / f"{inv.name}.cfg", tmp_path / f"{inv.name}.json"
+            cfg.write_text(workloads.config_text(inv.config))
+            argv = ["--config", str(cfg), "--format", "json", "--out", str(out)]
+            assert main([inv.command, *argv]) == 0
+            inv.check(json.loads(out.read_text()))
+            outputs.append(out.read_bytes())
+        assert len(outputs) == 2 and outputs[0] == outputs[1]
