@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import roots_laguerre
 
 import oracles
 from strategies import angles, dark_widths, valid_states
@@ -28,7 +29,10 @@ from prbox import (
     sign_expectation,
     sweep_beta,
 )
+from prbox import chsh
 from prbox.chsh import (
+    DEGENERATE_CORR,
+    ORTHANT_RTOL,
     EmptyPostSelectionError,
     bell_S_gradient,
     correlation_grid,
@@ -92,6 +96,31 @@ def assert_orthants_match_oracle(bg, r):
             assert abs(got - want) <= 1e-9 * want, (h1, h2, sign2 * bg.corr)
 
 
+def tail_branch(monkeypatch, h1, h2, rho):
+    """Mask of the elements of one _orthants call that take the tail rule."""
+    with monkeypatch.context() as m:
+        m.setattr(chsh, "_tail_orthants", lambda h1, h2, rho: np.full(len(h1), -1.0))
+        return chsh._orthants(h1, h2, rho) == -1.0
+
+
+def assert_tail_matches_oracle(h1, h2, rho, got):
+    """got within ORTHANT_RTOL relative of the 40-digit oracle, or exactly 0
+    where the oracle is below 1e-300."""
+    for args, g in zip(zip(h1.tolist(), h2.tolist(), rho.tolist()), got.tolist()):
+        want = oracles.mp_upper_orthant(*args)
+        if not (want < 1e-300 and g == 0.0):
+            assert abs(g - want) <= ORTHANT_RTOL * want, (args, g, want)
+
+
+# (h1, h2, rho) samplers that reach the tail rule: moderate thresholds at any
+# correlation, thresholds up to 30, and correlations from 1 - 1e-1 to 1 - 1e-8
+TAIL_SAMPLERS = {
+    "moderate": lambda rng, n: (*rng.uniform(0, 9, (2, n)), rng.uniform(-1, 1, n)),
+    "far": lambda rng, n: (*rng.uniform(0, 30, (2, n)), rng.uniform(-1, 1, n) * (1 - 1e-8)),
+    "near_one": lambda rng, n: (*rng.uniform(0, 35, (2, n)), 1 - 10.0 ** rng.uniform(-8, -1, n)),
+}
+
+
 class TestOrthantAccuracy:
     @pytest.mark.parametrize(
         "h,k", [(0.0, 0.0), (0.5, 2.0), (3.0, 6.0), (8.0, 8.0), (12.0, 3.0)]
@@ -119,6 +148,45 @@ class TestOrthantAccuracy:
         # sign of the correlation flipped
         for alpha, beta in setting_pairs(REFERENCE_SETTINGS)[:2]:
             assert_orthants_match_oracle(position_joint_density(STATE, alpha, beta), r)
+
+    @pytest.mark.parametrize("sampler", sorted(TAIL_SAMPLERS))
+    def test_tail_rule_matches_oracle(self, monkeypatch, sampler):
+        h1, h2, rho = TAIL_SAMPLERS[sampler](np.random.default_rng(20261018), 100)
+        tail = tail_branch(monkeypatch, h1, h2, rho)
+        keep = np.flatnonzero(tail)[:20]
+        assert len(keep) == 20
+        got = chsh._orthants(h1, h2, rho)
+        assert_tail_matches_oracle(h1[keep], h2[keep], rho[keep], got[keep])
+
+    def test_tail_rule_at_reference_settings(self, monkeypatch):
+        # at r = 4 both orthants of all four setting pairs take the tail rule
+        bgs = [position_joint_density(STATE, a, b) for a, b in setting_pairs(REFERENCE_SETTINGS)]
+        h1 = np.array([4.0 / bg.std1 for bg in bgs for _ in (1, -1)])
+        h2 = np.array([4.0 / bg.std2 for bg in bgs for _ in (1, -1)])
+        rho = np.array([sign * bg.corr for bg in bgs for sign in (1, -1)])
+        assert tail_branch(monkeypatch, h1, h2, rho).all()
+        assert_tail_matches_oracle(h1, h2, rho, chsh._orthants(h1, h2, rho))
+
+    def test_laguerre_literals_match_scipy(self):
+        nodes, weights = roots_laguerre(20)
+        np.testing.assert_allclose(chsh._LAGUERRE_X, nodes, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(chsh._LAGUERRE_W, weights, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tail_extremes_are_finite_and_warning_free(self, monkeypatch):
+        # log f(h) below -746 (the first four), h up to 40, and |rho| just
+        # below DEGENERATE_CORR
+        near = float(np.nextafter(DEGENERATE_CORR, 0.0))
+        h1 = np.array([40.0, 40.0, 39.0, 40.0, 25.0, 25.0, 12.0, 3.0])
+        h2 = np.array([40.0, 1.0, 38.5, 0.0, 20.0, 25.0, 11.0, 2.0])
+        rho = np.array([0.0, -0.9, 0.5, near, near, -near, -near, -near])
+        assert tail_branch(monkeypatch, h1, h2, rho).all()
+        mass = chsh._orthants(h1, h2, rho)
+        assert np.isfinite(mass).all() and (mass >= 0.0).all()
+        assert (mass[:4] == 0.0).all()
+        # thresholds whose squares overflow only give zero masses
+        h1, h2, rho = np.array([[1e200, 1e200], [3.0, 1e200], [0.5, -0.5]])[..., None]
+        assert (chsh._tail_orthants(h1, h2, rho) == 0.0).all()
 
 
 class TestPostselectedProbs:
@@ -331,16 +399,18 @@ class TestCorrelationGrid:
         wide_angles,
         st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=8.0)),
     )
-    # the arcsine law, Owen's T and the tail quadrature each fill the table
+    # the arcsine law, Owen's T and the tail rule each fill the table; at
+    # r = 4 and 6 every element takes the tail rule
     @example(STATE, REF_ALPHAS, REF_BETAS, 0.0)
     @example(STATE, REF_ALPHAS, REF_BETAS, 1.0)
+    @example(STATE, REF_ALPHAS, REF_BETAS, 4.0)
     @example(STATE, REF_ALPHAS, REF_BETAS, 6.0)
     @example(NEAR_EPR, [-2.5, PI, 7.0], [-0.3, 5 * PI / 4, 13.0], 2.0)
     @example(SEPARABLE, [0.0, -PI], [PI / 2, 2.0 * PI + 1.0], 0.5)
     def test_bit_identical_to_scalar_path(self, state, alphas, betas, r):
         # every element of one batched call equals the 1x1 call of
         # postselected_probs, which guards the stacking of the +rho and -rho
-        # orthants and the index loop over tail elements
+        # orthants and the batched tail rule
         grid = correlation_grid(state, alphas, betas, r)
         assert grid.shape == (len(alphas), len(betas))
         for i, a in enumerate(alphas):
@@ -350,7 +420,7 @@ class TestCorrelationGrid:
     @pytest.mark.parametrize("r", [2.0, 3.0, 4.0])
     def test_setting_tables_match_oracle(self, r):
         # one 2x2 call; at r = 2 and 3 its elements mix Owen's T and the tail
-        # quadrature, and at r = 4 every element takes the tail
+        # rule, and at r = 4 every element takes the tail
         settings_ = replace(REFERENCE_SETTINGS, r=r)
         tables = setting_tables(STATE, settings_)
         for (alpha, beta), t in zip(setting_pairs(settings_), tables):

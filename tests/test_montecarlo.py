@@ -74,6 +74,17 @@ class TestSamplePairs:
         with pytest.raises(ValueError, match="too close to 1"):
             sample_pairs(bad, 10, 0)
 
+    def test_peak_memory_close_to_output(self):
+        # the output, plus one temporary no larger than a chunk's column
+        sample_pairs(BG, 10, 0)
+        tracemalloc.start()
+        try:
+            x = sample_pairs(BG, 1_000_000, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * x.nbytes
+
 
 class TestSimulateCounts:
     def test_count_table_invariant(self):
