@@ -39,6 +39,12 @@ CASES = {
         "r = 2\nsweep_steps = 13\nsweep_beta_min = -1.5\nsweep_beta_max = 7.5\n",
         ["sweep"],
     ),
+    # rungs through the arcsine, Owen's T and Gauss-Laguerre tail branches
+    "chsh_ladder": ("r = 0, 0.35, 1, 1.5, 2.5, 4\n", ["chsh"]),
+    "sweep_multi": (
+        "r = 0, 1, 3\nsweep_alphas = pi, pi/2\nsweep_steps = 7\n",
+        ["sweep"],
+    ),
 }
 
 
