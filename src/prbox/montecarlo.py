@@ -109,7 +109,8 @@ def _check_count(name: str, value) -> None:
 def sample_pairs(bg: BivariateGaussian, n: int, seed: int) -> np.ndarray:
     """n i.i.d. position pairs from bg as an (n, 2) array; seed-deterministic.
     Each chunk's normals are drawn into its rows of the output and mapped in
-    place, elementwise: a 2x2 matrix product starts a second BLAS thread."""
+    place, elementwise and block by block, so no temporary exceeds a block: a
+    2x2 matrix product would start a second BLAS thread."""
     _check_count("n", n)
     l00, l10, l11 = _cholesky_factor(bg)
     out = np.empty((n, 2))
@@ -118,7 +119,8 @@ def sample_pairs(bg: BivariateGaussian, n: int, seed: int) -> np.ndarray:
         z0, z1 = _chunk_rng(seed, idx).standard_normal(out=out[start:start + m]).T
         start += m
         z1 *= l11
-        z1 += l10 * z0  # x2 = l10 z0 + l11 z1
+        for b in range(0, m, BLOCK_SIZE):  # x2 = l10 z0 + l11 z1, block by block
+            z1[b:b + BLOCK_SIZE] += l10 * z0[b:b + BLOCK_SIZE]
         z0 *= l00
     return out
 

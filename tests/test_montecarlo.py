@@ -75,15 +75,17 @@ class TestSamplePairs:
             sample_pairs(bad, 10, 0)
 
     def test_peak_memory_close_to_output(self):
-        # the output, plus one temporary no larger than a chunk's column
+        # the output, plus one temporary no larger than a block's column; at
+        # n = CHUNK_SIZE a chunk-sized temporary would be half the output
         sample_pairs(BG, 10, 0)
-        tracemalloc.start()
-        try:
-            x = sample_pairs(BG, 1_000_000, 5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.25 * x.nbytes
+        for n in (CHUNK_SIZE, 1_000_000):
+            tracemalloc.start()
+            try:
+                x = sample_pairs(BG, n, 5)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.25 * x.nbytes, n
 
 
 class TestSimulateCounts:
