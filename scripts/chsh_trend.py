@@ -12,7 +12,7 @@ import math
 from dataclasses import replace
 
 from prbox import GaussianTwoModeState, REFERENCE_SETTINGS, mc_bell_S, pr_fidelity
-from prbox.chsh import S_from_tables, and_gate_from_tables, setting_tables
+from prbox.chsh import S_from_tables, and_gate_from_tables, joint_tables, postselected_tables
 
 
 def main() -> None:
@@ -27,9 +27,13 @@ def main() -> None:
 
     state = GaussianTwoModeState(args.delta, args.gamma)
     print(f"{'r':>5} {'H_ave_%':>8} {'S':>7} {'P_AND':>7} {'fidelity':>9}")
+    ref = REFERENCE_SETTINGS
+    arrays = postselected_tables(
+        state, (ref.alpha, ref.alpha_prime), (ref.beta, ref.beta_prime), args.r
+    )
     s_values = []
-    for r in args.r:
-        tables = setting_tables(state, replace(REFERENCE_SETTINGS, r=r))
+    for r, *rung in zip(args.r, *arrays):
+        tables = joint_tables(*rung)
         s = S_from_tables(tables)
         s_values.append(s)
         kept = sum(t.kept_fraction for t in tables) / 4.0
@@ -40,7 +44,7 @@ def main() -> None:
         )
 
     r_check = args.r[len(args.r) // 2]
-    settings = replace(REFERENCE_SETTINGS, r=r_check)
+    settings = replace(ref, r=r_check)
     s_mc, se = mc_bell_S(state, settings, args.mc_n, seed=args.seed)
     s_exact = s_values[len(args.r) // 2]
     print(

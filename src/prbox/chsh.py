@@ -9,12 +9,14 @@ pair is a zero-mean Gaussian and the strip is symmetric, so a table takes
 two orthant masses, each Owen's T closed form in the bulk and, where that
 form cancels, a 20-node Gauss-Laguerre rule of the tail integral, evaluated
 as one array expression.  postselected_tables is the one kernel: it
-computes the tables over an outer product of angle lists as array
-operations, and postselected_probs, setting_tables, correlation_grid and
-sweep_beta read from it.  S, the AND-gate success and the no-signaling
-marginals are each one formula over the four tables of setting_tables, so a
-caller needing several of them computes the tables once; bell_S_gradient
-sums the kernel's exact derivatives into grad S.
+computes the tables over an outer product of angle lists, and of r values
+when r is a sequence, as array operations.  prbox-sim chsh over its r
+rungs and prbox-sim sweep over its curves each make one call, and
+postselected_probs, setting_tables, correlation_grid and sweep_beta read
+from it.  S, the AND-gate success and the no-signaling marginals are each
+one formula over the four tables of setting_tables, so a caller needing
+several of them computes the tables once; bell_S_gradient sums the
+kernel's exact derivatives into grad S.
 """
 
 from __future__ import annotations
@@ -138,13 +140,14 @@ def _orthants(h1, h2, rho) -> np.ndarray:
     the arcsine law where h1^2 + h2^2 underflows, Owen's T form (Owen 1956)
     in the bulk, and where that form cancels, the 20-node Gauss-Laguerre rule
     of _tail_orthants, evaluated over those elements as one array expression."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a threshold above about 1.3e154 overflows its square, not the test
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         s = np.sqrt(1.0 - rho * rho)
         lead = 0.5 * (ndtr(-h1) + ndtr(-h2))
         t1 = owens_t(h1, (h2 - rho * h1) / (h1 * s))
         t2 = owens_t(h2, (h1 - rho * h2) / (h2 * s))
         mass = lead - t1 - t2
-    arcsine = h1 * h1 + h2 * h2 == 0.0
+        arcsine = h1 * h1 + h2 * h2 == 0.0
     degenerate = abs(rho) >= DEGENERATE_CORR
     special = arcsine | degenerate
     tail = ~(special | (mass > CANCELLATION_SHARE * lead))
@@ -177,29 +180,46 @@ def _require(ok, value, error: type, message: str, *args) -> None:
 
 
 def postselected_tables(
-    state: GaussianTwoModeState, alphas, betas, r: float, gradient: bool = False
+    state: GaussianTwoModeState, alphas, betas, r, gradient: bool = False
 ):
     """Post-selected tables at every (alphas[i], betas[j]), as checked arrays
     (p_pp, p_pm, kept) of shape (len(alphas), len(betas)).  The pair has zero
     mean and the dark strip is symmetric, so p_mm = p_pp and p_mp = p_pm, and
     a table takes the orthants of correlation rho and -rho, here one call.
-    With gradient=True, also dm of shape (2, 3, len(alphas), len(betas)):
-    the derivatives of (m_pp, m_pm) in alpha, beta and r, each over kept."""
-    _check_r(r)
-    v1, v2, rho, *block_grad = rotated_block(state, alphas, betas, gradient)
-    h1, h2 = (r / np.sqrt(v1))[:, None], (r / np.sqrt(v2))[None, :]
-    c = rho * _PLUS_MINUS
-    m = _orthants(h1, h2, c)
-    kept = ((m[0] + m[1]) + m[1]) + m[0]
-    _require(kept >= MIN_NORMAL, kept, EmptyPostSelectionError,
-             "kept fraction {} below the smallest normal double: dark region "
-             "half-width r={} removes essentially all probability mass", r)
-    p_pp, p_pm = m / kept
-    for name, p in (("p_pp", p_pp), ("p_pm", p_pm)):
-        _require((-1e-12 <= p) & (p <= 1.0 + 1e-12), p, ValueError, name + "={} outside [0, 1]")
-    total = ((p_pp + p_pm) + p_pm) + p_pp
-    _require(abs(total - 1.0) <= 1e-9, total, ValueError, "probabilities sum to {}, expected 1")
-    _require(kept <= 1.0 + 1e-12, kept, ValueError, "kept_fraction={} outside (0, 1]")
+    A 1-D sequence r adds a leading axis: row k equals the call at r[k], and
+    a failure raises what the loop of those calls would raise first.
+    With gradient=True and a scalar r, also dm of shape (2, 3, len(alphas),
+    len(betas)): the derivatives of (m_pp, m_pm) in alpha, beta and r, each
+    over kept."""
+    rs = np.asarray(r, dtype=float)
+    if gradient and rs.ndim:
+        raise ValueError(f"gradient=True takes a scalar r, got {r!r}")
+    try:
+        if rs.ndim:
+            _require(np.isfinite(rs) & (rs >= 0.0), rs, ValueError, "r must be a finite non-negative real, got {}")
+        else:
+            _check_r(r)
+        v1, v2, rho, *block_grad = rotated_block(state, alphas, betas, gradient)
+        # an r sequence takes the axis after that of the +rho and -rho orthants
+        rr, signs = (rs[:, None, None], _PLUS_MINUS[:, None]) if rs.ndim else (r, _PLUS_MINUS)
+        h1, h2 = rr / np.sqrt(v1)[:, None], rr / np.sqrt(v2)
+        c = rho * signs
+        m = _orthants(h1, h2, c)
+        kept = ((m[0] + m[1]) + m[1]) + m[0]
+        _require(kept >= MIN_NORMAL, kept, EmptyPostSelectionError,
+                 "kept fraction {} below the smallest normal double: dark region "
+                 "half-width r={} removes essentially all probability mass", r)
+        p_pp, p_pm = m / kept
+        for name, p in (("p_pp", p_pp), ("p_pm", p_pm)):
+            _require((-1e-12 <= p) & (p <= 1.0 + 1e-12), p, ValueError, name + "={} outside [0, 1]")
+        total = ((p_pp + p_pm) + p_pm) + p_pp
+        _require(abs(total - 1.0) <= 1e-9, total, ValueError, "probabilities sum to {}, expected 1")
+        _require(kept <= 1.0 + 1e-12, kept, ValueError, "kept_fraction={} outside (0, 1]")
+    except ValueError:
+        # rerun the rungs in order, so that the first failing one raises
+        for x in r if rs.ndim else ():
+            postselected_tables(state, alphas, betas, x)
+        raise
     if not gradient:
         return p_pp, p_pm, kept
     # An orthant of correlation c has dP/dh1 = -phi(h1) Phi(-(h2 - c h1)/s), the
@@ -226,10 +246,10 @@ def postselected_probs(
 ) -> JointProbTable:
     """Renormalized post-selected sign probabilities at rotation (alpha, beta):
     the 1x1 case of postselected_tables."""
-    return _joint_tables(*postselected_tables(state, [alpha], [beta], r))[0]
+    return joint_tables(*postselected_tables(state, [alpha], [beta], r))[0]
 
 
-def _joint_tables(p_pp, p_pm, kept) -> tuple[JointProbTable, ...]:
+def joint_tables(p_pp, p_pm, kept) -> tuple[JointProbTable, ...]:
     """The tables of postselected_tables arrays, in column-major order, which
     for a 2x2 grid is setting_pairs order."""
     columns = (x.ravel(order="F").tolist() for x in (p_pp, p_pm, kept))
@@ -280,7 +300,7 @@ def setting_tables(
 ) -> tuple[JointProbTable, ...]:
     """Post-selected tables of setting_pairs(settings), in that order.
     Every CHSH quantity is a function of these four tables."""
-    return _joint_tables(*postselected_tables(
+    return joint_tables(*postselected_tables(
         state, (settings.alpha, settings.alpha_prime),
         (settings.beta, settings.beta_prime), settings.r,
     ))

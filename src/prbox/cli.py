@@ -113,7 +113,8 @@ def _settings_from_config(cfg: RunConfig, r: float) -> chsh_mod.MeasurementSetti
 def cmd_sweep(cfg: RunConfig) -> int:
     state = _state_from_config(cfg)
     grid = cfg.beta_grid()
-    pairs = [(alpha, r) for alpha in cfg.sweep_alphas for r in cfg.r_dimensionless()]
+    r_dim = cfg.r_dimensionless()
+    pairs = [(alpha, r) for alpha in cfg.sweep_alphas for r in r_dim]
     names = [f"sweep_alpha{alpha:.4f}_r{r:.4f}.csv" for alpha, r in pairs]
     if cfg.out_format == "csv":
         for k, name in enumerate(names):
@@ -122,10 +123,17 @@ def cmd_sweep(cfg: RunConfig) -> int:
                     f"two sweep curves would both be written to {name}: "
                     "sweep_alphas and r must differ at 4 decimals"
                 )
-    curves = []
-    for alpha, r in pairs:
-        points = chsh_mod.sweep_beta(state, alpha, r, grid)
-        curves.append({"alpha_rad": alpha, "r": r, "points": points})
+    try:
+        e = chsh_mod.correlation_grid(state, cfg.sweep_alphas, grid, r_dim)
+    except ValueError:
+        for alpha, r in pairs:  # the first failing curve, in output order, raises
+            chsh_mod.sweep_beta(state, alpha, r, grid)
+        raise
+    curves = [
+        {"alpha_rad": alpha, "r": r, "points": list(zip(grid, e[k, i].tolist()))}
+        for i, alpha in enumerate(cfg.sweep_alphas)
+        for k, r in enumerate(r_dim)
+    ]
     reference = (
         chsh_mod.quantum_reference_curve(grid, cfg.reference_phase)
         if cfg.reference_curve
@@ -155,8 +163,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _chsh_row(cfg: RunConfig, state, r_cfg: float, r_dimless: float) -> dict:
-    tables = chsh_mod.setting_tables(state, _settings_from_config(cfg, r_dimless))
+def _chsh_row(r_cfg: float, tables: tuple[chsh_mod.JointProbTable, ...]) -> dict:
     s = chsh_mod.S_from_tables(tables)
     report = chsh_mod.no_signaling_from_tables(tables)
     return {
@@ -180,9 +187,13 @@ def _chsh_row(cfg: RunConfig, state, r_cfg: float, r_dimless: float) -> dict:
 
 def cmd_chsh(cfg: RunConfig) -> int:
     state = _state_from_config(cfg)
+    arrays = chsh_mod.postselected_tables(
+        state, (cfg.alpha, cfg.alpha_prime), (cfg.beta, cfg.beta_prime),
+        cfg.r_dimensionless(),
+    )
     rows = [
-        _chsh_row(cfg, state, r_cfg, r_dim)
-        for r_cfg, r_dim in zip(cfg.r_values, cfg.r_dimensionless())
+        _chsh_row(r_cfg, chsh_mod.joint_tables(*rung))
+        for r_cfg, *rung in zip(cfg.r_values, *arrays)
     ]
     return _write(cfg, {"r_unit": cfg.r_unit, "results": rows}, rows)
 

@@ -218,6 +218,11 @@ class TestPostselectedProbs:
         with pytest.raises(EmptyPostSelectionError):
             postselected_probs(STATE, PI, 5 * PI / 4, 40.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_threshold_with_overflowing_square_rejected_without_warning(self):
+        with pytest.raises(EmptyPostSelectionError, match=r"r=1e\+200 "):
+            postselected_probs(STATE, PI, 3.9, 1e200)
+
     @settings(max_examples=25, deadline=None)
     @given(valid_states(), angles, angles, dark_widths)
     def test_table_invariants(self, state, alpha, beta, r):
@@ -437,6 +442,58 @@ class TestCorrelationGrid:
         ]
         assert all(type(e) is float for _, e in curve)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.one_of(valid_states(), st.sampled_from([SEPARABLE, NEAR_EPR])),
+        wide_angles,
+        wide_angles,
+        st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=8.0)),
+                 min_size=1, max_size=5),
+    )
+    # rungs through the arcsine law, Owen's T and the tail rule; a repeated r
+    @example(STATE, REF_ALPHAS, REF_BETAS, [0.0, 1.0, 4.0, 6.0])
+    @example(NEAR_EPR, [-2.5, PI, 7.0], [-0.3, 5 * PI / 4], [2.0, 0.5, 2.0])
+    def test_r_sequence_rows_equal_scalar_calls(self, state, alphas, betas, r_list):
+        batched = chsh.postselected_tables(state, alphas, betas, r_list)
+        for i, r in enumerate(r_list):
+            scalar = chsh.postselected_tables(state, alphas, betas, r)
+            for k in range(3):
+                assert batched[k].shape == (len(r_list), len(alphas), len(betas))
+                assert np.array_equal(batched[k][i], scalar[k])
+
+    def test_r_sequence_raises_the_first_failing_rung(self):
+        # the kept fraction underflows at r = 20 and at r = 30
+        with pytest.raises(EmptyPostSelectionError) as rung:
+            setting_tables(STATE, replace(REFERENCE_SETTINGS, r=20.0))
+        with pytest.raises(EmptyPostSelectionError) as ladder:
+            chsh.postselected_tables(STATE, REF_ALPHAS, REF_BETAS, [1.0, 20.0, 30.0])
+        assert str(ladder.value) == str(rung.value)
+        assert "r=20.0 " in str(ladder.value)
+
+    def test_r_sequence_raises_in_the_order_of_a_loop(self, monkeypatch):
+        # the rung at r = 2 is made to fail the p_pm check, and the rung at
+        # r = 30 fails the kept check, which comes first in a call; a loop
+        # over the rungs meets r = 2 first
+        at_2 = 2.0 / np.sqrt(chsh.rotated_block(STATE, REF_ALPHAS, REF_BETAS)[0])
+        orthants = chsh._orthants
+
+        def negative_m_pm_at_2(h1, h2, rho):
+            m = orthants(h1, h2, rho)
+            m[1] = np.where(np.isin(h1, at_2), -1e-3 * m[1], m[1])
+            return m
+
+        monkeypatch.setattr(chsh, "_orthants", negative_m_pm_at_2)
+        with pytest.raises(ValueError) as rung:
+            chsh.postselected_tables(STATE, REF_ALPHAS, REF_BETAS, 2.0)
+        with pytest.raises(ValueError) as ladder:
+            chsh.postselected_tables(STATE, REF_ALPHAS, REF_BETAS, [1.0, 2.0, 30.0])
+        assert str(rung.value).startswith("p_pm=-")
+        assert str(ladder.value) == str(rung.value)
+
+    def test_gradient_refuses_an_r_sequence(self):
+        with pytest.raises(ValueError, match="gradient=True takes a scalar r"):
+            chsh.postselected_tables(STATE, REF_ALPHAS, REF_BETAS, [1.0, 2.0], gradient=True)
+
     def test_sweep_raises_the_scalar_error(self):
         grid = [-1.0, 0.5, 7.0]
         with pytest.raises(EmptyPostSelectionError) as scalar:
@@ -451,6 +508,7 @@ BAD_R_ENTRY_POINTS = {
         position_joint_density(STATE, PI, 5 * PI / 4), 1, 1, r),
     "postselected_probs": lambda r: postselected_probs(STATE, PI, 5 * PI / 4, r),
     "correlation_grid": lambda r: correlation_grid(STATE, REF_ALPHAS, REF_BETAS, r),
+    "r_sequence": lambda r: chsh.postselected_tables(STATE, REF_ALPHAS, REF_BETAS, [1.0, r]),
     "sweep_beta": lambda r: sweep_beta(STATE, PI, r, [0.0, 1.0]),
     "simulate_counts": lambda r: simulate_counts(STATE, PI, 5 * PI / 4, r, 100, 1),
 }

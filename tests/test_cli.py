@@ -12,8 +12,9 @@ from prbox import (
     and_gate_success,
     bell_S,
     no_signaling_report,
+    sweep_beta,
 )
-from prbox.chsh import EmptyPostSelectionError
+from prbox.chsh import EmptyPostSelectionError, setting_tables
 from prbox.cli import main
 from prbox.config import ConfigError
 from prbox.frft import PlanNotFoundError
@@ -187,6 +188,22 @@ class TestChsh:
                 for (i, j), label in np.ndenumerate(MARGINAL_LABELS[who]):
                     assert row[f"{who}_plus_{label}"] == plus[i, j]
 
+    def test_first_failing_rung_is_named(self, tmp_path, capsys):
+        # the kept fraction underflows at r = 20 and at r = 30
+        with pytest.raises(EmptyPostSelectionError) as rung:
+            setting_tables(STATE, replace(REFERENCE_SETTINGS, r=20.0))
+        cfg = write_config(tmp_path, "r = 1, 20, 30\n")
+        assert main(["chsh", "--config", cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"numerical failure: {rung.value}\n"
+        assert "r=20.0 " in captured.err and captured.out == ""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rung_with_overflowing_threshold_exits_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "r = 1, 1e200\n")
+        assert main(["chsh", "--config", cfg]) == 3
+        assert "r=1e+200 " in capsys.readouterr().err
+
 
 DUPLICATE_ALPHAS = "sweep_alphas = pi, pi\nr = 1\nsweep_steps = 5\n"
 
@@ -198,6 +215,17 @@ class TestSweep:
         assert main(["sweep", "--config", cfg, "--out", str(out_dir)]) == 2
         assert "sweep_alpha3.1416_r1.0000.csv" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_first_failing_curve_in_output_order_is_named(self, tmp_path, capsys):
+        # at beta = pi/2 the kept fraction underflows from r = 18 for alpha =
+        # pi/2 and from r = 20 for alpha = pi; curves run alpha-major, so
+        # (pi, 20) fails first, though r = 18 is the first failing r
+        grid = [0.0, PI / 2, PI, 3 * PI / 2, 2 * PI]
+        with pytest.raises(EmptyPostSelectionError) as curve:
+            sweep_beta(STATE, PI, 20.0, grid)
+        cfg = write_config(tmp_path, "sweep_alphas = pi, pi/2\nr = 18, 20\nsweep_steps = 5\n")
+        assert main(["sweep", "--config", cfg, "--format", "json"]) == 3
+        assert capsys.readouterr().err == f"numerical failure: {curve.value}\n"
 
     def test_duplicate_curves_allowed_in_json(self, tmp_path, capsys):
         cfg = write_config(tmp_path, DUPLICATE_ALPHAS)
