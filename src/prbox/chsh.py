@@ -140,7 +140,7 @@ def _orthants(h1, h2, rho) -> np.ndarray:
     the arcsine law where h1^2 + h2^2 underflows, Owen's T form (Owen 1956)
     in the bulk, and where that form cancels, the 20-node Gauss-Laguerre rule
     of _tail_orthants, evaluated over those elements as one array expression."""
-    # a threshold above about 1.3e154 overflows its square, not the test
+    # a threshold above about 1.3e154 squares to inf, which the arcsine test reads right
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         s = np.sqrt(1.0 - rho * rho)
         lead = 0.5 * (ndtr(-h1) + ndtr(-h2))

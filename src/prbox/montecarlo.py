@@ -109,8 +109,8 @@ def _check_count(name: str, value) -> None:
 def sample_pairs(bg: BivariateGaussian, n: int, seed: int) -> np.ndarray:
     """n i.i.d. position pairs from bg as an (n, 2) array; seed-deterministic.
     Each chunk's normals are drawn into its rows of the output and mapped in
-    place, elementwise and block by block, so no temporary exceeds a block: a
-    2x2 matrix product would start a second BLAS thread."""
+    place, elementwise (a 2x2 matrix product starts a second BLAS thread) and
+    block by block, so that no temporary outgrows a block."""
     _check_count("n", n)
     l00, l10, l11 = _cholesky_factor(bg)
     out = np.empty((n, 2))
