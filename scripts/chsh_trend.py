@@ -12,7 +12,7 @@ import math
 from dataclasses import replace
 
 from prbox import GaussianTwoModeState, REFERENCE_SETTINGS, mc_bell_S, pr_fidelity
-from prbox.chsh import S_from_tables, and_gate_from_tables, joint_tables, postselected_tables
+from prbox.chsh import chsh_values, postselected_tables
 
 
 def main() -> None:
@@ -28,20 +28,12 @@ def main() -> None:
     state = GaussianTwoModeState(args.delta, args.gamma)
     print(f"{'r':>5} {'H_ave_%':>8} {'S':>7} {'P_AND':>7} {'fidelity':>9}")
     ref = REFERENCE_SETTINGS
-    arrays = postselected_tables(
+    _, s_values, p_and, _, _, kept_pct = chsh_values(*postselected_tables(
         state, (ref.alpha, ref.alpha_prime), (ref.beta, ref.beta_prime), args.r
-    )
-    s_values = []
-    for r, *rung in zip(args.r, *arrays):
-        tables = joint_tables(*rung)
-        s = S_from_tables(tables)
-        s_values.append(s)
-        kept = sum(t.kept_fraction for t in tables) / 4.0
-        print(
-            f"{r:5.2f} {100 * kept:8.2f} "
-            f"{s:7.3f} {and_gate_from_tables(tables):7.4f} "
-            f"{pr_fidelity(s):9.4f}"
-        )
+    ))
+    s_values = s_values.tolist()
+    for r, s, p, kept in zip(args.r, s_values, p_and.tolist(), kept_pct.tolist()):
+        print(f"{r:5.2f} {kept:8.2f} {s:7.3f} {p:7.4f} {pr_fidelity(s):9.4f}")
 
     r_check = args.r[len(args.r) // 2]
     settings = replace(ref, r=r_check)

@@ -12,11 +12,12 @@ as one array expression.  postselected_tables is the one kernel: it
 computes the tables over an outer product of angle lists, and of r values
 when r is a sequence, as array operations.  prbox-sim chsh over its r
 rungs and prbox-sim sweep over its curves each make one call, and
-postselected_probs, setting_tables, correlation_grid and sweep_beta read
-from it.  S, the AND-gate success and the no-signaling marginals are each
-one formula over the four tables of setting_tables, so a caller needing
-several of them computes the tables once; bell_S_gradient sums the
-kernel's exact derivatives into grad S.
+postselected_probs, correlation_grid and sweep_beta read from it.  E, S,
+the AND-gate success, the no-signaling marginals and the kept fraction are
+one array formula, chsh_values, over the kernel's (alpha, alpha') x
+(beta, beta') tables at any number of r; bell_S, and_gate_success,
+no_signaling_report, bell_S_gradient and prbox-sim chsh read from it, and
+bell_S_gradient sums the kernel's exact derivatives into grad S.
 """
 
 from __future__ import annotations
@@ -246,14 +247,8 @@ def postselected_probs(
 ) -> JointProbTable:
     """Renormalized post-selected sign probabilities at rotation (alpha, beta):
     the 1x1 case of postselected_tables."""
-    return joint_tables(*postselected_tables(state, [alpha], [beta], r))[0]
-
-
-def joint_tables(p_pp, p_pm, kept) -> tuple[JointProbTable, ...]:
-    """The tables of postselected_tables arrays, in column-major order, which
-    for a 2x2 grid is setting_pairs order."""
-    columns = (x.ravel(order="F").tolist() for x in (p_pp, p_pm, kept))
-    return tuple(JointProbTable(pp, pm, pm, pp, k) for pp, pm, k in zip(*columns))
+    p_pp, p_pm, kept = (float(x[0, 0]) for x in postselected_tables(state, [alpha], [beta], r))
+    return JointProbTable(p_pp, p_pm, p_pm, p_pp, kept)
 
 
 def correlation_E(table: JointProbTable) -> float:
@@ -261,19 +256,15 @@ def correlation_E(table: JointProbTable) -> float:
     return table.p_pp + table.p_mm - table.p_pm - table.p_mp
 
 
-def correlation_grid(
-    state: GaussianTwoModeState, alphas, betas, r: float, gradient: bool = False
-):
+def _correlation(p_pp, p_pm):
+    return ((p_pp + p_pp) - p_pm) - p_pm  # correlation_E, as p_mm = p_pp and p_mp = p_pm
+
+
+def correlation_grid(state: GaussianTwoModeState, alphas, betas, r: float):
     """E[i, j] = correlation_E(postselected_probs(state, alphas[i], betas[j], r))
-    for two angle sequences, from one postselected_tables call.  With
-    gradient=True, returns (E, dE/dalpha, dE/dbeta, dE/dr), each of E's shape."""
-    p_pp, p_pm, _, *dm = postselected_tables(state, alphas, betas, r, gradient)
-    e = ((p_pp + p_pp) - p_pm) - p_pm
-    if not gradient:
-        return e
-    # E = (m_pp - m_pm) / (m_pp + m_pm) and kept = 2 (m_pp + m_pm)
-    u, w = dm[0]
-    return (e, *(2.0 * (u * (1.0 - e) - w * (1.0 + e))))
+    for two angle sequences, from one postselected_tables call."""
+    p_pp, p_pm, _ = postselected_tables(state, alphas, betas, r)
+    return _correlation(p_pp, p_pm)
 
 
 def sign_expectation(
@@ -295,40 +286,60 @@ def setting_pairs(settings: MeasurementSettings) -> tuple[tuple[float, float], .
     return ((a, b), (ap, b), (a, bp), (ap, bp))
 
 
-def setting_tables(
-    state: GaussianTwoModeState, settings: MeasurementSettings
-) -> tuple[JointProbTable, ...]:
-    """Post-selected tables of setting_pairs(settings), in that order.
-    Every CHSH quantity is a function of these four tables."""
-    return joint_tables(*postselected_tables(
+def setting_columns(x) -> tuple:
+    """x[..., i, j] at (alpha_i, beta_j) as four arrays, one per setting pair,
+    in SETTING_LABELS order."""
+    return x[..., 0, 0], x[..., 1, 0], x[..., 0, 1], x[..., 1, 1]
+
+
+def chsh_values(p_pp, p_pm, kept):
+    """(E, S, P_AND, plus, max_dev, kept_pct) of postselected_tables arrays
+    whose last two axes are (alpha, alpha') x (beta, beta'), over any leading
+    axes: the correlation of each table; the Bell parameter S = E(a,b) +
+    E(a',b) + E(a,b') - E(a',b'); the AND-gate success, the average of the
+    same-sign probabilities of the three pairs with positive target
+    correlation and the cross-sign ones of (alpha', beta'), summed from table
+    entries so that P_AND = (4 + S)/8 stays a check; Alice's P(+) at each
+    table, which is Bob's P(+) with the last two axes swapped, as p_mp =
+    p_pm; the largest deviation of a marginal from 1/2; and the average kept
+    fraction in percent."""
+    e = _correlation(p_pp, p_pm)
+    e_ab, e_apb, e_abp, e_apbp = setting_columns(e)
+    pp_ab, pp_apb, pp_abp, _ = setting_columns(p_pp)
+    pm_apbp = p_pm[..., 1, 1]
+    s = e_ab + e_apb + e_abp - e_apbp
+    p_and = 0.25 * (pp_ab + pp_ab + pp_apb + pp_apb + pp_abp + pp_abp + pm_apbp + pm_apbp)
+    plus = p_pp + p_pm
+    max_dev = np.abs(plus - 0.5).max(axis=(-2, -1))
+    kept_pct = 100.0 * sum(setting_columns(kept)) / 4.0
+    return e, s, p_and, plus, max_dev, kept_pct
+
+
+def _setting_grid(state, settings, gradient=False):
+    return postselected_tables(
         state, (settings.alpha, settings.alpha_prime),
-        (settings.beta, settings.beta_prime), settings.r,
-    ))
-
-
-def S_from_tables(tables: tuple[JointProbTable, ...]) -> float:
-    """S = E(a,b) + E(a',b) + E(a,b') - E(a',b') from setting_tables order."""
-    e_ab, e_apb, e_abp, e_apbp = (correlation_E(t) for t in tables)
-    return e_ab + e_apb + e_abp - e_apbp
+        (settings.beta, settings.beta_prime), settings.r, gradient,
+    )
 
 
 def bell_S(state: GaussianTwoModeState, settings: MeasurementSettings) -> float:
     """S = E(a,b) + E(a',b) + E(a,b') - E(a',b') from post-selected tables."""
-    return S_from_tables(setting_tables(state, settings))
+    return float(chsh_values(*_setting_grid(state, settings))[1])
 
 
 def bell_S_gradient(
     state: GaussianTwoModeState, settings: MeasurementSettings
 ) -> tuple[float, np.ndarray]:
     """bell_S, bit-identical, and its exact gradient in (alpha, alpha', beta,
-    beta', r), from the four setting tables as one correlation_grid call."""
-    e, e_a, e_b, e_r = correlation_grid(
-        state, (settings.alpha, settings.alpha_prime),
-        (settings.beta, settings.beta_prime), settings.r, gradient=True,
-    )
+    beta', r), from the four setting tables as one postselected_tables call."""
+    p_pp, p_pm, kept, dm = _setting_grid(state, settings, gradient=True)
+    e, s = chsh_values(p_pp, p_pm, kept)[:2]
+    # E = (m_pp - m_pm) / (m_pp + m_pm) and kept = 2 (m_pp + m_pm)
+    u, w = dm
+    e_a, e_b, e_r = 2.0 * (u * (1.0 - e) - w * (1.0 + e))
     sign = np.array([[1.0, 1.0], [1.0, -1.0]])  # E[i, j] at (alpha_i, beta_j)
     grad = [*(sign * e_a).sum(axis=1), *(sign * e_b).sum(axis=0), (sign * e_r).sum()]
-    return float(((e[0, 0] + e[1, 0]) + e[0, 1]) - e[1, 1]), np.array(grad)
+    return float(s), np.array(grad)
 
 
 def pr_fidelity(s: float) -> float:
@@ -338,29 +349,11 @@ def pr_fidelity(s: float) -> float:
     return (s + 4.0) / 8.0
 
 
-def and_gate_from_tables(tables: tuple[JointProbTable, ...]) -> float:
-    """AND-gate success from setting_tables order: the average of the
-    same-sign probabilities for the three setting pairs with positive target
-    correlation and the cross-sign probabilities for (alpha', beta').  Summed
-    from table entries, so that P_AND = (4 + S)/8 stays a check."""
-    t_ab, t_apb, t_abp, t_apbp = tables
-    return 0.25 * (
-        t_ab.p_pp
-        + t_ab.p_mm
-        + t_apb.p_pp
-        + t_apb.p_mm
-        + t_abp.p_pp
-        + t_abp.p_mm
-        + t_apbp.p_pm
-        + t_apbp.p_mp
-    )
-
-
 def and_gate_success(
     state: GaussianTwoModeState, settings: MeasurementSettings
 ) -> float:
     """Success probability of the post-selected non-local AND gate."""
-    return and_gate_from_tables(setting_tables(state, settings))
+    return float(chsh_values(*_setting_grid(state, settings))[2])
 
 
 @dataclass(frozen=True)
@@ -377,25 +370,13 @@ class NoSignalingReport:
     max_deviation: float
 
 
-def no_signaling_from_tables(tables: tuple[JointProbTable, ...]) -> NoSignalingReport:
-    """Marginal P(+) for both parties from setting_tables order."""
-    alice = np.zeros((2, 2))
-    bob = np.zeros((2, 2))
-    for k, t in enumerate(tables):
-        i, j = k % 2, k // 2
-        alice[i, j] = t.p_pp + t.p_pm
-        bob[j, i] = t.p_pp + t.p_mp
-    dev = float(max(np.max(np.abs(alice - 0.5)), np.max(np.abs(bob - 0.5))))
-    alice.setflags(write=False)
-    bob.setflags(write=False)
-    return NoSignalingReport(alice_plus=alice, bob_plus=bob, max_deviation=dev)
-
-
 def no_signaling_report(
     state: GaussianTwoModeState, settings: MeasurementSettings
 ) -> NoSignalingReport:
     """Marginal P(+) for both parties under all four setting combinations."""
-    return no_signaling_from_tables(setting_tables(state, settings))
+    plus, max_dev = chsh_values(*_setting_grid(state, settings))[3:5]
+    plus.setflags(write=False)
+    return NoSignalingReport(alice_plus=plus, bob_plus=plus.T, max_deviation=float(max_dev))
 
 
 def sweep_beta(

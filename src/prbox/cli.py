@@ -20,10 +20,13 @@ Exit codes: 0 success, 2 config validation failure, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import shlex
 import sys
+
+import numpy as np
 
 from . import chsh as chsh_mod
 from . import montecarlo as mc_mod
@@ -40,7 +43,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
-# Correlation columns of a chsh row, in setting_tables order, printed at 3
+# Correlation columns of a chsh row, in SETTING_LABELS order, printed at 3
 # decimals (report convention).
 _E_COLUMNS = ("E_ab", "E_apb", "E_abp", "E_apbp")
 
@@ -163,38 +166,27 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _chsh_row(r_cfg: float, tables: tuple[chsh_mod.JointProbTable, ...]) -> dict:
-    s = chsh_mod.S_from_tables(tables)
-    report = chsh_mod.no_signaling_from_tables(tables)
-    return {
-        "r": r_cfg,
-        "H_ave_pct": 100.0 * sum(t.kept_fraction for t in tables) / 4.0,
-        **{col: chsh_mod.correlation_E(t) for col, t in zip(_E_COLUMNS, tables)},
-        "S": s,
-        "P_AND": chsh_mod.and_gate_from_tables(tables),
-        "fidelity": chsh_mod.pr_fidelity(s),
-        "max_marginal_dev": report.max_deviation,
-        "A_plus_ab": report.alice_plus[0, 0],
-        "A_plus_abp": report.alice_plus[0, 1],
-        "A_plus_apb": report.alice_plus[1, 0],
-        "A_plus_apbp": report.alice_plus[1, 1],
-        "B_plus_ab": report.bob_plus[0, 0],
-        "B_plus_apb": report.bob_plus[0, 1],
-        "B_plus_abp": report.bob_plus[1, 0],
-        "B_plus_apbp": report.bob_plus[1, 1],
-    }
-
-
 def cmd_chsh(cfg: RunConfig) -> int:
     state = _state_from_config(cfg)
-    arrays = chsh_mod.postselected_tables(
+    e, s, p_and, plus, max_dev, kept_pct = chsh_mod.chsh_values(*chsh_mod.postselected_tables(
         state, (cfg.alpha, cfg.alpha_prime), (cfg.beta, cfg.beta_prime),
         cfg.r_dimensionless(),
-    )
-    rows = [
-        _chsh_row(r_cfg, chsh_mod.joint_tables(*rung))
-        for r_cfg, *rung in zip(cfg.r_values, *arrays)
-    ]
+    ))
+    # Alice's P(+) at (alpha_i, beta_j) is Bob's at (beta_j, alpha_i): the A
+    # columns run over i then j, the B columns in SETTING_LABELS order
+    labels = chsh_mod.SETTING_LABELS
+    columns = {
+        "H_ave_pct": kept_pct,
+        **dict(zip(_E_COLUMNS, chsh_mod.setting_columns(e))),
+        "S": s,
+        "P_AND": p_and,
+        "fidelity": np.array([chsh_mod.pr_fidelity(x) for x in s.tolist()]),
+        "max_marginal_dev": max_dev,
+        **{"A_plus_" + k: x for k, x in zip(("ab", "abp", "apb", "apbp"), plus.reshape(-1, 4).T)},
+        **{"B_plus_" + k: x for k, x in zip(labels, chsh_mod.setting_columns(plus))},
+    }
+    values = np.stack(list(columns.values()), axis=-1).tolist()
+    rows = [{"r": r, **dict(zip(columns, row))} for r, row in zip(cfg.r_values, values)]
     return _write(cfg, {"r_unit": cfg.r_unit, "results": rows}, rows)
 
 
@@ -292,6 +284,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prbox-sim",

@@ -35,9 +35,9 @@ from prbox.chsh import (
     ORTHANT_RTOL,
     EmptyPostSelectionError,
     bell_S_gradient,
+    chsh_values,
     correlation_grid,
     setting_pairs,
-    setting_tables,
 )
 from prbox.montecarlo import simulate_counts
 
@@ -389,9 +389,12 @@ class TestSweep:
             sweep_beta(STATE, PI, 0.0, [])
 
 
-wide_angles = st.lists(
-    st.floats(min_value=-10.0, max_value=15.0), min_size=1, max_size=4
-)
+wide_angle = st.floats(min_value=-10.0, max_value=15.0)
+wide_angles = st.lists(wide_angle, min_size=1, max_size=4)
+angle_pairs = st.lists(wide_angle, min_size=2, max_size=2)
+grid_states = st.one_of(valid_states(), st.sampled_from([SEPARABLE, NEAR_EPR]))
+r_lists = st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=8.0)),
+                   min_size=1, max_size=5)
 REF_ALPHAS = [PI, PI / 2]
 REF_BETAS = [5 * PI / 4, 3 * PI / 4]
 
@@ -423,16 +426,15 @@ class TestCorrelationGrid:
                 assert grid[i, j] == correlation_E(postselected_probs(state, a, b, r))
 
     @pytest.mark.parametrize("r", [2.0, 3.0, 4.0])
-    def test_setting_tables_match_oracle(self, r):
+    def test_reference_grid_matches_oracle(self, r):
         # one 2x2 call; at r = 2 and 3 its elements mix Owen's T and the tail
         # rule, and at r = 4 every element takes the tail
-        settings_ = replace(REFERENCE_SETTINGS, r=r)
-        tables = setting_tables(STATE, settings_)
-        for (alpha, beta), t in zip(setting_pairs(settings_), tables):
-            bg = position_joint_density(STATE, alpha, beta)
-            for p, corr in ((t.p_pp, bg.corr), (t.p_pm, -bg.corr)):
+        p_pp, p_pm, kept = chsh.postselected_tables(STATE, REF_ALPHAS, REF_BETAS, r)
+        for i, j in np.ndindex(2, 2):
+            bg = position_joint_density(STATE, REF_ALPHAS[i], REF_BETAS[j])
+            for p, corr in ((p_pp[i, j], bg.corr), (p_pm[i, j], -bg.corr)):
                 want = oracles.mp_upper_orthant(r / bg.std1, r / bg.std2, corr)
-                assert abs(p * t.kept_fraction - want) <= 1e-9 * want
+                assert abs(p * kept[i, j] - want) <= 1e-9 * want
 
     def test_sweep_matches_scalar_loop(self):
         grid = [-1.0, 0.0, 2.5, 7.5]
@@ -443,13 +445,7 @@ class TestCorrelationGrid:
         assert all(type(e) is float for _, e in curve)
 
     @settings(max_examples=30, deadline=None)
-    @given(
-        st.one_of(valid_states(), st.sampled_from([SEPARABLE, NEAR_EPR])),
-        wide_angles,
-        wide_angles,
-        st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=8.0)),
-                 min_size=1, max_size=5),
-    )
+    @given(grid_states, wide_angles, wide_angles, r_lists)
     # rungs through the arcsine law, Owen's T and the tail rule; a repeated r
     @example(STATE, REF_ALPHAS, REF_BETAS, [0.0, 1.0, 4.0, 6.0])
     @example(NEAR_EPR, [-2.5, PI, 7.0], [-0.3, 5 * PI / 4], [2.0, 0.5, 2.0])
@@ -461,10 +457,40 @@ class TestCorrelationGrid:
                 assert batched[k].shape == (len(r_list), len(alphas), len(betas))
                 assert np.array_equal(batched[k][i], scalar[k])
 
+    @settings(max_examples=30, deadline=None)
+    @given(grid_states, angle_pairs, angle_pairs, r_lists)
+    @example(STATE, REF_ALPHAS, REF_BETAS, [0.0, 1.0, 4.0, 6.0])
+    @example(NEAR_EPR, [-2.5, PI], [-0.3, 5 * PI / 4], [2.0, 0.5, 2.0])
+    def test_chsh_values_equal_table_formulas(self, state, alphas, betas, r_list):
+        # every rung equals the textbook formulas over four postselected_probs
+        # tables, bit for bit, as chsh_values keeps their operation order
+        e, s, p_and, plus, max_dev, kept_pct = chsh_values(
+            *chsh.postselected_tables(state, alphas, betas, r_list))
+        (a, ap), (b, bp) = alphas, betas
+        for n, r in enumerate(r_list):
+            tables = [postselected_probs(state, x, y, r)
+                      for x, y in ((a, b), (ap, b), (a, bp), (ap, bp))]
+            t_ab, t_apb, t_abp, t_apbp = tables
+            e_ab, e_apb, e_abp, e_apbp = (t.p_pp + t.p_mm - t.p_pm - t.p_mp for t in tables)
+            alice, bob = np.zeros((2, 2)), np.zeros((2, 2))
+            for k, t in enumerate(tables):
+                i, j = k % 2, k // 2
+                assert e[n, i, j] == t.p_pp + t.p_mm - t.p_pm - t.p_mp
+                alice[i, j] = t.p_pp + t.p_pm
+                bob[j, i] = t.p_pp + t.p_mp
+            assert s[n] == e_ab + e_apb + e_abp - e_apbp
+            assert p_and[n] == 0.25 * (
+                t_ab.p_pp + t_ab.p_mm + t_apb.p_pp + t_apb.p_mm
+                + t_abp.p_pp + t_abp.p_mm + t_apbp.p_pm + t_apbp.p_mp
+            )
+            assert np.array_equal(plus[n], alice) and np.array_equal(plus[n].T, bob)
+            assert max_dev[n] == max(np.max(np.abs(alice - 0.5)), np.max(np.abs(bob - 0.5)))
+            assert kept_pct[n] == 100.0 * sum(t.kept_fraction for t in tables) / 4.0
+
     def test_r_sequence_raises_the_first_failing_rung(self):
         # the kept fraction underflows at r = 20 and at r = 30
         with pytest.raises(EmptyPostSelectionError) as rung:
-            setting_tables(STATE, replace(REFERENCE_SETTINGS, r=20.0))
+            bell_S(STATE, replace(REFERENCE_SETTINGS, r=20.0))
         with pytest.raises(EmptyPostSelectionError) as ladder:
             chsh.postselected_tables(STATE, REF_ALPHAS, REF_BETAS, [1.0, 20.0, 30.0])
         assert str(ladder.value) == str(rung.value)

@@ -14,7 +14,8 @@ from prbox import (
     no_signaling_report,
     sweep_beta,
 )
-from prbox.chsh import EmptyPostSelectionError, setting_tables
+from prbox import chsh, cli
+from prbox.chsh import EmptyPostSelectionError
 from prbox.cli import main
 from prbox.config import ConfigError
 from prbox.frft import PlanNotFoundError
@@ -191,7 +192,7 @@ class TestChsh:
     def test_first_failing_rung_is_named(self, tmp_path, capsys):
         # the kept fraction underflows at r = 20 and at r = 30
         with pytest.raises(EmptyPostSelectionError) as rung:
-            setting_tables(STATE, replace(REFERENCE_SETTINGS, r=20.0))
+            bell_S(STATE, replace(REFERENCE_SETTINGS, r=20.0))
         cfg = write_config(tmp_path, "r = 1, 20, 30\n")
         assert main(["chsh", "--config", cfg]) == 3
         captured = capsys.readouterr()
@@ -355,3 +356,39 @@ class TestExitCodes:
 
     def test_missing_config_file_is_4(self, capsys):
         assert main(["chsh", "--config", "/nonexistent.cfg"]) == 4
+
+
+class TestMain:
+    @pytest.mark.parametrize("command, config", [
+        ("chsh", "r = 0, 1, 2.5\n"),
+        ("sweep", "sweep_alphas = pi, pi/2\nr = 0, 1, 2.5\nsweep_steps = 5\n"),
+    ])
+    def test_one_kernel_call_per_invocation(self, tmp_path, capsys, monkeypatch, command, config):
+        kernel, calls = chsh.postselected_tables, []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(chsh, "postselected_tables", counting)
+        cfg = write_config(tmp_path, config)
+        assert main([command, "--config", cfg, "--format", "json"]) == 0
+        assert len(calls) == 1
+
+    def test_cached_parser_carries_no_state_between_calls(self, capsys, monkeypatch):
+        # the first call's flags are the defaults; the fourth's are not, so a
+        # flag carried over to the fifth call would change its plan
+        argvs = (
+            ["plan-frft", "--target", "5pi/4", "--inventory", "25,15"], ["chsh"], ["plan-frft"],
+            ["plan-frft", "--target", "pi/2", "--inventory", "30", "--max-stages", "1"],
+            ["plan-frft"],
+        )
+
+        def outputs():
+            return [(main(list(argv)), capsys.readouterr()) for argv in argvs]
+
+        assert cli._build_parser() is cli._build_parser()
+        cached = outputs()
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        assert cached == outputs()
+        assert cached[3] != cached[4] and all(code == 0 for code, _ in cached)

@@ -1,7 +1,10 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
+
+from prbox import REFERENCE_SETTINGS, GaussianTwoModeState, and_gate_success, bell_S
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -20,3 +23,10 @@ def test_chsh_trend_runs():
     lines = proc.stdout.splitlines()
     assert lines[0] == "    r  H_ave_%       S   P_AND  fidelity"
     assert len(lines) == 5 and lines[4].startswith("MC check at r=1: S = ")
+    # the r = 1 row at the script's default state and the reference settings
+    settings = replace(REFERENCE_SETTINGS, r=1.0)
+    state = GaussianTwoModeState(delta=0.75, gamma=1.25)
+    r, _, s, p_and, _ = lines[2].split()
+    assert r == "1.00"
+    assert s == f"{bell_S(state, settings):.3f}"
+    assert p_and == f"{and_gate_success(state, settings):.4f}"
