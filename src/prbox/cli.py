@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands: sweep, chsh, mc, plan-frft, optimize.  Configuration comes
-from a flat key=value file (see config.py); a few flags override config
-fields.  Output is CSV or JSON at a configured precision, deterministic
-given the config (plus the seed for Monte Carlo runs).
+from a flat key=value file (see config.py); each flag sets the config key
+of the same meaning, in the same notation.  Output is CSV or JSON at a
+configured precision, deterministic given the config (plus the seed for
+Monte Carlo runs).
 
 Every subcommand builds a document of raw values and writes it through
 ``_write``, which states the one output rule.  JSON is the document plus
@@ -30,8 +31,7 @@ import numpy as np
 
 from . import chsh as chsh_mod
 from . import montecarlo as mc_mod
-from .config import ConfigError, RunConfig, load_config, parse_config_text
-from .config import parse_list, parse_number
+from .config import ConfigError, RunConfig, load_config, parse_config_text, parse_value
 from .frft import plan_lens_system
 from .optimize import maximize_S, tune_r
 from .state import GaussianTwoModeState
@@ -48,12 +48,6 @@ EXIT_IO = 4
 _E_COLUMNS = ("E_ab", "E_apb", "E_abp", "E_apbp")
 
 
-def _fmt(x: float, precision: int) -> str:
-    if x == 0.0:
-        x = 0.0  # normalize -0.0
-    return f"{x:.{precision}g}"
-
-
 def _json_value(v, precision: int, key: str = ""):
     if isinstance(v, dict):
         return {k: _json_value(x, precision, k) for k, x in v.items()}
@@ -61,9 +55,7 @@ def _json_value(v, precision: int, key: str = ""):
         return [_json_value(x, precision) for x in v]
     if isinstance(v, (str, int)):  # bool is an int
         return v
-    if key in _E_COLUMNS:
-        return round(v, 3)
-    return float(_fmt(v, precision))
+    return float(_cell(key, v, precision))
 
 
 def _cell(key: str, v, precision: int) -> str:
@@ -71,7 +63,7 @@ def _cell(key: str, v, precision: int) -> str:
         return str(v)
     if key in _E_COLUMNS:
         return f"{v:.3f}"
-    return _fmt(v, precision)
+    return f"{v + 0.0:.{precision}g}"  # + 0.0 prints -0 as 0
 
 
 def _csv_text(rows: list[dict], precision: int, header: list[str] | None = None) -> str:
@@ -100,7 +92,7 @@ def _write(
 
 def _state_from_config(cfg: RunConfig) -> GaussianTwoModeState:
     delta, gamma = cfg.effective_widths()
-    return GaussianTwoModeState(delta=delta, gamma=gamma, scale_s=cfg.scale_s_mm)
+    return GaussianTwoModeState(delta=delta, gamma=gamma)
 
 
 def _settings_from_config(cfg: RunConfig, r: float) -> chsh_mod.MeasurementSettings:
@@ -294,43 +286,29 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None, help="key=value config file")
-        sp.add_argument("--out", default=None, help="output path (sweep csv: directory)")
-        sp.add_argument("--format", default=None, choices=("csv", "json"))
-        sp.add_argument("--seed", default=None, type=int, help="Monte Carlo seed")
+        sp.add_argument("--out", dest="out_path", help="output path (sweep csv: directory)")
+        sp.add_argument("--format", dest="out_format", help="csv or json")
+        sp.add_argument("--seed", dest="mc_seed", help="Monte Carlo seed")
         sp.add_argument(
-            "--swap-widths",
-            action="store_true",
+            "--swap-widths", dest="swap_widths", action="store_const", const="true",
             help="swap delta and gamma (convenience for width-swapped configs)",
         )
         if name == "plan-frft":
-            sp.add_argument("--target", default=None, help="target rotation (rad)")
+            sp.add_argument("--target", dest="frft_target", help="target rotation (rad)")
             sp.add_argument(
-                "--inventory", default=None, help="comma-separated focal lengths (cm)"
+                "--inventory", dest="frft_inventory_cm", help="comma-separated focal lengths (cm)"
             )
-            sp.add_argument("--max-stages", default=None, type=int)
-            sp.add_argument("--angle-tol", default=None, type=float)
+            sp.add_argument("--max-stages", dest="frft_max_stages")
+            sp.add_argument("--angle-tol", dest="frft_angle_tol")
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides: dict = {}
-    if args.out is not None:
-        overrides["out_path"] = args.out
-    if args.format is not None:
-        overrides["out_format"] = args.format
-    if args.seed is not None:
-        overrides["mc_seed"] = args.seed
-    if args.swap_widths:
-        overrides["swap_widths"] = True
-    if args.command == "plan-frft":
-        if args.target is not None:
-            overrides["frft_target"] = parse_number(args.target)
-        if args.inventory is not None:
-            overrides["frft_inventory_cm"] = parse_list(args.inventory)
-        if args.max_stages is not None:
-            overrides["frft_max_stages"] = args.max_stages
-        if args.angle_tol is not None:
-            overrides["frft_angle_tol"] = args.angle_tol
+    overrides = {
+        k: parse_value(k, v)
+        for k, v in vars(args).items()
+        if v is not None and k not in ("command", "config")
+    }
     if args.config is not None:
         return load_config(args.config, overrides)
     return parse_config_text("", overrides)

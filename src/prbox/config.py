@@ -167,6 +167,24 @@ _FLOAT_KEYS, _INT_KEYS, _BOOL_KEYS, _LIST_KEYS, _STR_KEYS = (
 _ALIASES = {"r": "r_values", "format": "out_format", "out": "out_path"}
 
 
+def parse_value(key: str, text: str):
+    """Parse one value by the type of the RunConfig field named key."""
+    if key in _FLOAT_KEYS:
+        return parse_number(text)
+    if key in _INT_KEYS:
+        try:
+            return int(text)
+        except ValueError:
+            raise ConfigError(f"{key} must be an integer") from None
+    if key in _BOOL_KEYS:
+        return _parse_bool(text)
+    if key in _LIST_KEYS:
+        return parse_list(text)
+    if key in _STR_KEYS:
+        return text
+    raise ConfigError(f"unknown key {key!r}")
+
+
 def parse_config_text(text: str, overrides: dict | None = None) -> RunConfig:
     """Parse key=value lines ('#' comments) into a validated RunConfig."""
     values: dict = {}
@@ -180,21 +198,10 @@ def parse_config_text(text: str, overrides: dict | None = None) -> RunConfig:
         key = key.strip()
         val = val.strip()
         key = _ALIASES.get(key, key)
-        if key in _FLOAT_KEYS:
-            values[key] = parse_number(val)
-        elif key in _INT_KEYS:
-            try:
-                values[key] = int(val)
-            except ValueError:
-                raise ConfigError(f"line {lineno}: {key} must be an integer") from None
-        elif key in _BOOL_KEYS:
-            values[key] = _parse_bool(val)
-        elif key in _LIST_KEYS:
-            values[key] = parse_list(val)
-        elif key in _STR_KEYS:
-            values[key] = val
-        else:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        try:
+            values[key] = parse_value(key, val)
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
     if overrides:
         values.update(overrides)
     try:

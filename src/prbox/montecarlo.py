@@ -167,11 +167,8 @@ def simulate_counts(
     bg = position_joint_density(state, alpha, beta)
     chol = _cholesky_factor(bg)
     jobs = [(seed, idx, m, chol, r) for idx, m in enumerate(_chunk_sizes(n))]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_bin_chunk, jobs))
-    else:
-        partials = [_bin_chunk(j) for j in jobs]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        partials = list(pool.map(_bin_chunk, jobs))
     n_kept, c1, c2, c12 = (int(c) for c in np.sum(partials, axis=0))
     return CountTable(
         c12, c1 - c12, c2 - c12, n_kept - c1 - c2 + c12, n - n_kept, seed=seed, n_total=n

@@ -32,8 +32,7 @@ class NonNormalizableStateError(ValueError):
 
 @dataclass(frozen=True)
 class GaussianTwoModeState:
-    """Photon-pair state parameterized by the widths (delta, gamma) and the
-    detector length scale ``scale_s`` (millimeters per dimensionless unit).
+    """Photon-pair state parameterized by the widths (delta, gamma).
 
     ``gamma = inf`` is the separable limit (no q1*q2 coupling).  ``gamma ==
     delta`` is the singular EPR limit: it is accepted at construction, but no
@@ -42,15 +41,12 @@ class GaussianTwoModeState:
 
     delta: float
     gamma: float
-    scale_s: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.delta > 0.0:
             raise ValueError(f"delta must be positive, got {self.delta}")
         if not self.gamma > 0.0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if not self.scale_s > 0.0:
-            raise ValueError(f"scale_s must be positive, got {self.scale_s}")
         if self.gamma < self.delta:
             raise NonNormalizableStateError(
                 f"gamma={self.gamma} < delta={self.delta}: the momentum-space "

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from prbox import (
     REFERENCE_SETTINGS,
@@ -73,6 +75,11 @@ class TestPlanFrft:
         assert code == 0
         assert capsys.readouterr().out.strip() == "angle_rad,f_cm,z_cm"
 
+    def test_flags_take_pi_notation(self, capsys):
+        argv = ["plan-frft", "--target", "5pi/4", "--inventory", "25,15", "--angle-tol", "pi/1000"]
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+
     def test_empty_inventory_fails(self, capsys):
         code = main(["plan-frft", "--target", "pi/2", "--inventory", ""])
         assert code == 2
@@ -86,6 +93,7 @@ class TestPlanFrft:
             ("", ["--angle-tol", "-1"], "frft_angle_tol"),
             ("", ["--angle-tol", "nan"], "frft_angle_tol"),
             ("", ["--target", "nan"], "frft_target"),
+            ("", ["--max-stages", "two"], "frft_max_stages"),
         ],
     )
     def test_bad_plan_inputs_are_config_errors(
@@ -349,6 +357,15 @@ class TestExitCodes:
         cfg = write_config(tmp_path, "delta = 1.25\ngamma = 0.75\nr = 0\n")
         assert main(["chsh", "--config", cfg, "--swap-widths"]) == 0
 
+    @pytest.mark.parametrize("argv, key", [
+        (["chsh", "--seed", "x"], "mc_seed"),
+        (["chsh", "--format", "xml"], "format"),
+    ])
+    def test_bad_flag_value_is_2_naming_the_key(self, capsys, argv, key):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err
+
     def test_io_error_is_4(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "r = 0\n")
         missing = str(tmp_path / "no" / "such" / "dir" / "x.csv")
@@ -392,3 +409,32 @@ class TestMain:
         monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
         assert cached == outputs()
         assert cached[3] != cached[4] and all(code == 0 for code, _ in cached)
+
+
+class TestOutputRule:
+    @given(
+        st.floats(),
+        st.sampled_from(["E_ab", "S"]),
+        st.sampled_from([1, 6, 17]),
+    )
+    @example(-0.0, "S", 6)
+    @example(-0.0, "E_ab", 6)
+    @example(-0.0004, "E_ab", 1)
+    @example(0.0625, "E_ab", 6)
+    @example(-0.1875, "E_ab", 17)
+    @example(1.0005, "E_ab", 6)
+    @example(2.5625, "S", 1)
+    @example(1e300, "E_ab", 17)
+    @example(1e300, "S", 17)
+    @example(1e-300, "E_ab", 6)
+    @example(-1e-300, "S", 1)
+    def test_json_float_is_the_csv_cell(self, v, key, precision):
+        got = cli._json_value({key: v}, precision)[key]
+        assert repr(got) == repr(float(cli._cell(key, v, precision)))
+        # the rule written out: E columns at 3 decimals, other floats at
+        # precision significant digits with -0 printed as 0
+        if key.startswith("E_"):
+            expected = round(v, 3)
+        else:
+            expected = float(f"{0.0 if v == 0.0 else v:.{precision}g}")
+        assert repr(got) == repr(expected)

@@ -1,9 +1,10 @@
+import argparse
 import math
 from dataclasses import fields
 
 import pytest
 
-from prbox import config
+from prbox import cli, config
 from prbox.config import ConfigError, RunConfig, parse_config_text, parse_number
 
 PI = math.pi
@@ -70,6 +71,10 @@ class TestParseConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config_text("darkness = 1\n")
+
+    def test_value_errors_name_their_line(self):
+        with pytest.raises(ConfigError, match=r"^line 1: cannot parse number 'abc'"):
+            parse_config_text("delta = abc\n")
 
     def test_missing_equals_rejected(self):
         with pytest.raises(ConfigError, match="key=value"):
@@ -139,3 +144,14 @@ def test_every_field_has_exactly_one_key_parser():
     )
     names = [f.name for f in fields(RunConfig)]
     assert sorted(k for keys in key_sets for k in keys) == sorted(names)
+
+
+def test_every_flag_sets_the_field_of_its_dest():
+    # each flag goes through config.parse_value under its dest, so a dest
+    # that is not a field name would be an unknown key
+    names = {f.name for f in fields(RunConfig)}
+    parser = cli._build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for command, sp in subparsers.choices.items():
+        dests = {a.dest for a in sp._actions if a.option_strings} - {"help", "config"}
+        assert dests and dests <= names, command

@@ -40,8 +40,6 @@ class TestStateConstruction:
             GaussianTwoModeState(delta=0.0, gamma=1.0)
         with pytest.raises(ValueError):
             GaussianTwoModeState(delta=1.0, gamma=-1.0)
-        with pytest.raises(ValueError):
-            GaussianTwoModeState(delta=1.0, gamma=2.0, scale_s=0.0)
 
     def test_rejects_gamma_below_delta(self):
         with pytest.raises(NonNormalizableStateError, match="positive definite"):
