@@ -196,10 +196,8 @@ def postselected_tables(
     if gradient and rs.ndim:
         raise ValueError(f"gradient=True takes a scalar r, got {r!r}")
     try:
-        if rs.ndim:
-            _require(np.isfinite(rs) & (rs >= 0.0), rs, ValueError, "r must be a finite non-negative real, got {}")
-        else:
-            _check_r(r)
+        for x in r if rs.ndim else (r,):
+            _check_r(x)
         v1, v2, rho, *block_grad = rotated_block(state, alphas, betas, gradient)
         # an r sequence takes the axis after that of the +rho and -rho orthants
         rr, signs = (rs[:, None, None], _PLUS_MINUS[:, None]) if rs.ndim else (r, _PLUS_MINUS)

@@ -7,12 +7,12 @@ configured precision, deterministic given the config (plus the seed for
 Monte Carlo runs).
 
 Every subcommand builds a document of raw values and writes it through
-``_write``, which states the one output rule.  JSON is the document plus
-``"schema_version": "1"``; CSV is the document's rows under a header taken
-from the row keys (``sweep`` writes one CSV file per curve).  In both, the
-four ``E_*`` correlation columns of ``chsh`` are printed at 3 decimals, other
-floats at ``precision`` significant digits with -0 printed as 0, and
-strings, integers and booleans as they are.
+``_write``, the one output rule.  JSON is the document plus
+``"schema_version": "1"``; CSV is its rows under a header of the row keys
+(``sweep`` writes one file per curve), a cell quoted only if it holds a
+comma, a double quote or a line break (RFC 4180).  In both, the ``E_*``
+correlation columns of ``chsh`` are printed at 3 decimals, other floats at
+``precision`` significant digits with -0 as 0, and the rest as they are.
 
 Exit codes: 0 success, 2 config validation failure, 3 numerical failure,
 4 I/O failure.
@@ -24,6 +24,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import shlex
 import sys
 
@@ -59,7 +60,9 @@ def _json_value(v, precision: int, key: str = ""):
 
 
 def _cell(key: str, v, precision: int) -> str:
-    if isinstance(v, (str, int)):
+    if isinstance(v, str):
+        return '"' + v.replace('"', '""') + '"' if any(c in v for c in ',"\r\n') else v
+    if isinstance(v, int):
         return str(v)
     if key in _E_COLUMNS:
         return f"{v:.3f}"
@@ -285,6 +288,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         sp = sub.add_parser(name)
+        # a word such as -3pi/4 is a flag's value, not an option
+        sp._negative_number_matcher = re.compile(r"-\.?\d|-pi")
         sp.add_argument("--config", default=None, help="key=value config file")
         sp.add_argument("--out", dest="out_path", help="output path (sweep csv: directory)")
         sp.add_argument("--format", dest="out_format", help="csv or json")
@@ -304,11 +309,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides = {
-        k: parse_value(k, v)
-        for k, v in vars(args).items()
-        if v is not None and k not in ("command", "config")
-    }
+    overrides = {}
+    for k, v in vars(args).items():
+        if v is not None and k not in ("command", "config"):
+            try:
+                overrides[k] = parse_value(k, v)
+            except ConfigError as exc:  # name the key, as an int key's message does
+                raise ConfigError(str(exc) if str(exc).startswith(k) else f"{k}: {exc}") from None
     if args.config is not None:
         return load_config(args.config, overrides)
     return parse_config_text("", overrides)

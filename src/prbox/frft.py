@@ -35,9 +35,8 @@ def frft_distance(order: float, focal_cm: float) -> float:
 
 def frft_order_from_distance(z_cm: float, focal_cm: float) -> float:
     """Inverse design rule: the order in (0, pi] realized at distance z."""
-    if not focal_cm > 0.0:
-        raise ValueError(f"focal length must be positive, got {focal_cm}")
-    if not 0.0 < z_cm <= 2.0 * focal_cm:
+    half_turn_z = frft_distance(math.pi, focal_cm)  # 2f
+    if not 0.0 < z_cm <= half_turn_z:
         raise ValueError(f"need 0 < z <= 2f, got z={z_cm}, f={focal_cm}")
     return 2.0 * math.asin(math.sqrt(z_cm / (2.0 * focal_cm)))
 
@@ -59,10 +58,6 @@ class FrftStage:
     z_cm: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.order < TWO_PI:
-            raise ValueError(f"order must be in (0, 2*pi), got {self.order}")
-        if not self.focal_cm > 0.0:
-            raise ValueError(f"focal length must be positive, got {self.focal_cm}")
         expected = frft_distance(self.order, self.focal_cm)
         if abs(self.z_cm - expected) > Z_TOL_CM:
             raise ValueError(
@@ -80,11 +75,7 @@ class FrftPlan:
     angle_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.stages:
-            composed = compose_orders(s.order for s in self.stages)
-            dev = _angle_deviation(composed, self.target_order)
-        else:
-            dev = _angle_deviation(0.0, self.target_order)
+        dev = _angle_deviation(self.composed_order, self.target_order)
         if dev > self.angle_tol:
             raise ValueError(
                 f"composed order deviates from target by {dev} rad "
@@ -106,18 +97,6 @@ def _angle_deviation(a: float, b: float) -> float:
     return min(d, TWO_PI - d)
 
 
-def _stage_orders(target: float, k: int) -> list[float] | None:
-    """Split a reduced target into k realizable stage orders.
-
-    The first k-1 stages are quarter rotations (pi/2, the standard Fourier
-    lens arrangement); the last stage absorbs the remainder.
-    """
-    last = target - (k - 1) * (math.pi / 2.0)
-    if not MIN_STAGE_ORDER < last < MAX_STAGE_ORDER:
-        return None
-    return [math.pi / 2.0] * (k - 1) + [last]
-
-
 def plan_lens_system(
     target: float,
     inventory,
@@ -127,8 +106,10 @@ def plan_lens_system(
     """Search lens assignments realizing the target rotation.
 
     Each focal length in the inventory is a physical lens usable at most
-    once.  Candidate plans are ranked by deviation from the target, then by
-    stage count, then by total propagation distance.
+    once.  A k-stage plan turns the first k-1 stages by pi/2 (the standard
+    Fourier lens arrangement) and the last by the remainder.  The fewest
+    stages win, then the shortest total z over the lens permutations, with
+    ties within 1e-12 cm going to the first in sorted order.
     """
     if not math.isfinite(target):
         raise ValueError(f"target must be finite, got {target}")
@@ -146,28 +127,24 @@ def plan_lens_system(
     if reduced <= angle_tol or TWO_PI - reduced <= angle_tol:
         return FrftPlan(stages=(), target_order=target, angle_tol=angle_tol)
 
-    best = None  # (total_z, stages)
     k_limit = min(max_stages, len(inventory))
     for k in range(1, k_limit + 1):
-        orders = _stage_orders(reduced, k)
-        if orders is None:
+        orders = [math.pi / 2.0] * (k - 1) + [reduced - (k - 1) * (math.pi / 2.0)]
+        if not MIN_STAGE_ORDER < orders[-1] < MAX_STAGE_ORDER:
             continue
+        best = None
         for focals in sorted(set(itertools.permutations(inventory, k))):
             stages = tuple(
                 FrftStage(order=o, focal_cm=f, z_cm=frft_distance(o, f))
                 for o, f in zip(orders, focals)
             )
-            total_z = math.fsum(s.z_cm for s in stages)
-            if best is None or total_z < best[0] - 1e-12:
-                best = (total_z, stages)
-        if best is not None:
-            # exact plans exist at this stage count; fewer stages wins
-            break
-    if best is None:
-        reachable = (k_limit - 1) * (math.pi / 2.0) + MAX_STAGE_ORDER
-        deviation = max(0.0, reduced - reachable)
-        raise PlanNotFoundError(
-            f"no plan within {angle_tol} rad of target {target}: best "
-            f"achievable deviation with {k_limit} stage(s) is {deviation:.6f} rad"
-        )
-    return FrftPlan(stages=best[1], target_order=target, angle_tol=angle_tol)
+            plan = FrftPlan(stages=stages, target_order=target, angle_tol=angle_tol)
+            if best is None or plan.total_z_cm < best.total_z_cm - 1e-12:
+                best = plan
+        return best
+    reachable = (k_limit - 1) * (math.pi / 2.0) + MAX_STAGE_ORDER
+    deviation = max(0.0, reduced - reachable)
+    raise PlanNotFoundError(
+        f"no plan within {angle_tol} rad of target {target}: best "
+        f"achievable deviation with {k_limit} stage(s) is {deviation:.6f} rad"
+    )

@@ -43,10 +43,9 @@ class GaussianTwoModeState:
     gamma: float
 
     def __post_init__(self) -> None:
-        if not self.delta > 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
-        if not self.gamma > 0.0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        for name in ("delta", "gamma"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.gamma < self.delta:
             raise NonNormalizableStateError(
                 f"gamma={self.gamma} < delta={self.delta}: the momentum-space "
@@ -68,10 +67,9 @@ class BivariateGaussian:
     corr: float
 
     def __post_init__(self) -> None:
-        if not self.var1 > 0.0:
-            raise ValueError(f"var1 must be positive, got {self.var1}")
-        if not self.var2 > 0.0:
-            raise ValueError(f"var2 must be positive, got {self.var2}")
+        for name in ("var1", "var2"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not abs(self.corr) <= 1.0:
             raise ValueError(f"|corr| must be <= 1, got {self.corr}")
 

@@ -1,6 +1,9 @@
+import csv
+import io
 import json
 import math
 import os
+import shlex
 from dataclasses import replace
 
 import numpy as np
@@ -79,6 +82,20 @@ class TestPlanFrft:
         argv = ["plan-frft", "--target", "5pi/4", "--inventory", "25,15", "--angle-tol", "pi/1000"]
         assert main(argv) == 0
         assert len(capsys.readouterr().out.splitlines()) == 3
+
+    def test_negative_value_follows_its_flag(self, capsys):
+        base = ["plan-frft", "--inventory", "25,15"]
+        assert main([*base, "--target=-3pi/4"]) == 0
+        expected = capsys.readouterr()
+        assert main([*base, "--target", "-3pi/4"]) == 0
+        assert capsys.readouterr() == expected
+        assert len(expected.out.splitlines()) == 3
+
+    def test_missing_flag_value_is_still_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["plan-frft", "--out", "--format", "json"])
+        assert info.value.code == 2
+        assert "argument --out: expected one argument" in capsys.readouterr().err
 
     def test_empty_inventory_fails(self, capsys):
         code = main(["plan-frft", "--target", "pi/2", "--inventory", ""])
@@ -331,6 +348,14 @@ class TestOptimize:
         assert -4.0 <= doc["S"] <= 4.0
         assert doc["fidelity"] == pytest.approx((doc["S"] + 4.0) / 8.0, abs=1e-5)
 
+    @pytest.mark.parametrize("name", ["a,b.cfg", 'a"b.cfg', "a\nb.cfg", "a\rb.cfg"])
+    def test_csv_reads_back_with_quoted_cells(self, tmp_path, capsys, name):
+        cfg = write_config(tmp_path, "r = 0.5\nangle_grid_step = pi/4\nrefine_tol = 1e-2\n", name)
+        assert main(["optimize", "--config", cfg]) == 0
+        header, row = csv.reader(io.StringIO(capsys.readouterr().out, newline=""))
+        assert len(row) == len(header) == 10
+        assert dict(zip(header, row))["reproduce"] == "prbox-sim optimize --config " + shlex.quote(cfg)
+
 
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path, capsys):
@@ -360,6 +385,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, key", [
         (["chsh", "--seed", "x"], "mc_seed"),
         (["chsh", "--format", "xml"], "format"),
+        (["plan-frft", "--angle-tol", "abc"], "frft_angle_tol"),
+        (["plan-frft", "--target", "3pie"], "frft_target"),
+        (["plan-frft", "--inventory", "25,x"], "frft_inventory_cm"),
     ])
     def test_bad_flag_value_is_2_naming_the_key(self, capsys, argv, key):
         assert main(argv) == 2

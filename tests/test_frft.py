@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -91,6 +92,18 @@ class TestStageAndPlan:
         with pytest.raises(ValueError, match="inconsistent"):
             FrftStage(order=PI / 2, focal_cm=25.0, z_cm=26.0)
 
+    @pytest.mark.parametrize(
+        "order,focal",
+        [(0.0, 25.0), (-1.0, 25.0), (2 * PI, 25.0), (math.nan, 25.0),
+         (PI / 2, 0.0), (PI / 2, -1.0), (PI / 2, math.nan), (0.0, -1.0)],
+    )
+    def test_stage_refuses_what_frft_distance_refuses(self, order, focal):
+        with pytest.raises(ValueError) as expected:
+            frft_distance(order, focal)
+        with pytest.raises(ValueError) as got:
+            FrftStage(order=order, focal_cm=focal, z_cm=25.0)
+        assert str(got.value) == str(expected.value)
+
     def test_plan_checks_composition(self):
         stage = FrftStage(order=PI / 2, focal_cm=25.0, z_cm=25.0)
         with pytest.raises(ValueError, match="deviates"):
@@ -159,3 +172,35 @@ class TestPlanner:
         plan = plan_lens_system(3 * PI / 4, [25.0, 15.0], max_stages=1)
         # a single 3pi/4 stage is cheaper with the shorter lens
         assert plan.stages[0].focal_cm == 15.0
+
+
+# The README recipe's inventory and stage limit, with each target's plan as
+# (order, focal length cm, z cm) per stage, or its error message.
+RECIPE_INVENTORY = [25.0, 15.0, 20.0, 50.0, 30.0]
+RECIPE_PLANS = [
+    (PI / 2, 3, [(PI / 2, 15.0, 15.0)]),
+    (29 * PI / 50, 3, [(1.8221237390820801, 15.0, 18.730348307472823)]),
+    (5 * PI / 4, 3, [(PI / 2, 20.0, 20.0), (2.356194490192345, 15.0, 25.606601717798213)]),
+    (62 * PI / 50, 3, [(PI / 2, 20.0, 20.0), (2.3247785636564466, 15.0, 25.268206588930326)]),
+    # the last stage turns just past or short of a quarter, so it takes the
+    # shortest or the longest of the three lenses
+    (3 * PI / 2 + 1e-13, 3,
+     [(PI / 2, 20.0, 20.0), (PI / 2, 25.0, 25.0), (1.570796326794997, 15.0, 15.000000000001506)]),
+    (3 * PI / 2 - 1e-13, 3,
+     [(PI / 2, 15.0, 15.0), (PI / 2, 20.0, 20.0), (1.5707963267947962, 25.0, 24.999999999997492)]),
+    (7 * PI / 4, 2,
+     "no plan within 1e-06 rad of target 5.497787143782138: best achievable "
+     "deviation with 2 stage(s) is 0.785398 rad"),
+]
+
+
+@pytest.mark.parametrize("target,max_stages,expected", RECIPE_PLANS)
+def test_recipe_plans_are_pinned(target, max_stages, expected):
+    if isinstance(expected, str):
+        with pytest.raises(PlanNotFoundError, match=f"^{re.escape(expected)}$"):
+            plan_lens_system(target, RECIPE_INVENTORY, max_stages=max_stages)
+        return
+    plan = plan_lens_system(target, RECIPE_INVENTORY, max_stages=max_stages)
+    assert [(s.order, s.focal_cm) for s in plan.stages] == [(o, f) for o, f, _ in expected]
+    assert [s.z_cm for s in plan.stages] == pytest.approx([z for _, _, z in expected], rel=1e-12)
+    assert plan.total_z_cm == pytest.approx(math.fsum(z for _, _, z in expected), rel=1e-12)
