@@ -193,6 +193,8 @@ def postselected_tables(
     len(betas)): the derivatives of (m_pp, m_pm) in alpha, beta and r, each
     over kept."""
     rs = np.asarray(r, dtype=float)
+    if rs.ndim > 1:
+        raise ValueError(f"r must be a scalar or a 1-D sequence, got {rs.ndim}-D r={r!r}")
     if gradient and rs.ndim:
         raise ValueError(f"gradient=True takes a scalar r, got {r!r}")
     try:

@@ -47,6 +47,8 @@ EXIT_IO = 4
 # Correlation columns of a chsh row, in SETTING_LABELS order, printed at 3
 # decimals (report convention).
 _E_COLUMNS = ("E_ab", "E_apb", "E_abp", "E_apbp")
+# Sign outcomes of an mc record's p_* and se_* columns, in ProbEstimate order.
+_OUTCOMES = ("pp", "pm", "mp", "mm")
 
 
 def _json_value(v, precision: int, key: str = ""):
@@ -194,27 +196,18 @@ def cmd_mc(cfg: RunConfig) -> int:
             state, settings, cfg.mc_n, cfg.mc_seed, cfg.mc_workers
         )
         pairs = chsh_mod.setting_pairs(settings)
-        for label, (a, b), (seed, est) in zip(chsh_mod.SETTING_LABELS, pairs, estimates):
-            records.append(
-                {
-                    "r": r_cfg,
-                    "setting": label,
-                    "alpha_rad": a,
-                    "beta_rad": b,
-                    "p_pp": est.p_pp,
-                    "se_pp": est.se_pp,
-                    "p_pm": est.p_pm,
-                    "se_pm": est.se_pm,
-                    "p_mp": est.p_mp,
-                    "se_mp": est.se_mp,
-                    "p_mm": est.p_mm,
-                    "se_mm": est.se_mm,
-                    "kept_fraction": est.kept_fraction,
-                    "kept_se": est.kept_fraction_se,
-                    "seed": seed,
-                    "n": cfg.mc_n,
-                }
-            )
+        for label, (a, b), est in zip(chsh_mod.SETTING_LABELS, pairs, estimates):
+            records.append({
+                "r": r_cfg,
+                "setting": label,
+                "alpha_rad": a,
+                "beta_rad": b,
+                **{f"{x}_{k}": getattr(est, f"{x}_{k}") for k in _OUTCOMES for x in ("p", "se")},
+                "kept_fraction": est.kept_fraction,
+                "kept_se": est.kept_fraction_se,
+                "seed": est.seed,
+                "n": cfg.mc_n,
+            })
     return _write(cfg, {"r_unit": cfg.r_unit, "matrices": records}, records)
 
 
@@ -238,8 +231,10 @@ def cmd_plan_frft(cfg: RunConfig) -> int:
 
 
 def cmd_optimize(cfg: RunConfig, reproduce: str = "prbox-sim optimize") -> int:
+    if len(cfg.r_values) != 1:
+        raise ConfigError(f"optimize takes exactly one r, got {len(cfg.r_values)} r_values")
     state = _state_from_config(cfg)
-    r = cfg.r_dimensionless()[0]
+    (r,) = cfg.r_dimensionless()
     result = maximize_S(
         state,
         r,

@@ -182,31 +182,11 @@ def estimate_probabilities(counts: CountTable) -> ProbEstimate:
         raise InsufficientCountsError(
             f"only {kept} kept events; need at least {MIN_KEPT_COUNT}"
         )
-
-    def est(c: int) -> tuple[float, float]:
-        p = c / kept
-        return p, math.sqrt(p * (1.0 - p) / kept)
-
-    p_pp, se_pp = est(counts.n_pp)
-    p_pm, se_pm = est(counts.n_pm)
-    p_mp, se_mp = est(counts.n_mp)
-    p_mm, se_mm = est(counts.n_mm)
+    p = [c / kept for c in (counts.n_pp, counts.n_pm, counts.n_mp, counts.n_mm)]
+    se = [math.sqrt(x * (1.0 - x) / kept) for x in p]
     kf = kept / counts.n_total
     kf_se = math.sqrt(kf * (1.0 - kf) / counts.n_total)
-    return ProbEstimate(
-        p_pp=p_pp,
-        p_pm=p_pm,
-        p_mp=p_mp,
-        p_mm=p_mm,
-        se_pp=se_pp,
-        se_pm=se_pm,
-        se_mp=se_mp,
-        se_mm=se_mm,
-        kept_fraction=kf,
-        kept_fraction_se=kf_se,
-        n_kept=kept,
-        seed=counts.seed,
-    )
+    return ProbEstimate(*p, *se, kf, kf_se, kept, counts.seed)
 
 
 def derive_setting_seed(seed: int, index: int) -> int:
@@ -216,11 +196,10 @@ def derive_setting_seed(seed: int, index: int) -> int:
 
 
 def setting_estimates(state: GaussianTwoModeState, settings, n, seed, workers=1):
-    """Yield (sub-seed, ProbEstimate) of each setting pair, in setting_pairs order."""
+    """Yield the ProbEstimate of each setting pair, in setting_pairs order."""
     for k, (a, b) in enumerate(setting_pairs(settings)):
         sub_seed = derive_setting_seed(seed, k)
-        counts = simulate_counts(state, a, b, settings.r, n, sub_seed, workers)
-        yield sub_seed, estimate_probabilities(counts)
+        yield estimate_probabilities(simulate_counts(state, a, b, settings.r, n, sub_seed, workers))
 
 
 def mc_bell_S(
@@ -231,9 +210,7 @@ def mc_bell_S(
     workers: int = 1,
 ) -> tuple[float, float]:
     """Bell parameter estimate and standard error from four simulated tables."""
-    s_val = var = 0.0
-    weights = (1.0, 1.0, 1.0, -1.0)
-    for w, (_, est) in zip(weights, setting_estimates(state, settings, n, seed, workers)):
-        s_val += w * est.correlation_E
-        var += est.correlation_E_se**2
-    return s_val, math.sqrt(var)
+    ests = list(setting_estimates(state, settings, n, seed, workers))
+    e_ab, e_apb, e_abp, e_apbp = (est.correlation_E for est in ests)
+    v = [est.correlation_E_se**2 for est in ests]  # left to right; sum() compensates from 3.12
+    return e_ab + e_apb + e_abp - e_apbp, math.sqrt(v[0] + v[1] + v[2] + v[3])

@@ -520,6 +520,13 @@ class TestCorrelationGrid:
         with pytest.raises(ValueError, match="gradient=True takes a scalar r"):
             chsh.postselected_tables(STATE, REF_ALPHAS, REF_BETAS, [1.0, 2.0], gradient=True)
 
+    @pytest.mark.parametrize("gradient", [False, True])
+    def test_two_dimensional_r_is_refused_naming_r(self, gradient):
+        with pytest.raises(ValueError, match=r"r must be a scalar or a 1-D sequence, got 2-D r="):
+            chsh.postselected_tables(
+                STATE, REF_ALPHAS, REF_BETAS, [[1, 2], [0.5, 3]], gradient=gradient
+            )
+
     def test_sweep_raises_the_scalar_error(self):
         grid = [-1.0, 0.5, 7.0]
         with pytest.raises(EmptyPostSelectionError) as scalar:

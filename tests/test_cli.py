@@ -356,6 +356,13 @@ class TestOptimize:
         assert len(row) == len(header) == 10
         assert dict(zip(header, row))["reproduce"] == "prbox-sim optimize --config " + shlex.quote(cfg)
 
+    def test_more_than_one_r_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "r = 1, 2\n")
+        assert main(["optimize", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: optimize takes exactly one r, got 2 r_values\n"
+
 
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path, capsys):

@@ -8,12 +8,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from prbox import (
     BivariateGaussian,
     CountTable,
     GaussianTwoModeState,
     MeasurementSettings,
+    ProbEstimate,
     REFERENCE_SETTINGS,
     bell_S,
     correlation_E,
@@ -29,8 +32,10 @@ from prbox.cli import main
 from prbox.montecarlo import (
     BLOCK_SIZE,
     CHUNK_SIZE,
+    MIN_KEPT_COUNT,
     InsufficientCountsError,
     derive_setting_seed,
+    setting_estimates,
 )
 
 PI = math.pi
@@ -198,7 +203,41 @@ class TestExactReference:
         assert (got.n_total, got.seed) == (n, self.SEED)
 
 
+@st.composite
+def count_tables(draw):
+    """CountTables with at least MIN_KEPT_COUNT kept events of up to 10^12."""
+    n_total = draw(st.integers(MIN_KEPT_COUNT, 10**12))
+    kept = draw(st.integers(MIN_KEPT_COUNT, n_total))
+    cuts = sorted(draw(st.lists(st.integers(0, kept), min_size=3, max_size=3)))
+    n = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, kept])]
+    seed = draw(st.integers(0, (1 << 64) - 1))
+    return CountTable(*n, n_discarded=n_total - kept, seed=seed, n_total=n_total)
+
+
 class TestEstimateProbabilities:
+    @settings(max_examples=200, deadline=None)
+    @given(count_tables())
+    @example(CountTable(250, 250, 250, 250, n_discarded=0, seed=0, n_total=1000))
+    @example(CountTable(MIN_KEPT_COUNT, 0, 0, 0, n_discarded=10**12 - 100, seed=3, n_total=10**12))
+    def test_fields_equal_the_binomial_rule_per_outcome(self, c):
+        kept, n = c.n_kept, c.n_total
+        p_pp, p_pm, p_mp, p_mm = c.n_pp / kept, c.n_pm / kept, c.n_mp / kept, c.n_mm / kept
+        kf = kept / n
+        assert estimate_probabilities(c) == ProbEstimate(
+            p_pp=p_pp,
+            p_pm=p_pm,
+            p_mp=p_mp,
+            p_mm=p_mm,
+            se_pp=math.sqrt(p_pp * (1.0 - p_pp) / kept),
+            se_pm=math.sqrt(p_pm * (1.0 - p_pm) / kept),
+            se_mp=math.sqrt(p_mp * (1.0 - p_mp) / kept),
+            se_mm=math.sqrt(p_mm * (1.0 - p_mm) / kept),
+            kept_fraction=kf,
+            kept_fraction_se=math.sqrt(kf * (1.0 - kf) / n),
+            n_kept=kept,
+            seed=c.seed,
+        )
+
     def test_uniform_counts(self):
         c = CountTable(250, 250, 250, 250, n_discarded=0, seed=0, n_total=1000)
         est = estimate_probabilities(c)
@@ -235,6 +274,18 @@ class TestEstimateProbabilities:
         assert len(matrix) == 4
         for row in matrix:
             assert sum(row) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestSettingEstimates:
+    def test_yields_estimates_in_setting_pairs_order_with_sub_seeds(self):
+        settings = replace(REFERENCE_SETTINGS, r=0.4)
+        ests = list(setting_estimates(STATE, settings, 20_000, seed=17))
+        assert len(ests) == 4
+        for k, ((a, b), est) in enumerate(zip(setting_pairs(settings), ests)):
+            assert isinstance(est, ProbEstimate)
+            assert est.seed == derive_setting_seed(17, k)
+            counts = simulate_counts(STATE, a, b, 0.4, 20_000, est.seed)
+            assert est == estimate_probabilities(counts)
 
 
 class TestMcBellS:

@@ -1,4 +1,5 @@
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -30,3 +31,34 @@ def test_chsh_trend_runs():
     assert r == "1.00"
     assert s == f"{bell_S(state, settings):.3f}"
     assert p_and == f"{and_gate_success(state, settings):.4f}"
+
+
+def _compare_outputs(other_src):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "compare_outputs.py"), str(other_src),
+         "--workload", "table", "--seeds", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_compare_outputs_passes_on_the_same_tree():
+    proc = _compare_outputs(ROOT / "src")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == "0 of 6 outputs differ\n"
+
+
+def test_compare_outputs_names_the_json_outputs_of_a_changed_tree(tmp_path):
+    shutil.copytree(ROOT / "src" / "prbox", tmp_path / "prbox",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "prbox" / "cli.py"
+    text = cli.read_text()
+    assert 'SCHEMA_VERSION = "1"' in text
+    cli.write_text(text.replace('SCHEMA_VERSION = "1"', 'SCHEMA_VERSION = "2"'))
+    proc = _compare_outputs(tmp_path)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == [
+        "differs: table seed 1 chsh_ladder json (files)",
+        "differs: table seed 1 sweep json (files)",
+        "differs: table seed 1 chsh_r4 json (files)",
+        "3 of 6 outputs differ",
+    ]
