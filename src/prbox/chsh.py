@@ -192,7 +192,12 @@ def postselected_tables(
     With gradient=True and a scalar r, also dm of shape (2, 3, len(alphas),
     len(betas)): the derivatives of (m_pp, m_pm) in alpha, beta and r, each
     over kept."""
-    rs = np.asarray(r, dtype=float)
+    try:
+        rs = np.asarray(r, dtype=float)
+    except ValueError:  # a ragged r such as [[1, 2], [3]] makes no float array
+        if all(np.isscalar(x) for x in np.asarray(r, dtype=object).flat):
+            raise
+        raise ValueError(f"r must be a scalar or a 1-D sequence, got ragged r={r!r}") from None
     if rs.ndim > 1:
         raise ValueError(f"r must be a scalar or a 1-D sequence, got {rs.ndim}-D r={r!r}")
     if gradient and rs.ndim:

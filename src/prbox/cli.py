@@ -13,6 +13,9 @@ Every subcommand builds a document of raw values and writes it through
 comma, a double quote or a line break (RFC 4180).  In both, the ``E_*``
 correlation columns of ``chsh`` are printed at 3 decimals, other floats at
 ``precision`` significant digits with -0 as 0, and the rest as they are.
+JSON is written in one pass from the document to text, with the bytes of
+``json.dumps(indent=2, sort_keys=True)``: a float is the repr of its CSV
+cell read back, or NaN, Infinity, -Infinity.
 
 Exit codes: 0 success, 2 config validation failure, 3 numerical failure,
 4 I/O failure.
@@ -22,11 +25,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import re
 import shlex
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -49,16 +52,47 @@ EXIT_IO = 4
 _E_COLUMNS = ("E_ab", "E_apb", "E_abp", "E_apbp")
 # Sign outcomes of an mc record's p_* and se_* columns, in ProbEstimate order.
 _OUTCOMES = ("pp", "pm", "mp", "mm")
+# JSON's spelling of the non-finite floats.
+_JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_MIN_NORMAL = sys.float_info.min
 
 
-def _json_value(v, precision: int, key: str = ""):
+def _json_text(v, precision: int, key: str = "", indent: str = "\n") -> str:
+    """v as JSON text, keys sorted and indented by two spaces; a float is
+    float.__repr__ of its CSV cell, or NaN, Infinity, -Infinity."""
+    inner = indent + "  "
     if isinstance(v, dict):
-        return {k: _json_value(x, precision, k) for k, x in v.items()}
+        items = [head + (_json_float(k, x, precision) if type(x := v[k]) is float
+                         else _json_text(x, precision, k, inner))
+                 for k, head in _json_heads(tuple(v), inner)]
+        return "{" + ",".join(items) + indent + "}" if items else "{}"
     if isinstance(v, (list, tuple)):
-        return [_json_value(x, precision) for x in v]
-    if isinstance(v, (str, int)):  # bool is an int
-        return v
-    return float(_cell(key, v, precision))
+        items = [_json_float("", x, precision) if type(x) is float
+                 else _json_text(x, precision, "", inner) for x in v]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    if isinstance(v, str):
+        return _json_str(v)
+    if isinstance(v, int):  # bool is an int
+        return "true" if v is True else "false" if v is False else int.__repr__(v)
+    return _json_float(key, v, precision)
+
+
+@functools.lru_cache(maxsize=64)
+def _json_heads(keys: tuple, indent: str) -> tuple[tuple[str, str], ...]:
+    """Each key in sorted order, with its text up to the value: rows that
+    share their keys sort them once."""
+    return tuple((k, indent + _json_str(k) + ": ") for k in sorted(keys))
+
+
+def _json_float(key: str, v, precision: int) -> str:
+    text = _cell(key, v, precision)
+    # A normal double's cell at <= 15 significant digits is its repr, unless
+    # the notations differ: E+ (repr is positional below 1e16) or no point.
+    if (precision <= 15 and key not in _E_COLUMNS and "e+" not in text
+            and ("." in text or "e" in text) and abs(v) >= _MIN_NORMAL):
+        return text
+    text = repr(float(text))  # 2e+308 reads back as inf
+    return _JSON_SPECIAL.get(text, text)
 
 
 def _cell(key: str, v, precision: int) -> str:
@@ -83,8 +117,7 @@ def _write(
 ) -> int:
     """Write doc as JSON or rows as CSV to cfg.out_path, or to stdout."""
     if cfg.out_format == "json":
-        doc = _json_value({"schema_version": SCHEMA_VERSION, **doc}, cfg.precision)
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        text = _json_text({"schema_version": SCHEMA_VERSION, **doc}, cfg.precision) + "\n"
     else:
         text = _csv_text(rows, cfg.precision, header)
     if cfg.out_path:

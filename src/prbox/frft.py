@@ -142,9 +142,15 @@ def plan_lens_system(
             if best is None or plan.total_z_cm < best.total_z_cm - 1e-12:
                 best = plan
         return best
-    reachable = (k_limit - 1) * (math.pi / 2.0) + MAX_STAGE_ORDER
-    deviation = max(0.0, reduced - reachable)
-    raise PlanNotFoundError(
-        f"no plan within {angle_tol} rad of target {target}: best "
-        f"achievable deviation with {k_limit} stage(s) is {deviation:.6f} rad"
-    )
+    # Every stage count failed: one stage would turn by at most MIN_STAGE_ORDER,
+    # or the last of k_limit stages by at least MAX_STAGE_ORDER.  Within
+    # angle_tol of that bound, the bound and not the distance is the cause.
+    k = k_limit if reduced >= MAX_STAGE_ORDER else 1
+    last = reduced - (k - 1) * (math.pi / 2.0)
+    deviation = last - MAX_STAGE_ORDER
+    if deviation > angle_tol:
+        cause = f"best achievable deviation with {k_limit} stage(s) is {deviation:.6g} rad"
+    else:
+        cause = (f"the last of {k} stage(s) would need order {last!r} rad, outside the "
+                 f"open range ({MIN_STAGE_ORDER}, {MAX_STAGE_ORDER}) of one stage")
+    raise PlanNotFoundError(f"no plan within {angle_tol} rad of target {target}: {cause}")

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -522,10 +523,10 @@ class TestCorrelationGrid:
 
     @pytest.mark.parametrize("gradient", [False, True])
     def test_two_dimensional_r_is_refused_naming_r(self, gradient):
-        with pytest.raises(ValueError, match=r"r must be a scalar or a 1-D sequence, got 2-D r="):
-            chsh.postselected_tables(
-                STATE, REF_ALPHAS, REF_BETAS, [[1, 2], [0.5, 3]], gradient=gradient
-            )
+        for r, shape in (([[1, 2], [0.5, 3]], "2-D"), ([[1, 2], [3]], "ragged")):
+            message = f"r must be a scalar or a 1-D sequence, got {shape} r={r!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                chsh.postselected_tables(STATE, REF_ALPHAS, REF_BETAS, r, gradient=gradient)
 
     def test_sweep_raises_the_scalar_error(self):
         grid = [-1.0, 0.5, 7.0]

@@ -23,7 +23,7 @@ from prbox import chsh, cli
 from prbox.chsh import EmptyPostSelectionError
 from prbox.cli import main
 from prbox.config import ConfigError
-from prbox.frft import PlanNotFoundError
+from prbox.frft import MAX_STAGE_ORDER, MIN_STAGE_ORDER, PlanNotFoundError
 from prbox.montecarlo import InsufficientCountsError
 from prbox.state import NonNormalizableStateError
 
@@ -96,6 +96,23 @@ class TestPlanFrft:
             main(["plan-frft", "--out", "--format", "json"])
         assert info.value.code == 2
         assert "argument --out: expected one argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags,target,stages",
+        [
+            (["--target", "3pi/2", "--inventory", "25,15"], "4.71238898038469", 2),
+            (["--target", "pi", "--inventory", "25", "--max-stages", "1"], repr(PI), 1),
+        ],
+    )
+    def test_target_on_the_stage_bound_names_the_bound(self, capsys, flags, target, stages):
+        # the last stage would turn by pi, which the open stage range excludes
+        assert main(["plan-frft", *flags]) == 3
+        assert capsys.readouterr() == (
+            "",
+            f"numerical failure: no plan within 0.001 rad of target {target}: the last of "
+            f"{stages} stage(s) would need order {PI!r} rad, outside the open range "
+            f"({MIN_STAGE_ORDER}, {MAX_STAGE_ORDER}) of one stage\n",
+        )
 
     def test_empty_inventory_fails(self, capsys):
         code = main(["plan-frft", "--target", "pi/2", "--inventory", ""])
@@ -446,12 +463,60 @@ class TestMain:
         assert cached[3] != cached[4] and all(code == 0 for code, _ in cached)
 
 
+def old_json_value(v, precision: int, key: str = ""):
+    """The JSON rule as it was before the one-pass writer, kept as the
+    oracle: the document with each float read back from its CSV cell."""
+    if isinstance(v, dict):
+        return {k: old_json_value(x, precision, k) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [old_json_value(x, precision) for x in v]
+    if isinstance(v, (str, int)):  # bool is an int
+        return v
+    return float(cli._cell(key, v, precision))
+
+
+def old_json_text(doc: dict, precision: int) -> str:
+    return json.dumps(old_json_value(doc, precision), indent=2, sort_keys=True) + "\n"
+
+
+PRECISIONS = [1, 6, 15, 16, 17]
+# One small config per JSON-writing command.
+DOCUMENT_CONFIGS = [
+    ("chsh", "r = 0, 0.4, 1.3, 2.5, 3\n"),
+    ("sweep", "r = 0.75, 2\nsweep_alphas = pi, pi/2\nsweep_steps = 9\nreference_curve = true\n"),
+    ("mc", "r = 0.5, 1\nmc_n = 20000\nmc_seed = 3\n"),
+    ("optimize",
+     "r = 1\nangle_grid_step = pi/4\nrefine_tol = 1e-2\ntarget_fidelity = 0.9275\n"),
+    ("plan-frft", "frft_target = 5pi/4\nfrft_inventory_cm = 25, 15\nfrft_max_stages = 2\n"),
+]
+JSON_KEYS = st.one_of(st.sampled_from(["E_ab", "E_apbp", "S", "r", ""]), st.text(max_size=6))
+JSON_DOCUMENTS = st.recursive(
+    st.one_of(st.floats(), st.integers(), st.booleans(), st.text(max_size=8)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(JSON_KEYS, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
 class TestOutputRule:
     @given(
         st.floats(),
         st.sampled_from(["E_ab", "S"]),
-        st.sampled_from([1, 6, 17]),
+        st.sampled_from(PRECISIONS),
     )
+    @example(5474340356989.544, "S", 3)
+    @example(5474340356989.544, "S", 6)
+    @example(5474340356989.544, "S", 10)
+    @example(1.570376581136e-312, "S", 15)
+    @example(0.1, "S", 17)
+    @example(5e-324, "S", 15)
+    @example(math.nan, "S", 6)
+    @example(math.inf, "S", 6)
+    @example(-math.inf, "E_ab", 6)
+    @example(1.5e308, "S", 1)
     @example(-0.0, "S", 6)
     @example(-0.0, "E_ab", 6)
     @example(-0.0004, "E_ab", 1)
@@ -464,7 +529,7 @@ class TestOutputRule:
     @example(1e-300, "E_ab", 6)
     @example(-1e-300, "S", 1)
     def test_json_float_is_the_csv_cell(self, v, key, precision):
-        got = cli._json_value({key: v}, precision)[key]
+        got = json.loads(cli._json_text({key: v}, precision))[key]
         assert repr(got) == repr(float(cli._cell(key, v, precision)))
         # the rule written out: E columns at 3 decimals, other floats at
         # precision significant digits with -0 printed as 0
@@ -473,3 +538,23 @@ class TestOutputRule:
         else:
             expected = float(f"{0.0 if v == 0.0 else v:.{precision}g}")
         assert repr(got) == repr(expected)
+
+    @pytest.mark.parametrize("precision", PRECISIONS)
+    @pytest.mark.parametrize("command,config", DOCUMENT_CONFIGS, ids=[c for c, _ in DOCUMENT_CONFIGS])
+    def test_written_bytes_are_the_old_rule(self, tmp_path, monkeypatch, command, config, precision):
+        docs = []
+        write = cli._write
+        monkeypatch.setattr(
+            cli, "_write", lambda cfg, doc, *rest, **kw: docs.append(doc) or write(cfg, doc, *rest, **kw)
+        )
+        cfg = write_config(tmp_path, config + f"precision = {precision}\n")
+        out = tmp_path / "out.json"
+        assert main([command, "--config", cfg, "--format", "json", "--out", str(out)]) == 0
+        (doc,) = docs
+        expected = old_json_text({"schema_version": cli.SCHEMA_VERSION, **doc}, precision)
+        assert out.read_bytes() == expected.encode()
+
+    @given(st.dictionaries(JSON_KEYS, JSON_DOCUMENTS, max_size=5), st.sampled_from(PRECISIONS))
+    @example({"": [], "E_ab": {}, "\u00e9\"": ("x\\y", True, 0, -0.0)}, 6)
+    def test_any_document_is_the_old_rule(self, doc, precision):
+        assert cli._json_text(doc, precision) + "\n" == old_json_text(doc, precision)

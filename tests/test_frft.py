@@ -204,3 +204,20 @@ def test_recipe_plans_are_pinned(target, max_stages, expected):
     assert [(s.order, s.focal_cm) for s in plan.stages] == [(o, f) for o, f, _ in expected]
     assert [s.z_cm for s in plan.stages] == pytest.approx([z for _, _, z in expected], rel=1e-12)
     assert plan.total_z_cm == pytest.approx(math.fsum(z for _, _, z in expected), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "target,angle_tol,cause",
+    [
+        # one stage would turn by less than the smallest order
+        (5e-10, 1e-12,
+         "the last of 1 stage(s) would need order 5e-10 rad, outside the open "
+         "range (1e-09, 3.141592652589793) of one stage"),
+        # the last stage would turn by pi, past the largest order by 1e-9 rad
+        (3 * PI / 2, 1e-12, "best achievable deviation with 2 stage(s) is 1e-09 rad"),
+    ],
+)
+def test_refusal_never_reads_zero(target, angle_tol, cause):
+    expected = f"no plan within {angle_tol} rad of target {target}: {cause}"
+    with pytest.raises(PlanNotFoundError, match=f"^{re.escape(expected)}$"):
+        plan_lens_system(target, [25.0, 15.0], max_stages=2, angle_tol=angle_tol)
