@@ -11,6 +11,8 @@ import argparse
 import math
 from dataclasses import replace
 
+import numpy as np
+
 from prbox import GaussianTwoModeState, REFERENCE_SETTINGS, mc_bell_S, pr_fidelity
 from prbox.chsh import chsh_values, postselected_tables
 
@@ -29,7 +31,8 @@ def main() -> None:
     print(f"{'r':>5} {'H_ave_%':>8} {'S':>7} {'P_AND':>7} {'fidelity':>9}")
     ref = REFERENCE_SETTINGS
     _, s_values, p_and, _, _, kept_pct = chsh_values(*postselected_tables(
-        state, (ref.alpha, ref.alpha_prime), (ref.beta, ref.beta_prime), args.r
+        state, [[ref.alpha], [ref.alpha_prime]], (ref.beta, ref.beta_prime),
+        np.array(args.r)[:, None, None],
     ))
     s_values = s_values.tolist()
     for r, s, p, kept in zip(args.r, s_values, p_and.tolist(), kept_pct.tolist()):

@@ -8,16 +8,18 @@ surviving sign combinations are renormalized to a probability table.  The
 pair is a zero-mean Gaussian and the strip is symmetric, so a table takes
 two orthant masses, each Owen's T closed form in the bulk and, where that
 form cancels, a 20-node Gauss-Laguerre rule of the tail integral, evaluated
-as one array expression.  postselected_tables is the one kernel: it
-computes the tables over an outer product of angle lists, and of r values
-when r is a sequence, as array operations.  prbox-sim chsh over its r
-rungs and prbox-sim sweep over its curves each make one call, and
-postselected_probs, correlation_grid and sweep_beta read from it.  E, S,
-the AND-gate success, the no-signaling marginals and the kept fraction are
-one array formula, chsh_values, over the kernel's (alpha, alpha') x
-(beta, beta') tables at any number of r; bell_S, and_gate_success,
-no_signaling_report, bell_S_gradient and prbox-sim chsh read from it, and
-bell_S_gradient sums the kernel's exact derivatives into grad S.
+as one array expression.  postselected_tables is the one kernel: its
+alpha, beta and r broadcast as numpy arrays do, and a failure raises for
+the first failing element in C order.  Callers lay out their axes in
+output order, so prbox-sim chsh over its r rungs and prbox-sim sweep over
+its curves each make one call, which raises what a loop over its rows
+would raise first.  postselected_probs, correlation_grid and sweep_beta
+read from it.  E, S, the AND-gate success, the no-signaling marginals and
+the kept fraction are one array formula, chsh_values, over the kernel's
+(alpha, alpha') x (beta, beta') tables at any number of r; bell_S,
+and_gate_success, no_signaling_report, bell_S_gradient and prbox-sim chsh
+read from it, and bell_S_gradient sums the kernel's exact derivatives into
+grad S.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# Unused, but perfbench/run.py's setup.import_scipy_integrate_s metric needs
-# `import prbox` to load it; the drop waits on that metric (ROADMAP item 1).
+# Unused, but perfbench/run.py's import_seconds() fails unless `import prbox`
+# loads it; the drop waits on import_seconds reading an unloaded module as 0 s.
 import scipy.integrate  # noqa: F401
 from scipy.special import log_ndtr, ndtr, owens_t
 
@@ -41,6 +43,7 @@ CANCELLATION_SHARE = 1e-14 / ORTHANT_RTOL
 DEGENERATE_CORR = 1.0 - 1e-12
 # A kept mass below the smallest normal double is not resolved.
 MIN_NORMAL = float(np.finfo(float).tiny)
+_BAD_R = "r must be a finite non-negative real, got {}"
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # The 20-node Gauss-Laguerre rule (Golub & Welsch 1969), as roots_laguerre(20)
 # gives it: the sum of w_i g(x_i) approximates the integral of exp(-u) g(u), u >= 0.
@@ -59,8 +62,6 @@ _LAGUERRE_W = np.array([
     1.1550143395004038e-17, 1.5395221405823465e-20, 5.286442725569081e-24, 1.6564566124991287e-28,
 ])
 _LAGUERRE_SHIFT = _LAGUERRE_X + np.log(_LAGUERRE_W)
-# Signs of the correlations of the (m_pp, m_pm) orthants, on a leading axis.
-_PLUS_MINUS = np.array([1.0, -1.0])[:, None, None]
 
 
 class EmptyPostSelectionError(ValueError):
@@ -69,7 +70,7 @@ class EmptyPostSelectionError(ValueError):
 
 def _check_r(r: float) -> None:
     if not (r >= 0.0 and math.isfinite(r)):
-        raise ValueError(f"r must be a finite non-negative real, got {r}")
+        raise ValueError(_BAD_R.format(r))
 
 
 @dataclass(frozen=True)
@@ -173,59 +174,55 @@ def quadrant_probability(
     return float(_orthants(h1, h2, rho)[0])
 
 
-def _require(ok, value, error: type, message: str, *args) -> None:
-    """Raise error(message) for the first element of value, in row-major
-    order, where ok is false."""
-    if not ok.all():
-        raise error(message.format(float(value.flat[np.argmin(ok)]), *args))
+def _require(*checks) -> None:
+    """Raise for the first element, in C order of the broadcast shape, where
+    a check (ok, error, message, *values) fails, with the first check that
+    fails there: error(message formatted with the values at that element)."""
+    # one all-true test per check; count_nonzero is cheaper than ok.all()
+    if all(np.count_nonzero(ok) == ok.size for ok, *_ in checks):
+        return
+    shape = np.broadcast_shapes(*(np.shape(ok) for ok, *_ in checks))
+    oks = np.array([np.broadcast_to(ok, shape).ravel() for ok, *_ in checks])
+    at = np.argmin(oks.all(axis=0))
+    _, error, message, *values = checks[np.argmin(oks[:, at])]
+    raise error(message.format(*(float(np.broadcast_to(v, shape).flat[at]) for v in values)))
 
 
-def postselected_tables(
-    state: GaussianTwoModeState, alphas, betas, r, gradient: bool = False
-):
-    """Post-selected tables at every (alphas[i], betas[j]), as checked arrays
-    (p_pp, p_pm, kept) of shape (len(alphas), len(betas)).  The pair has zero
-    mean and the dark strip is symmetric, so p_mm = p_pp and p_mp = p_pm, and
-    a table takes the orthants of correlation rho and -rho, here one call.
-    A 1-D sequence r adds a leading axis: row k equals the call at r[k], and
-    a failure raises what the loop of those calls would raise first.
-    With gradient=True and a scalar r, also dm of shape (2, 3, len(alphas),
-    len(betas)): the derivatives of (m_pp, m_pm) in alpha, beta and r, each
-    over kept."""
+def postselected_tables(state: GaussianTwoModeState, alpha, beta, r, gradient: bool = False):
+    """Checked tables (p_pp, p_pm, kept) at (alpha, beta, r), arrays of
+    their broadcast shape; p_mm = p_pp and p_mp = p_pm, so a table takes the
+    orthants of correlation rho and -rho, one call with the pair on a
+    leading axis.  A bad r raises first; then the first failing element in
+    C order raises its first failing check: kept >= MIN_NORMAL, p_pp, p_pm,
+    their sum, kept <= 1.  With gradient=True, also dm of shape (2, 3,
+    *shape): the derivatives of (m_pp, m_pm) in alpha, beta and r, over kept."""
     try:
-        rs = np.asarray(r, dtype=float)
+        r = np.asarray(r, dtype=float)
     except ValueError:  # a ragged r such as [[1, 2], [3]] makes no float array
         if all(np.isscalar(x) for x in np.asarray(r, dtype=object).flat):
             raise
-        raise ValueError(f"r must be a scalar or a 1-D sequence, got ragged r={r!r}") from None
-    if rs.ndim > 1:
-        raise ValueError(f"r must be a scalar or a 1-D sequence, got {rs.ndim}-D r={r!r}")
-    if gradient and rs.ndim:
-        raise ValueError(f"gradient=True takes a scalar r, got {r!r}")
-    try:
-        for x in r if rs.ndim else (r,):
-            _check_r(x)
-        v1, v2, rho, *block_grad = rotated_block(state, alphas, betas, gradient)
-        # an r sequence takes the axis after that of the +rho and -rho orthants
-        rr, signs = (rs[:, None, None], _PLUS_MINUS[:, None]) if rs.ndim else (r, _PLUS_MINUS)
-        h1, h2 = rr / np.sqrt(v1)[:, None], rr / np.sqrt(v2)
-        c = rho * signs
-        m = _orthants(h1, h2, c)
-        kept = ((m[0] + m[1]) + m[1]) + m[0]
-        _require(kept >= MIN_NORMAL, kept, EmptyPostSelectionError,
-                 "kept fraction {} below the smallest normal double: dark region "
-                 "half-width r={} removes essentially all probability mass", r)
-        p_pp, p_pm = m / kept
-        for name, p in (("p_pp", p_pp), ("p_pm", p_pm)):
-            _require((-1e-12 <= p) & (p <= 1.0 + 1e-12), p, ValueError, name + "={} outside [0, 1]")
-        total = ((p_pp + p_pm) + p_pm) + p_pp
-        _require(abs(total - 1.0) <= 1e-9, total, ValueError, "probabilities sum to {}, expected 1")
-        _require(kept <= 1.0 + 1e-12, kept, ValueError, "kept_fraction={} outside (0, 1]")
-    except ValueError:
-        # rerun the rungs in order, so that the first failing one raises
-        for x in r if rs.ndim else ():
-            postselected_tables(state, alphas, betas, x)
-        raise
+        raise ValueError(f"r must have an array shape, got ragged r={r!r}") from None
+    _require(((r >= 0.0) & np.isfinite(r), ValueError, _BAD_R, r))
+    v1, v2, rho, *block_grad = rotated_block(state, alpha, beta, gradient)
+    h1, h2 = r / np.sqrt(v1), r / np.sqrt(v2)
+    # signs of the correlations of the (m_pp, m_pm) orthants, on a leading axis
+    signs = np.array([1.0, -1.0]).reshape(2, *[1] * np.broadcast(h1, h2, rho).ndim)
+    c = rho * signs
+    m = _orthants(h1, h2, c)
+    kept = ((m[0] + m[1]) + m[1]) + m[0]
+    # a kept below MIN_NORMAL fails its check, which comes first at its element;
+    # dividing by at least MIN_NORMAL keeps 0/0 out of the tables until then
+    p_pp, p_pm = m / np.maximum(kept, MIN_NORMAL)
+    total = ((p_pp + p_pm) + p_pm) + p_pp
+    _require(
+        (kept >= MIN_NORMAL, EmptyPostSelectionError,
+         "kept fraction {} below the smallest normal double: dark region "
+         "half-width r={} removes essentially all probability mass", kept, r),
+        ((-1e-12 <= p_pp) & (p_pp <= 1.0 + 1e-12), ValueError, "p_pp={} outside [0, 1]", p_pp),
+        ((-1e-12 <= p_pm) & (p_pm <= 1.0 + 1e-12), ValueError, "p_pm={} outside [0, 1]", p_pm),
+        (abs(total - 1.0) <= 1e-9, ValueError, "probabilities sum to {}, expected 1", total),
+        (kept <= 1.0 + 1e-12, ValueError, "kept_fraction={} outside (0, 1]", kept),
+    )
     if not gradient:
         return p_pp, p_pm, kept
     # An orthant of correlation c has dP/dh1 = -phi(h1) Phi(-(h2 - c h1)/s), the
@@ -237,12 +234,12 @@ def postselected_tables(
     d1 = -np.exp(log_ndtr((c * h1 - h2) / s) - 0.5 * h1 * h1 - log_kept) / _SQRT_2PI
     d2 = -np.exp(log_ndtr((c * h2 - h1) / s) - 0.5 * h2 * h2 - log_kept) / _SQRT_2PI
     dc = np.exp((c * h1 * h2 - 0.5 * (h1 * h1 + h2 * h2)) / (s * s) - log_kept) / s
-    dc = dc / (2.0 * math.pi) * _PLUS_MINUS
+    dc = dc / (2.0 * math.pi) * signs
     # h = r / sqrt(v), so dh/dt = -h d ln sqrt(v)/dt and dh/dr = 1 / sqrt(v)
     dm = (
-        d1 * (-h1 * dlv1[:, None]) + dc * drho_a,
-        d2 * (-h2 * dlv2[None, :]) + dc * drho_b,
-        d1 * (1.0 / np.sqrt(v1))[:, None] + d2 * (1.0 / np.sqrt(v2))[None, :],
+        d1 * (-h1 * dlv1) + dc * drho_a,
+        d2 * (-h2 * dlv2) + dc * drho_b,
+        d1 * (1.0 / np.sqrt(v1)) + d2 * (1.0 / np.sqrt(v2)),
     )
     return p_pp, p_pm, kept, np.stack(dm, axis=1)
 
@@ -251,8 +248,8 @@ def postselected_probs(
     state: GaussianTwoModeState, alpha: float, beta: float, r: float
 ) -> JointProbTable:
     """Renormalized post-selected sign probabilities at rotation (alpha, beta):
-    the 1x1 case of postselected_tables."""
-    p_pp, p_pm, kept = (float(x[0, 0]) for x in postselected_tables(state, [alpha], [beta], r))
+    postselected_tables at scalar inputs."""
+    p_pp, p_pm, kept = map(float, postselected_tables(state, alpha, beta, r))
     return JointProbTable(p_pp, p_pm, p_pm, p_pp, kept)
 
 
@@ -265,10 +262,10 @@ def _correlation(p_pp, p_pm):
     return ((p_pp + p_pp) - p_pm) - p_pm  # correlation_E, as p_mm = p_pp and p_mp = p_pm
 
 
-def correlation_grid(state: GaussianTwoModeState, alphas, betas, r: float):
-    """E[i, j] = correlation_E(postselected_probs(state, alphas[i], betas[j], r))
-    for two angle sequences, from one postselected_tables call."""
-    p_pp, p_pm, _ = postselected_tables(state, alphas, betas, r)
+def correlation_grid(state: GaussianTwoModeState, alpha, beta, r):
+    """correlation_E of postselected_probs at each element of broadcast
+    (alpha, beta, r), from one postselected_tables call."""
+    p_pp, p_pm, _ = postselected_tables(state, alpha, beta, r)
     return _correlation(p_pp, p_pm)
 
 
@@ -322,7 +319,7 @@ def chsh_values(p_pp, p_pm, kept):
 
 def _setting_grid(state, settings, gradient=False):
     return postselected_tables(
-        state, (settings.alpha, settings.alpha_prime),
+        state, [[settings.alpha], [settings.alpha_prime]],
         (settings.beta, settings.beta_prime), settings.r, gradient,
     )
 
@@ -391,7 +388,7 @@ def sweep_beta(
     grid = list(grid)
     if not grid:
         raise ValueError("beta grid must be non-empty")
-    e = correlation_grid(state, [alpha], grid, r)[0]
+    e = correlation_grid(state, alpha, grid, r)
     return list(zip(map(float, grid), e.tolist()))
 
 

@@ -156,16 +156,13 @@ def cmd_sweep(cfg: RunConfig) -> int:
                     f"two sweep curves would both be written to {name}: "
                     "sweep_alphas and r must differ at 4 decimals"
                 )
-    try:
-        e = chsh_mod.correlation_grid(state, cfg.sweep_alphas, grid, r_dim)
-    except ValueError:
-        for alpha, r in pairs:  # the first failing curve, in output order, raises
-            chsh_mod.sweep_beta(state, alpha, r, grid)
-        raise
+    # axes in output order, so the first failing curve raises
+    e = chsh_mod.correlation_grid(
+        state, np.array(cfg.sweep_alphas)[:, None, None], grid, np.array(r_dim)[:, None]
+    )
     curves = [
-        {"alpha_rad": alpha, "r": r, "points": list(zip(grid, e[k, i].tolist()))}
-        for i, alpha in enumerate(cfg.sweep_alphas)
-        for k, r in enumerate(r_dim)
+        {"alpha_rad": alpha, "r": r, "points": list(zip(grid, points))}
+        for (alpha, r), points in zip(pairs, e.reshape(len(pairs), -1).tolist())
     ]
     reference = (
         chsh_mod.quantum_reference_curve(grid, cfg.reference_phase)
@@ -199,8 +196,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
 def cmd_chsh(cfg: RunConfig) -> int:
     state = _state_from_config(cfg)
     e, s, p_and, plus, max_dev, kept_pct = chsh_mod.chsh_values(*chsh_mod.postselected_tables(
-        state, (cfg.alpha, cfg.alpha_prime), (cfg.beta, cfg.beta_prime),
-        cfg.r_dimensionless(),
+        state, [[cfg.alpha], [cfg.alpha_prime]], (cfg.beta, cfg.beta_prime),
+        np.array(cfg.r_dimensionless())[:, None, None],
     ))
     # Alice's P(+) at (alpha_i, beta_j) is Bob's at (beta_j, alpha_i): the A
     # columns run over i then j, the B columns in SETTING_LABELS order

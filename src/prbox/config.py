@@ -62,7 +62,8 @@ def _parse_bool(text: str) -> bool:
 
 
 _POSITIVE = (
-    "delta", "gamma", "scale_s_mm", "angle_grid_step", "refine_tol", "frft_angle_tol"
+    "delta", "gamma", "scale_s_mm", "angle_grid_step", "refine_tol", "frft_angle_tol",
+    "tune_r_max",
 )
 _AT_LEAST_ONE = ("mc_n", "mc_workers", "sweep_steps", "frft_max_stages")
 
@@ -131,6 +132,8 @@ class RunConfig:
             raise ConfigError(
                 f"r_unit must be 'dimensionless' or 'mm', got {self.r_unit!r}"
             )
+        if not 0.0 <= self.target_fidelity < 1.0:  # 0 tunes no r
+            raise ConfigError(f"target_fidelity must be in [0, 1), got {self.target_fidelity}")
         if any(r < 0.0 for r in self.r_values):
             raise ConfigError(f"r values must be non-negative, got {self.r_values}")
         if self.out_format not in ("csv", "json"):

@@ -69,7 +69,7 @@ def maximize_S(
             f"{angle_grid_step} and {refine_tol}"
         )
     grid = np.arange(0.0, math.tau, angle_grid_step)
-    x = grid[list(grid_argmax(correlation_grid(state, grid, grid, r)))]
+    x = grid[list(grid_argmax(correlation_grid(state, grid[:, None], grid, r)))]
     iterations = len(grid) ** 2
 
     def evaluate(x):

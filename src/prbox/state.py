@@ -9,10 +9,11 @@ only for gamma > delta.
 Every table starts from one object, the 2x2 covariance of the detected
 positions after local phase-space rotations x -> cos(t) x + sin(t) p.
 rotated_block writes it in closed form from a = 1/delta^2, b = 1/gamma^2
-and d = a^2 - b^2, over arrays of angles, and position_joint_density is its
-single-element case.  The test suite checks it against an independently
-assembled 4x4 phase-space covariance over (x1, p1, x2, p2), rotated as a
-matrix, and against brute-force moments of the wavefunction.
+and d = a^2 - b^2, over angles that broadcast as numpy arrays do, and
+position_joint_density is its scalar case.  The test suite checks it
+against an independently assembled 4x4 phase-space covariance over (x1,
+p1, x2, p2), rotated as a matrix, and against brute-force moments of the
+wavefunction.
 """
 
 from __future__ import annotations
@@ -116,9 +117,10 @@ def _covariance_terms(state: GaussianTwoModeState) -> tuple[float, float, float]
     return a, b, d
 
 
-def rotated_block(state: GaussianTwoModeState, alphas, betas, gradient: bool = False):
-    """Variances var1[i] and var2[j] of the detected positions after rotations
-    alphas[i] and betas[j], and their correlation rho[i, j], as arrays.
+def rotated_block(state: GaussianTwoModeState, alpha, beta, gradient: bool = False):
+    """Variances var1 and var2 of the detected positions after rotations
+    alpha and beta, and their correlation rho, as arrays: var1 has the shape
+    of alpha, var2 that of beta, and rho their broadcast shape.
 
     With a = 1/delta^2, b = 1/gamma^2 and d = a^2 - b^2, the unrotated
     position block is A/2 and the momentum block A^-1/2, with no x-p
@@ -129,31 +131,30 @@ def rotated_block(state: GaussianTwoModeState, alphas, betas, gradient: bool = F
     d beta and the derivatives of rho in alpha and in beta.
     """
     a, b, d = _covariance_terms(state)
-    n = len(alphas)
-    c, s = np.array([[math.cos(t), math.sin(t)] for t in (*alphas, *betas)]).reshape(-1, 2).T
-    v = 0.5 * (a * c * c + (a / d) * s * s)
-    ca, sa, v1, cb, sb, v2 = c[:n], s[:n], v[:n], c[n:], s[n:], v[n:]
-    sq = np.sqrt(v1[:, None] * v2)
-    cov = 0.5 * ((b * ca)[:, None] * cb - ((b / d) * sa)[:, None] * sb)
+    alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
+    ca, sa, cb, sb = np.cos(alpha), np.sin(alpha), np.cos(beta), np.sin(beta)
+    v1 = 0.5 * (a * ca * ca + (a / d) * sa * sa)
+    v2 = 0.5 * (a * cb * cb + (a / d) * sb * sb)
+    sq = np.sqrt(v1 * v2)
+    cov = 0.5 * (b * ca * cb - (b / d) * sa * sb)
     rho = np.minimum(1.0, np.maximum(-1.0, cov / sq))
     if not gradient:
         return v1, v2, rho
     # dvar/dt = (a/d - a) sin t cos t
-    dlv = (0.5 * (a / d - a)) * s * c / v
-    dlv1, dlv2 = dlv[:n], dlv[n:]
-    da_cov = -0.5 * ((b * sa)[:, None] * cb + ((b / d) * ca)[:, None] * sb)
-    db_cov = -0.5 * ((b * ca)[:, None] * sb + ((b / d) * sa)[:, None] * cb)
-    return (v1, v2, rho, dlv1, dlv2,
-            da_cov / sq - rho * dlv1[:, None], db_cov / sq - rho * dlv2[None, :])
+    dlv1 = (0.5 * (a / d - a)) * sa * ca / v1
+    dlv2 = (0.5 * (a / d - a)) * sb * cb / v2
+    da_cov = -0.5 * (b * sa * cb + (b / d) * ca * sb)
+    db_cov = -0.5 * (b * ca * sb + (b / d) * sa * cb)
+    return v1, v2, rho, dlv1, dlv2, da_cov / sq - rho * dlv1, db_cov / sq - rho * dlv2
 
 
 def position_joint_density(
     state: GaussianTwoModeState, alpha: float, beta: float
 ) -> BivariateGaussian:
     """Joint Gaussian of the detected positions after rotations (alpha, beta):
-    the single element of rotated_block."""
-    v1, v2, rho = rotated_block(state, [alpha], [beta])
-    return BivariateGaussian(var1=float(v1[0]), var2=float(v2[0]), corr=float(rho[0, 0]))
+    rotated_block at scalar angles."""
+    v1, v2, rho = rotated_block(state, alpha, beta)
+    return BivariateGaussian(var1=float(v1), var2=float(v2), corr=float(rho))
 
 
 def _marginal_times_conditional(var1, var2, cov, x1, x2):

@@ -398,6 +398,8 @@ r_lists = st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=8.
                    min_size=1, max_size=5)
 REF_ALPHAS = [PI, PI / 2]
 REF_BETAS = [5 * PI / 4, 3 * PI / 4]
+# the reference alphas on the axis before the betas'
+REF_ALPHA_COLUMN = np.array(REF_ALPHAS)[:, None]
 
 
 class TestCorrelationGrid:
@@ -420,7 +422,7 @@ class TestCorrelationGrid:
         # every element of one batched call equals the 1x1 call of
         # postselected_probs, which guards the stacking of the +rho and -rho
         # orthants and the batched tail rule
-        grid = correlation_grid(state, alphas, betas, r)
+        grid = correlation_grid(state, np.array(alphas)[:, None], betas, r)
         assert grid.shape == (len(alphas), len(betas))
         for i, a in enumerate(alphas):
             for j, b in enumerate(betas):
@@ -430,7 +432,7 @@ class TestCorrelationGrid:
     def test_reference_grid_matches_oracle(self, r):
         # one 2x2 call; at r = 2 and 3 its elements mix Owen's T and the tail
         # rule, and at r = 4 every element takes the tail
-        p_pp, p_pm, kept = chsh.postselected_tables(STATE, REF_ALPHAS, REF_BETAS, r)
+        p_pp, p_pm, kept = chsh.postselected_tables(STATE, REF_ALPHA_COLUMN, REF_BETAS, r)
         for i, j in np.ndindex(2, 2):
             bg = position_joint_density(STATE, REF_ALPHAS[i], REF_BETAS[j])
             for p, corr in ((p_pp[i, j], bg.corr), (p_pm[i, j], -bg.corr)):
@@ -451,7 +453,8 @@ class TestCorrelationGrid:
     @example(STATE, REF_ALPHAS, REF_BETAS, [0.0, 1.0, 4.0, 6.0])
     @example(NEAR_EPR, [-2.5, PI, 7.0], [-0.3, 5 * PI / 4], [2.0, 0.5, 2.0])
     def test_r_sequence_rows_equal_scalar_calls(self, state, alphas, betas, r_list):
-        batched = chsh.postselected_tables(state, alphas, betas, r_list)
+        alphas = np.array(alphas)[:, None]
+        batched = chsh.postselected_tables(state, alphas, betas, np.array(r_list)[:, None, None])
         for i, r in enumerate(r_list):
             scalar = chsh.postselected_tables(state, alphas, betas, r)
             for k in range(3):
@@ -466,7 +469,8 @@ class TestCorrelationGrid:
         # every rung equals the textbook formulas over four postselected_probs
         # tables, bit for bit, as chsh_values keeps their operation order
         e, s, p_and, plus, max_dev, kept_pct = chsh_values(
-            *chsh.postselected_tables(state, alphas, betas, r_list))
+            *chsh.postselected_tables(
+                state, np.array(alphas)[:, None], betas, np.array(r_list)[:, None, None]))
         (a, ap), (b, bp) = alphas, betas
         for n, r in enumerate(r_list):
             tables = [postselected_probs(state, x, y, r)
@@ -493,7 +497,8 @@ class TestCorrelationGrid:
         with pytest.raises(EmptyPostSelectionError) as rung:
             bell_S(STATE, replace(REFERENCE_SETTINGS, r=20.0))
         with pytest.raises(EmptyPostSelectionError) as ladder:
-            chsh.postselected_tables(STATE, REF_ALPHAS, REF_BETAS, [1.0, 20.0, 30.0])
+            chsh.postselected_tables(
+                STATE, REF_ALPHA_COLUMN, REF_BETAS, np.array([1.0, 20.0, 30.0])[:, None, None])
         assert str(ladder.value) == str(rung.value)
         assert "r=20.0 " in str(ladder.value)
 
@@ -511,22 +516,37 @@ class TestCorrelationGrid:
 
         monkeypatch.setattr(chsh, "_orthants", negative_m_pm_at_2)
         with pytest.raises(ValueError) as rung:
-            chsh.postselected_tables(STATE, REF_ALPHAS, REF_BETAS, 2.0)
+            chsh.postselected_tables(STATE, REF_ALPHA_COLUMN, REF_BETAS, 2.0)
         with pytest.raises(ValueError) as ladder:
-            chsh.postselected_tables(STATE, REF_ALPHAS, REF_BETAS, [1.0, 2.0, 30.0])
+            chsh.postselected_tables(
+                STATE, REF_ALPHA_COLUMN, REF_BETAS, np.array([1.0, 2.0, 30.0])[:, None, None])
         assert str(rung.value).startswith("p_pm=-")
         assert str(ladder.value) == str(rung.value)
 
-    def test_gradient_refuses_an_r_sequence(self):
-        with pytest.raises(ValueError, match="gradient=True takes a scalar r"):
-            chsh.postselected_tables(STATE, REF_ALPHAS, REF_BETAS, [1.0, 2.0], gradient=True)
+    @settings(max_examples=30, deadline=None)
+    @given(grid_states, st.lists(st.tuples(angles, angles, angles, angles, dark_widths),
+                                 min_size=1, max_size=8))
+    # the arcsine law, Owen's T and the tail rule in one call
+    @example(STATE, [(PI, PI / 2, 5 * PI / 4, 3 * PI / 4, r) for r in (0.0, 1.0, 4.0, 6.0)])
+    def test_batched_gradient_equals_single_calls(self, state, quadruples):
+        # K quadruples on a leading axis: each slice equals, bit for bit, the
+        # call that bell_S_gradient makes for that quadruple
+        a, ap, b, bp, r = np.array(quadruples).T
+        batched = chsh.postselected_tables(
+            state, np.stack([a, ap], axis=-1)[:, :, None], np.stack([b, bp], axis=-1)[:, None, :],
+            r[:, None, None], gradient=True,
+        )
+        for k, quadruple in enumerate(quadruples):
+            single = chsh._setting_grid(state, MeasurementSettings(*quadruple), gradient=True)
+            for got, want in zip(batched, single):
+                assert np.array_equal(got[..., k, :, :], want)
 
     @pytest.mark.parametrize("gradient", [False, True])
     def test_two_dimensional_r_is_refused_naming_r(self, gradient):
-        for r, shape in (([[1, 2], [0.5, 3]], "2-D"), ([[1, 2], [3]], "ragged")):
-            message = f"r must be a scalar or a 1-D sequence, got {shape} r={r!r}"
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                chsh.postselected_tables(STATE, REF_ALPHAS, REF_BETAS, r, gradient=gradient)
+        r = [[1, 2], [3]]
+        message = f"r must have an array shape, got ragged r={r!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            chsh.postselected_tables(STATE, REF_ALPHA_COLUMN, REF_BETAS, r, gradient=gradient)
 
     def test_sweep_raises_the_scalar_error(self):
         grid = [-1.0, 0.5, 7.0]
@@ -541,8 +561,9 @@ BAD_R_ENTRY_POINTS = {
     "quadrant_probability": lambda r: quadrant_probability(
         position_joint_density(STATE, PI, 5 * PI / 4), 1, 1, r),
     "postselected_probs": lambda r: postselected_probs(STATE, PI, 5 * PI / 4, r),
-    "correlation_grid": lambda r: correlation_grid(STATE, REF_ALPHAS, REF_BETAS, r),
-    "r_sequence": lambda r: chsh.postselected_tables(STATE, REF_ALPHAS, REF_BETAS, [1.0, r]),
+    "correlation_grid": lambda r: correlation_grid(STATE, REF_ALPHA_COLUMN, REF_BETAS, r),
+    "r_sequence": lambda r: chsh.postselected_tables(
+        STATE, REF_ALPHA_COLUMN, REF_BETAS, np.array([1.0, r])[:, None, None]),
     "sweep_beta": lambda r: sweep_beta(STATE, PI, r, [0.0, 1.0]),
     "simulate_counts": lambda r: simulate_counts(STATE, PI, 5 * PI / 4, r, 100, 1),
 }

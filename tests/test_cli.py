@@ -22,7 +22,7 @@ from prbox import (
 from prbox import chsh, cli
 from prbox.chsh import EmptyPostSelectionError
 from prbox.cli import main
-from prbox.config import ConfigError
+from prbox.config import ConfigError, load_config
 from prbox.frft import MAX_STAGE_ORDER, MIN_STAGE_ORDER, PlanNotFoundError
 from prbox.montecarlo import InsufficientCountsError
 from prbox.state import NonNormalizableStateError
@@ -151,6 +151,10 @@ class TestDegenerateConfig:
             ("sweep", "sweep_beta_max = inf", "sweep_beta_max"),
             ("chsh", "r = nan", "r_values"),
             ("optimize", "target_fidelity = 0.8\ntune_r_max = inf", "tune_r_max"),
+            ("optimize", "target_fidelity = 0.8\ntune_r_max = 0", "tune_r_max"),
+            ("optimize", "target_fidelity = 0.8\ntune_r_max = -1", "tune_r_max"),
+            ("optimize", "target_fidelity = 1.5", "target_fidelity"),
+            ("optimize", "target_fidelity = -0.2", "target_fidelity"),
         ],
     )
     def test_exits_2_naming_the_key(self, tmp_path, capsys, command, config, key):
@@ -431,8 +435,26 @@ class TestMain:
     @pytest.mark.parametrize("command, config", [
         ("chsh", "r = 0, 1, 2.5\n"),
         ("sweep", "sweep_alphas = pi, pi/2\nr = 0, 1, 2.5\nsweep_steps = 5\n"),
+        # these fail at r = 20, and at (alpha, r) = (pi, 20)
+        ("chsh", "r = 1, 20, 30\n"),
+        ("sweep", "sweep_alphas = pi, pi/2\nr = 18, 20\nsweep_steps = 5\n"),
     ])
     def test_one_kernel_call_per_invocation(self, tmp_path, capsys, monkeypatch, command, config):
+        # the run exits as a loop of scalar calls over its rows or curves, in
+        # output order, would: 0, or 3 with the first error that loop raises
+        cfg = write_config(tmp_path, config)
+        run_cfg = load_config(cfg)
+        rows = {
+            "chsh": lambda: [bell_S(STATE, replace(REFERENCE_SETTINGS, r=r))
+                             for r in run_cfg.r_values],
+            "sweep": lambda: [sweep_beta(STATE, alpha, r, run_cfg.beta_grid())
+                              for alpha in run_cfg.sweep_alphas for r in run_cfg.r_values],
+        }
+        try:
+            rows[command]()
+            expected = (0, "")
+        except ValueError as exc:
+            expected = (3, f"numerical failure: {exc}\n")
         kernel, calls = chsh.postselected_tables, []
 
         def counting(*args, **kwargs):
@@ -440,8 +462,8 @@ class TestMain:
             return kernel(*args, **kwargs)
 
         monkeypatch.setattr(chsh, "postselected_tables", counting)
-        cfg = write_config(tmp_path, config)
-        assert main([command, "--config", cfg, "--format", "json"]) == 0
+        code = main([command, "--config", cfg, "--format", "json"])
+        assert (code, capsys.readouterr().err) == expected
         assert len(calls) == 1
 
     def test_cached_parser_carries_no_state_between_calls(self, capsys, monkeypatch):
