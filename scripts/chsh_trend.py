@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 
 from prbox import GaussianTwoModeState, REFERENCE_SETTINGS, mc_bell_S, pr_fidelity
-from prbox.chsh import chsh_values, postselected_tables
+from prbox.chsh import chsh_values, setting_tables
 
 
 def main() -> None:
@@ -30,10 +30,8 @@ def main() -> None:
     state = GaussianTwoModeState(args.delta, args.gamma)
     print(f"{'r':>5} {'H_ave_%':>8} {'S':>7} {'P_AND':>7} {'fidelity':>9}")
     ref = REFERENCE_SETTINGS
-    _, s_values, p_and, _, _, kept_pct = chsh_values(*postselected_tables(
-        state, [[ref.alpha], [ref.alpha_prime]], (ref.beta, ref.beta_prime),
-        np.array(args.r)[:, None, None],
-    ))
+    _, s_values, p_and, _, _, kept_pct = chsh_values(
+        *setting_tables(state, ref, np.array(args.r)[:, None, None]))
     s_values = s_values.tolist()
     for r, s, p, kept in zip(args.r, s_values, p_and.tolist(), kept_pct.tolist()):
         print(f"{r:5.2f} {kept:8.2f} {s:7.3f} {p:7.4f} {pr_fidelity(s):9.4f}")

@@ -15,11 +15,11 @@ output order, so prbox-sim chsh over its r rungs and prbox-sim sweep over
 its curves each make one call, which raises what a loop over its rows
 would raise first.  postselected_probs, correlation_grid and sweep_beta
 read from it.  E, S, the AND-gate success, the no-signaling marginals and
-the kept fraction are one array formula, chsh_values, over the kernel's
-(alpha, alpha') x (beta, beta') tables at any number of r; bell_S,
-and_gate_success, no_signaling_report, bell_S_gradient and prbox-sim chsh
-read from it, and bell_S_gradient sums the kernel's exact derivatives into
-grad S.
+the kept fraction are one array formula, chsh_values, over the tables of
+setting_tables, the kernel on the (alpha, alpha') x (beta, beta') grid at
+any number of r; bell_S, and_gate_success, no_signaling_report,
+bell_S_gradient, prbox-sim chsh and scripts/chsh_trend.py read from it,
+and bell_S_gradient sums the kernel's exact derivatives into grad S.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ import numpy as np
 import scipy.integrate  # noqa: F401
 from scipy.special import log_ndtr, ndtr, owens_t
 
-from .state import BivariateGaussian, GaussianTwoModeState, position_joint_density, rotated_block
+from .state import BivariateGaussian, GaussianTwoModeState, _require
+from .state import position_joint_density, rotated_block
 
 # Relative accuracy target of an orthant mass.  Owen's T form errs by about
 # 1e-14 of its leading term, so it meets the target while the mass is at
@@ -174,20 +175,6 @@ def quadrant_probability(
     return float(_orthants(h1, h2, rho)[0])
 
 
-def _require(*checks) -> None:
-    """Raise for the first element, in C order of the broadcast shape, where
-    a check (ok, error, message, *values) fails, with the first check that
-    fails there: error(message formatted with the values at that element)."""
-    # one all-true test per check; count_nonzero is cheaper than ok.all()
-    if all(np.count_nonzero(ok) == ok.size for ok, *_ in checks):
-        return
-    shape = np.broadcast_shapes(*(np.shape(ok) for ok, *_ in checks))
-    oks = np.array([np.broadcast_to(ok, shape).ravel() for ok, *_ in checks])
-    at = np.argmin(oks.all(axis=0))
-    _, error, message, *values = checks[np.argmin(oks[:, at])]
-    raise error(message.format(*(float(np.broadcast_to(v, shape).flat[at]) for v in values)))
-
-
 def postselected_tables(state: GaussianTwoModeState, alpha, beta, r, gradient: bool = False):
     """Checked tables (p_pp, p_pm, kept) at (alpha, beta, r), arrays of
     their broadcast shape; p_mm = p_pp and p_mp = p_pm, so a table takes the
@@ -317,16 +304,19 @@ def chsh_values(p_pp, p_pm, kept):
     return e, s, p_and, plus, max_dev, kept_pct
 
 
-def _setting_grid(state, settings, gradient=False):
+def setting_tables(state: GaussianTwoModeState, settings: MeasurementSettings, r,
+                   gradient: bool = False):
+    """postselected_tables on the settings' (alpha, alpha') x (beta, beta')
+    grid, at an r whose axes come before the grid's; settings.r is unused."""
     return postselected_tables(
         state, [[settings.alpha], [settings.alpha_prime]],
-        (settings.beta, settings.beta_prime), settings.r, gradient,
+        (settings.beta, settings.beta_prime), r, gradient,
     )
 
 
 def bell_S(state: GaussianTwoModeState, settings: MeasurementSettings) -> float:
     """S = E(a,b) + E(a',b) + E(a,b') - E(a',b') from post-selected tables."""
-    return float(chsh_values(*_setting_grid(state, settings))[1])
+    return float(chsh_values(*setting_tables(state, settings, settings.r))[1])
 
 
 def bell_S_gradient(
@@ -334,7 +324,7 @@ def bell_S_gradient(
 ) -> tuple[float, np.ndarray]:
     """bell_S, bit-identical, and its exact gradient in (alpha, alpha', beta,
     beta', r), from the four setting tables as one postselected_tables call."""
-    p_pp, p_pm, kept, dm = _setting_grid(state, settings, gradient=True)
+    p_pp, p_pm, kept, dm = setting_tables(state, settings, settings.r, gradient=True)
     e, s = chsh_values(p_pp, p_pm, kept)[:2]
     # E = (m_pp - m_pm) / (m_pp + m_pm) and kept = 2 (m_pp + m_pm)
     u, w = dm
@@ -355,7 +345,7 @@ def and_gate_success(
     state: GaussianTwoModeState, settings: MeasurementSettings
 ) -> float:
     """Success probability of the post-selected non-local AND gate."""
-    return float(chsh_values(*_setting_grid(state, settings))[2])
+    return float(chsh_values(*setting_tables(state, settings, settings.r))[2])
 
 
 @dataclass(frozen=True)
@@ -376,7 +366,7 @@ def no_signaling_report(
     state: GaussianTwoModeState, settings: MeasurementSettings
 ) -> NoSignalingReport:
     """Marginal P(+) for both parties under all four setting combinations."""
-    plus, max_dev = chsh_values(*_setting_grid(state, settings))[3:5]
+    plus, max_dev = chsh_values(*setting_tables(state, settings, settings.r))[3:5]
     plus.setflags(write=False)
     return NoSignalingReport(alice_plus=plus, bob_plus=plus.T, max_deviation=float(max_dev))
 

@@ -6,13 +6,17 @@ of the same meaning, in the same notation.  Output is CSV or JSON at a
 configured precision, deterministic given the config (plus the seed for
 Monte Carlo runs).
 
-Every subcommand builds a document of raw values and writes it through
-``_write``, the one output rule.  JSON is the document plus
-``"schema_version": "1"``; CSV is its rows under a header of the row keys
-(``sweep`` writes one file per curve), a cell quoted only if it holds a
-comma, a double quote or a line break (RFC 4180).  In both, the ``E_*``
-correlation columns of ``chsh`` are printed at 3 decimals, other floats at
-``precision`` significant digits with -0 as 0, and the rest as they are.
+Every subcommand builds a document of raw values, and in CSV its files of
+rows, and returns ``_write``, the one exit path: nothing else opens an
+output file or writes to stdout.  JSON is the document plus
+``"schema_version": "1"``, written to ``out_path`` or stdout.  CSV writes
+each file's rows under a header of the row keys, a cell quoted only if it
+holds a comma, a double quote or a line break (RFC 4180); the file named ""
+goes to ``out_path`` or stdout, any other name into the ``out_path``
+directory (``sweep``'s file per curve and its reference curve).  In both,
+the ``E_*`` correlation columns of ``chsh`` are printed at 3 decimals,
+other floats at ``precision`` significant digits with -0 as 0, and the
+rest as they are.
 JSON is written in one pass from the document to text, with the bytes of
 ``json.dumps(indent=2, sort_keys=True)``: a float is the repr of its CSV
 cell read back, or NaN, Infinity, -Infinity.
@@ -113,18 +117,25 @@ def _csv_text(rows: list[dict], precision: int, header: list[str] | None = None)
 
 
 def _write(
-    cfg: RunConfig, doc: dict, rows: list[dict], header: list[str] | None = None
+    cfg: RunConfig, doc: dict, files: dict[str, list[dict]], header: list[str] | None = None
 ) -> int:
-    """Write doc as JSON or rows as CSV to cfg.out_path, or to stdout."""
+    """Write doc as JSON to cfg.out_path, or to stdout; or each name: rows
+    entry of files as CSV, the name "" to cfg.out_path or stdout and any
+    other name to that file in the cfg.out_path directory (default ".")."""
     if cfg.out_format == "json":
-        text = _json_text({"schema_version": SCHEMA_VERSION, **doc}, cfg.precision) + "\n"
+        texts = {"": _json_text({"schema_version": SCHEMA_VERSION, **doc}, cfg.precision) + "\n"}
     else:
-        text = _csv_text(rows, cfg.precision, header)
-    if cfg.out_path:
-        with open(cfg.out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        texts = {name: _csv_text(rows, cfg.precision, header) for name, rows in files.items()}
+    out_dir = cfg.out_path or "."
+    if any(texts):
+        os.makedirs(out_dir, exist_ok=True)
+    for name, text in texts.items():
+        path = os.path.join(out_dir, name) if name else cfg.out_path
+        if path:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -133,14 +144,8 @@ def _state_from_config(cfg: RunConfig) -> GaussianTwoModeState:
     return GaussianTwoModeState(delta=delta, gamma=gamma)
 
 
-def _settings_from_config(cfg: RunConfig, r: float) -> chsh_mod.MeasurementSettings:
-    return chsh_mod.MeasurementSettings(
-        alpha=cfg.alpha,
-        alpha_prime=cfg.alpha_prime,
-        beta=cfg.beta,
-        beta_prime=cfg.beta_prime,
-        r=r,
-    )
+def _settings(cfg: RunConfig, r: float = 0.0) -> chsh_mod.MeasurementSettings:
+    return chsh_mod.MeasurementSettings(cfg.alpha, cfg.alpha_prime, cfg.beta, cfg.beta_prime, r)
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
@@ -164,40 +169,26 @@ def cmd_sweep(cfg: RunConfig) -> int:
         {"alpha_rad": alpha, "r": r, "points": list(zip(grid, points))}
         for (alpha, r), points in zip(pairs, e.reshape(len(pairs), -1).tolist())
     ]
-    reference = (
-        chsh_mod.quantum_reference_curve(grid, cfg.reference_phase)
-        if cfg.reference_curve
-        else None
-    )
-    if cfg.out_format == "json":
-        doc = {"curves": curves}
-        if reference is not None:
-            doc["reference"] = reference
-        return _write(cfg, doc, [])
-    files = {
-        name: [
-            {"beta_rad": b, "E": e, "alpha_rad": c["alpha_rad"], "r": c["r"]}
-            for b, e in c["points"]
-        ]
-        for c, name in zip(curves, names)
-    }
-    if reference is not None:
-        files["reference_curve.csv"] = [
-            {"beta_rad": b, "E_reference": v} for b, v in reference
-        ]
-    out_dir = cfg.out_path or "."
-    os.makedirs(out_dir, exist_ok=True)
-    for name, rows in files.items():
-        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-            fh.write(_csv_text(rows, cfg.precision))
-    return EXIT_OK
+    doc, files = {"curves": curves}, {}
+    if cfg.reference_curve:
+        doc["reference"] = chsh_mod.quantum_reference_curve(grid, cfg.reference_phase)
+    if cfg.out_format == "csv":  # a JSON run builds no rows
+        files = {
+            name: [{"beta_rad": b, "E": e, "alpha_rad": c["alpha_rad"], "r": c["r"]}
+                   for b, e in c["points"]]
+            for c, name in zip(curves, names)
+        }
+        if cfg.reference_curve:
+            files["reference_curve.csv"] = [
+                {"beta_rad": b, "E_reference": v} for b, v in doc["reference"]
+            ]
+    return _write(cfg, doc, files)
 
 
 def cmd_chsh(cfg: RunConfig) -> int:
     state = _state_from_config(cfg)
-    e, s, p_and, plus, max_dev, kept_pct = chsh_mod.chsh_values(*chsh_mod.postselected_tables(
-        state, [[cfg.alpha], [cfg.alpha_prime]], (cfg.beta, cfg.beta_prime),
-        np.array(cfg.r_dimensionless())[:, None, None],
+    e, s, p_and, plus, max_dev, kept_pct = chsh_mod.chsh_values(*chsh_mod.setting_tables(
+        state, _settings(cfg), np.array(cfg.r_dimensionless())[:, None, None]
     ))
     # Alice's P(+) at (alpha_i, beta_j) is Bob's at (beta_j, alpha_i): the A
     # columns run over i then j, the B columns in SETTING_LABELS order
@@ -214,14 +205,14 @@ def cmd_chsh(cfg: RunConfig) -> int:
     }
     values = np.stack(list(columns.values()), axis=-1).tolist()
     rows = [{"r": r, **dict(zip(columns, row))} for r, row in zip(cfg.r_values, values)]
-    return _write(cfg, {"r_unit": cfg.r_unit, "results": rows}, rows)
+    return _write(cfg, {"r_unit": cfg.r_unit, "results": rows}, {"": rows})
 
 
 def cmd_mc(cfg: RunConfig) -> int:
     state = _state_from_config(cfg)
     records = []
     for r_cfg, r_dim in zip(cfg.r_values, cfg.r_dimensionless()):
-        settings = _settings_from_config(cfg, r_dim)
+        settings = _settings(cfg, r_dim)
         estimates = mc_mod.setting_estimates(
             state, settings, cfg.mc_n, cfg.mc_seed, cfg.mc_workers
         )
@@ -238,7 +229,7 @@ def cmd_mc(cfg: RunConfig) -> int:
                 "seed": est.seed,
                 "n": cfg.mc_n,
             })
-    return _write(cfg, {"r_unit": cfg.r_unit, "matrices": records}, records)
+    return _write(cfg, {"r_unit": cfg.r_unit, "matrices": records}, {"": records})
 
 
 def cmd_plan_frft(cfg: RunConfig) -> int:
@@ -257,7 +248,7 @@ def cmd_plan_frft(cfg: RunConfig) -> int:
         "total_z_cm": plan.total_z_cm,
         "stages": stages,
     }
-    return _write(cfg, doc, stages, header=["angle_rad", "f_cm", "z_cm"])
+    return _write(cfg, doc, {"": stages}, header=["angle_rad", "f_cm", "z_cm"])
 
 
 def cmd_optimize(cfg: RunConfig, reproduce: str = "prbox-sim optimize") -> int:
@@ -285,14 +276,9 @@ def cmd_optimize(cfg: RunConfig, reproduce: str = "prbox-sim optimize") -> int:
         "reproduce": reproduce,
     }
     if cfg.target_fidelity > 0.0:
-        record["tuned_r"] = tune_r(
-            state,
-            _settings_from_config(cfg, r),
-            cfg.target_fidelity,
-            cfg.tune_r_max,
-        )
+        record["tuned_r"] = tune_r(state, _settings(cfg, r), cfg.target_fidelity, cfg.tune_r_max)
         record["target_fidelity"] = cfg.target_fidelity
-    return _write(cfg, record, [record])
+    return _write(cfg, record, {"": [record]})
 
 
 _COMMANDS = {

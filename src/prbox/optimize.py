@@ -26,6 +26,9 @@ GRAD_TOL = 1e-6
 # Armijo sufficient-rise constant, and the line search's smallest step fraction.
 ARMIJO = 1e-4
 MIN_STEP = 2.0**-40
+# Most grid angles per axis.  grid_argmax holds two (n, n, n) float64 arrays,
+# 16 n^3 bytes: 268 MB at n = 256, an angle_grid_step of at least 2 pi / 256.
+MAX_GRID_ANGLES = 256
 
 
 @dataclass(frozen=True)
@@ -67,6 +70,12 @@ def maximize_S(
         raise ValueError(
             f"angle_grid_step and refine_tol must be positive, got "
             f"{angle_grid_step} and {refine_tol}"
+        )
+    # np.arange makes a grid of ceil(tau / angle_grid_step) angles
+    if not (math.isfinite(angle_grid_step) and math.tau / angle_grid_step <= MAX_GRID_ANGLES):
+        raise ValueError(
+            f"angle_grid_step must be finite and give at most {MAX_GRID_ANGLES} grid "
+            f"angles per axis, got {angle_grid_step}"
         )
     grid = np.arange(0.0, math.tau, angle_grid_step)
     x = grid[list(grid_argmax(correlation_grid(state, grid[:, None], grid, r)))]
@@ -127,6 +136,8 @@ def tune_r(
         raise ValueError(f"target fidelity must be in (0, 1), got {target_fidelity}")
     if not r_max > 0.0:
         raise ValueError(f"r_max must be positive, got {r_max}")
+    if not math.isfinite(r_max):
+        raise ValueError(f"r_max must be finite, got {r_max}")
     if not (r_tol > 0.0 and math.isfinite(r_tol)):
         raise ValueError(f"r_tol must be a finite positive real, got {r_tol}")
 

@@ -9,8 +9,8 @@ only for gamma > delta.
 Every table starts from one object, the 2x2 covariance of the detected
 positions after local phase-space rotations x -> cos(t) x + sin(t) p.
 rotated_block writes it in closed form from a = 1/delta^2, b = 1/gamma^2
-and d = a^2 - b^2, over angles that broadcast as numpy arrays do, and
-position_joint_density is its scalar case.  The test suite checks it
+and d = a^2 - b^2, over finite angles that broadcast as numpy arrays do,
+and position_joint_density is its scalar case.  The test suite checks it
 against an independently assembled 4x4 phase-space covariance over (x1,
 p1, x2, p2), rotated as a matrix, and against brute-force moments of the
 wavefunction.
@@ -117,10 +117,25 @@ def _covariance_terms(state: GaussianTwoModeState) -> tuple[float, float, float]
     return a, b, d
 
 
+def _require(*checks) -> None:
+    """Raise for the first element, in C order of the broadcast shape, where
+    a check (ok, error, message, *values) fails, with the first check that
+    fails there: error(message formatted with the values at that element)."""
+    # one all-true test per check; count_nonzero is cheaper than ok.all()
+    if all(np.count_nonzero(ok) == ok.size for ok, *_ in checks):
+        return
+    shape = np.broadcast_shapes(*(np.shape(ok) for ok, *_ in checks))
+    oks = np.array([np.broadcast_to(ok, shape).ravel() for ok, *_ in checks])
+    at = np.argmin(oks.all(axis=0))
+    _, error, message, *values = checks[np.argmin(oks[:, at])]
+    raise error(message.format(*(float(np.broadcast_to(v, shape).flat[at]) for v in values)))
+
+
 def rotated_block(state: GaussianTwoModeState, alpha, beta, gradient: bool = False):
     """Variances var1 and var2 of the detected positions after rotations
     alpha and beta, and their correlation rho, as arrays: var1 has the shape
-    of alpha, var2 that of beta, and rho their broadcast shape.
+    of alpha, var2 that of beta, and rho their broadcast shape.  The first
+    non-finite angle, in C order, raises a ValueError that names it.
 
     With a = 1/delta^2, b = 1/gamma^2 and d = a^2 - b^2, the unrotated
     position block is A/2 and the momentum block A^-1/2, with no x-p
@@ -132,6 +147,8 @@ def rotated_block(state: GaussianTwoModeState, alpha, beta, gradient: bool = Fal
     """
     a, b, d = _covariance_terms(state)
     alpha, beta = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
+    _require((np.isfinite(alpha), ValueError, "alpha must be finite, got {}", alpha),
+             (np.isfinite(beta), ValueError, "beta must be finite, got {}", beta))
     ca, sa, cb, sb = np.cos(alpha), np.sin(alpha), np.cos(beta), np.sin(beta)
     v1 = 0.5 * (a * ca * ca + (a / d) * sa * sa)
     v2 = 0.5 * (a * cb * cb + (a / d) * sb * sb)

@@ -537,7 +537,8 @@ class TestCorrelationGrid:
             r[:, None, None], gradient=True,
         )
         for k, quadruple in enumerate(quadruples):
-            single = chsh._setting_grid(state, MeasurementSettings(*quadruple), gradient=True)
+            single = chsh.setting_tables(
+                state, MeasurementSettings(*quadruple), quadruple[4], gradient=True)
             for got, want in zip(batched, single):
                 assert np.array_equal(got[..., k, :, :], want)
 
@@ -574,6 +575,39 @@ BAD_R_ENTRY_POINTS = {
 def test_bad_dark_width_names_r(entry, r):
     with pytest.raises(ValueError, match="r must be a finite non-negative real"):
         BAD_R_ENTRY_POINTS[entry](r)
+
+
+# each takes (alpha, beta); sweep_beta's beta is its grid
+BAD_ANGLE_ENTRY_POINTS = {
+    "postselected_probs": lambda a, b: postselected_probs(STATE, a, b, 1.0),
+    "correlation_grid": lambda a, b: correlation_grid(STATE, [[0.0], [a]], [0.5, b], 1.0),
+    "sweep_beta": lambda a, b: sweep_beta(STATE, a, 1.0, [0.0, b]),
+    "position_joint_density": lambda a, b: position_joint_density(STATE, a, b),
+    "sign_expectation": lambda a, b: sign_expectation(STATE, a, b),
+    "simulate_counts": lambda a, b: simulate_counts(STATE, a, b, 1.0, 100, 1),
+    "postselected_tables": lambda a, b: chsh.postselected_tables(
+        STATE, [[0.0], [a]], [0.5, b], np.array([1.0, 2.0])[:, None, None], gradient=True),
+}
+
+
+@pytest.mark.parametrize("entry", BAD_ANGLE_ENTRY_POINTS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["alpha", "beta"])
+def test_bad_angle_names_the_angle(entry, bad, name):
+    # raised before any cosine of the angle is taken, so with no RuntimeWarning
+    angles = {"alpha": PI, "beta": 5 * PI / 4, name: bad}
+    message = f"{name} must be finite, got {bad}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        BAD_ANGLE_ENTRY_POINTS[entry](angles["alpha"], angles["beta"])
+
+
+def test_bad_angles_raise_the_first_in_c_order_after_r():
+    # (alpha, beta) = (nan, 0) at element [1, 0], (0, inf) at [0, 1]
+    alpha, beta = [[0.0], [math.nan]], [0.0, math.inf]
+    with pytest.raises(ValueError, match="^beta must be finite, got inf$"):
+        chsh.postselected_tables(STATE, alpha, beta, 1.0)
+    with pytest.raises(ValueError, match="^r must be a finite non-negative real, got -1.0$"):
+        chsh.postselected_tables(STATE, alpha, beta, -1.0)
 
 
 def _difference(f, x: float, h: float, forward: bool = False) -> float:

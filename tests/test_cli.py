@@ -25,6 +25,7 @@ from prbox.cli import main
 from prbox.config import ConfigError, load_config
 from prbox.frft import MAX_STAGE_ORDER, MIN_STAGE_ORDER, PlanNotFoundError
 from prbox.montecarlo import InsufficientCountsError
+from prbox.optimize import MAX_GRID_ANGLES
 from prbox.state import NonNormalizableStateError
 
 PI = math.pi
@@ -146,6 +147,7 @@ class TestDegenerateConfig:
             ("optimize", "refine_tol = -1e-3", "refine_tol"),
             ("optimize", "angle_grid_step = 0", "angle_grid_step"),
             ("optimize", "angle_grid_step = -0.1", "angle_grid_step"),
+            ("optimize", "angle_grid_step = inf", "angle_grid_step"),
             ("sweep", "reference_curve = on\nreference_phase = nan", "reference_phase"),
             ("sweep", "sweep_alphas = nan", "sweep_alphas"),
             ("sweep", "sweep_beta_max = inf", "sweep_beta_max"),
@@ -377,6 +379,13 @@ class TestOptimize:
         assert len(row) == len(header) == 10
         assert dict(zip(header, row))["reproduce"] == "prbox-sim optimize --config " + shlex.quote(cfg)
 
+    def test_a_grid_it_cannot_hold_exits_3_naming_the_step(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "r = 1\nangle_grid_step = 1e-9\n")
+        assert main(["optimize", "--config", cfg]) == 3
+        assert capsys.readouterr() == ("", (
+            "numerical failure: angle_grid_step must be finite and give at most "
+            f"{MAX_GRID_ANGLES} grid angles per axis, got 1e-09\n"))
+
     def test_more_than_one_r_is_a_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "r = 1, 2\n")
         assert main(["optimize", "--config", cfg]) == 2
@@ -465,6 +474,35 @@ class TestMain:
         code = main([command, "--config", cfg, "--format", "json"])
         assert (code, capsys.readouterr().err) == expected
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("out", [None, "out"])
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_one_write_call_leaves_every_output(
+        self, tmp_path, capsys, monkeypatch, command, out_format, out
+    ):
+        # _write is the one exit path: one call per run, and the run leaves
+        # exactly the files it names, and stdout only for the name ""
+        cfg = write_config(tmp_path, dict(DOCUMENT_CONFIGS)[command], name="run.cfg")
+        write, calls = cli._write, []
+
+        def recording(*args, **kwargs):
+            calls.append(args)
+            return write(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_write", recording)
+        monkeypatch.chdir(tmp_path)
+        argv = [command, "--config", "run.cfg", "--format", out_format]
+        assert main(argv + (["--out", out] if out else [])) == 0
+        assert len(calls) == 1
+        _, _, files = calls[0]
+        names = [""] if out_format == "json" else list(files)
+        if command == "sweep" and out_format == "csv":  # reference_curve = true
+            assert len(names) == 5 and names[-1] == "reference_curve.csv"
+        expected = {os.path.join(out or ".", name) if name else out for name in names}
+        left = {os.path.relpath(p, tmp_path) for p in tmp_path.rglob("*") if p.is_file()}
+        assert left - {"run.cfg"} == {os.path.normpath(p) for p in expected - {None}}
+        assert bool(capsys.readouterr().out) == (None in expected)
 
     def test_cached_parser_carries_no_state_between_calls(self, capsys, monkeypatch):
         # the first call's flags are the defaults; the fourth's are not, so a

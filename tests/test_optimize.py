@@ -1,6 +1,7 @@
 import importlib
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from prbox import (
     tune_r,
 )
 from prbox.cli import main
-from prbox.optimize import grid_argmax
+from prbox.optimize import MAX_GRID_ANGLES, grid_argmax
 
 PI = math.pi
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -66,6 +67,15 @@ class TestMaximizeS:
     def test_rejects_nonpositive_step_or_tolerance(self, step, tol):
         with pytest.raises(ValueError, match="must be positive"):
             maximize_S(STATE, r=1.0, angle_grid_step=step, refine_tol=tol)
+
+    @pytest.mark.parametrize("step", [math.inf, 1e-9, 5e-324])
+    def test_rejects_a_grid_it_cannot_hold(self, step):
+        # refused before the grid is built: inf makes a one-point grid, and
+        # 1e-9 a grid of 6.3e9 angles, whose argmax would take 16 n^3 bytes
+        message = (f"angle_grid_step must be finite and give at most {MAX_GRID_ANGLES} "
+                   f"grid angles per axis, got {step}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            maximize_S(STATE, r=1.0, angle_grid_step=step)
 
     def test_tolerance_below_float_resolution_returns(self):
         # no quasi-Newton step is ever shorter than 1e-300 rad
@@ -203,6 +213,10 @@ class TestTuneR:
             tune_r(STATE, REFERENCE_SETTINGS, 1.5, r_max=2.0)
         with pytest.raises(ValueError):
             tune_r(STATE, REFERENCE_SETTINGS, 0.9, r_max=-1.0)
+
+    def test_rejects_an_infinite_r_max_naming_it(self):
+        with pytest.raises(ValueError, match="^r_max must be finite, got inf$"):
+            tune_r(STATE, REFERENCE_SETTINGS, 0.9, math.inf)
 
     @pytest.fixture
     def bounded(self, monkeypatch):
