@@ -9,7 +9,6 @@ Usage:
 
 import argparse
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -37,8 +36,7 @@ def main() -> None:
         print(f"{r:5.2f} {kept:8.2f} {s:7.3f} {p:7.4f} {pr_fidelity(s):9.4f}")
 
     r_check = args.r[len(args.r) // 2]
-    settings = replace(ref, r=r_check)
-    s_mc, se = mc_bell_S(state, settings, args.mc_n, seed=args.seed)
+    s_mc, se = mc_bell_S(state, ref, r_check, args.mc_n, seed=args.seed)
     s_exact = s_values[len(args.r) // 2]
     print(
         f"\nMC check at r={r_check:g}: S = {s_mc:.4f} +/- {se:.4f} "

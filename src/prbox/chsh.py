@@ -16,10 +16,11 @@ its curves each make one call, which raises what a loop over its rows
 would raise first.  postselected_probs, correlation_grid and sweep_beta
 read from it.  E, S, the AND-gate success, the no-signaling marginals and
 the kept fraction are one array formula, chsh_values, over the tables of
-setting_tables, the kernel on the (alpha, alpha') x (beta, beta') grid at
-any number of r; bell_S, and_gate_success, no_signaling_report,
-bell_S_gradient, prbox-sim chsh and scripts/chsh_trend.py read from it,
-and bell_S_gradient sums the kernel's exact derivatives into grad S.
+setting_tables, the kernel on the (alpha, alpha') x (beta, beta') grid of
+a MeasurementSettings, its four angles, at any number of r; bell_S,
+and_gate_success, no_signaling_report, bell_S_gradient, prbox-sim chsh and
+scripts/chsh_trend.py read from it, each taking r as an argument, and
+bell_S_gradient sums the kernel's exact derivatives into grad S.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 # Unused, but perfbench/run.py's import_seconds() fails unless `import prbox`
 # loads it; the drop waits on import_seconds reading an unloaded module as 0 s.
 import scipy.integrate  # noqa: F401
-from scipy.special import log_ndtr, ndtr, owens_t
+from scipy.special import log_ndtr, ndtr, owens_t, roots_laguerre
 
 from .state import BivariateGaussian, GaussianTwoModeState, _require
 from .state import position_joint_density, rotated_block
@@ -46,22 +47,9 @@ DEGENERATE_CORR = 1.0 - 1e-12
 MIN_NORMAL = float(np.finfo(float).tiny)
 _BAD_R = "r must be a finite non-negative real, got {}"
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-# The 20-node Gauss-Laguerre rule (Golub & Welsch 1969), as roots_laguerre(20)
-# gives it: the sum of w_i g(x_i) approximates the integral of exp(-u) g(u), u >= 0.
-_LAGUERRE_X = np.array([
-    0.07053988969198874, 0.37212681800161146, 0.9165821024832735, 1.707306531028344,
-    2.749199255309432, 4.048925313850887, 5.6151749708616165, 7.459017453671063,
-    9.594392869581098, 12.038802546964316, 14.81429344263074, 17.948895520519375,
-    21.478788240285013, 25.451702793186904, 29.93255463170061, 35.013434240479,
-    40.83305705672857, 47.6199940473465, 55.810795750063896, 66.52441652561575,
-])
-_LAGUERRE_W = np.array([
-    0.16874680185111224, 0.2912543620060692, 0.26668610286700123, 0.1660024532695074,
-    0.0748260646687925, 0.024964417309283272, 0.006202550844572276, 0.0011449623864769102,
-    0.00015574177302781267, 1.540144086522499e-05, 1.0864863665179856e-06, 5.3301209095567636e-08,
-    1.7579811790506002e-09, 3.7255024025122663e-11, 4.767529251578186e-13, 3.3728442433625577e-15,
-    1.1550143395004038e-17, 1.5395221405823465e-20, 5.286442725569081e-24, 1.6564566124991287e-28,
-])
+# The 20-node Gauss-Laguerre rule (Golub & Welsch 1969): the sum of w_i g(x_i)
+# approximates the integral of exp(-u) g(u), u >= 0.
+_LAGUERRE_X, _LAGUERRE_W = roots_laguerre(20)
 _LAGUERRE_SHIFT = _LAGUERRE_X + np.log(_LAGUERRE_W)
 
 
@@ -69,26 +57,23 @@ class EmptyPostSelectionError(ValueError):
     """Dark region so wide that essentially no probability mass survives."""
 
 
-def _check_r(r: float) -> None:
-    if not (r >= 0.0 and math.isfinite(r)):
-        raise ValueError(_BAD_R.format(r))
+def _check_r(r) -> None:
+    _require(((r >= 0.0) & np.isfinite(r), ValueError, _BAD_R, r))
 
 
 @dataclass(frozen=True)
 class MeasurementSettings:
-    """The four rotation angles and the dark-region half-width (dimensionless)."""
+    """The four rotation angles; the dark width r is an argument of each use."""
 
     alpha: float
     alpha_prime: float
     beta: float
     beta_prime: float
-    r: float = 0.0
 
     def __post_init__(self) -> None:
         for name in ("alpha", "alpha_prime", "beta", "beta_prime"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        _check_r(self.r)
 
 
 REFERENCE_SETTINGS = MeasurementSettings(
@@ -189,7 +174,7 @@ def postselected_tables(state: GaussianTwoModeState, alpha, beta, r, gradient: b
         if all(np.isscalar(x) for x in np.asarray(r, dtype=object).flat):
             raise
         raise ValueError(f"r must have an array shape, got ragged r={r!r}") from None
-    _require(((r >= 0.0) & np.isfinite(r), ValueError, _BAD_R, r))
+    _check_r(r)
     v1, v2, rho, *block_grad = rotated_block(state, alpha, beta, gradient)
     h1, h2 = r / np.sqrt(v1), r / np.sqrt(v2)
     # signs of the correlations of the (m_pp, m_pm) orthants, on a leading axis
@@ -307,24 +292,24 @@ def chsh_values(p_pp, p_pm, kept):
 def setting_tables(state: GaussianTwoModeState, settings: MeasurementSettings, r,
                    gradient: bool = False):
     """postselected_tables on the settings' (alpha, alpha') x (beta, beta')
-    grid, at an r whose axes come before the grid's; settings.r is unused."""
+    grid, at an r whose axes come before the grid's."""
     return postselected_tables(
         state, [[settings.alpha], [settings.alpha_prime]],
         (settings.beta, settings.beta_prime), r, gradient,
     )
 
 
-def bell_S(state: GaussianTwoModeState, settings: MeasurementSettings) -> float:
-    """S = E(a,b) + E(a',b) + E(a,b') - E(a',b') from post-selected tables."""
-    return float(chsh_values(*setting_tables(state, settings, settings.r))[1])
+def bell_S(state: GaussianTwoModeState, settings: MeasurementSettings, r: float) -> float:
+    """S = E(a,b) + E(a',b) + E(a,b') - E(a',b') from post-selected tables at r."""
+    return float(chsh_values(*setting_tables(state, settings, r))[1])
 
 
 def bell_S_gradient(
-    state: GaussianTwoModeState, settings: MeasurementSettings
+    state: GaussianTwoModeState, settings: MeasurementSettings, r: float
 ) -> tuple[float, np.ndarray]:
     """bell_S, bit-identical, and its exact gradient in (alpha, alpha', beta,
     beta', r), from the four setting tables as one postselected_tables call."""
-    p_pp, p_pm, kept, dm = setting_tables(state, settings, settings.r, gradient=True)
+    p_pp, p_pm, kept, dm = setting_tables(state, settings, r, gradient=True)
     e, s = chsh_values(p_pp, p_pm, kept)[:2]
     # E = (m_pp - m_pm) / (m_pp + m_pm) and kept = 2 (m_pp + m_pm)
     u, w = dm
@@ -342,10 +327,10 @@ def pr_fidelity(s: float) -> float:
 
 
 def and_gate_success(
-    state: GaussianTwoModeState, settings: MeasurementSettings
+    state: GaussianTwoModeState, settings: MeasurementSettings, r: float
 ) -> float:
-    """Success probability of the post-selected non-local AND gate."""
-    return float(chsh_values(*setting_tables(state, settings, settings.r))[2])
+    """Success probability of the post-selected non-local AND gate at r."""
+    return float(chsh_values(*setting_tables(state, settings, r))[2])
 
 
 @dataclass(frozen=True)
@@ -363,10 +348,10 @@ class NoSignalingReport:
 
 
 def no_signaling_report(
-    state: GaussianTwoModeState, settings: MeasurementSettings
+    state: GaussianTwoModeState, settings: MeasurementSettings, r: float
 ) -> NoSignalingReport:
-    """Marginal P(+) for both parties under all four setting combinations."""
-    plus, max_dev = chsh_values(*setting_tables(state, settings, settings.r))[3:5]
+    """Marginal P(+) for both parties under all four setting combinations at r."""
+    plus, max_dev = chsh_values(*setting_tables(state, settings, r))[3:5]
     plus.setflags(write=False)
     return NoSignalingReport(alice_plus=plus, bob_plus=plus.T, max_deviation=float(max_dev))
 

@@ -58,7 +58,6 @@ _E_COLUMNS = ("E_ab", "E_apb", "E_abp", "E_apbp")
 _OUTCOMES = ("pp", "pm", "mp", "mm")
 # JSON's spelling of the non-finite floats.
 _JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_MIN_NORMAL = sys.float_info.min
 
 
 def _json_text(v, precision: int, key: str = "", indent: str = "\n") -> str:
@@ -93,7 +92,7 @@ def _json_float(key: str, v, precision: int) -> str:
     # A normal double's cell at <= 15 significant digits is its repr, unless
     # the notations differ: E+ (repr is positional below 1e16) or no point.
     if (precision <= 15 and key not in _E_COLUMNS and "e+" not in text
-            and ("." in text or "e" in text) and abs(v) >= _MIN_NORMAL):
+            and ("." in text or "e" in text) and abs(v) >= chsh_mod.MIN_NORMAL):
         return text
     text = repr(float(text))  # 2e+308 reads back as inf
     return _JSON_SPECIAL.get(text, text)
@@ -144,8 +143,8 @@ def _state_from_config(cfg: RunConfig) -> GaussianTwoModeState:
     return GaussianTwoModeState(delta=delta, gamma=gamma)
 
 
-def _settings(cfg: RunConfig, r: float = 0.0) -> chsh_mod.MeasurementSettings:
-    return chsh_mod.MeasurementSettings(cfg.alpha, cfg.alpha_prime, cfg.beta, cfg.beta_prime, r)
+def _settings(cfg: RunConfig) -> chsh_mod.MeasurementSettings:
+    return chsh_mod.MeasurementSettings(cfg.alpha, cfg.alpha_prime, cfg.beta, cfg.beta_prime)
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
@@ -210,13 +209,13 @@ def cmd_chsh(cfg: RunConfig) -> int:
 
 def cmd_mc(cfg: RunConfig) -> int:
     state = _state_from_config(cfg)
+    settings = _settings(cfg)
+    pairs = chsh_mod.setting_pairs(settings)
     records = []
     for r_cfg, r_dim in zip(cfg.r_values, cfg.r_dimensionless()):
-        settings = _settings(cfg, r_dim)
         estimates = mc_mod.setting_estimates(
-            state, settings, cfg.mc_n, cfg.mc_seed, cfg.mc_workers
+            state, settings, r_dim, cfg.mc_n, cfg.mc_seed, cfg.mc_workers
         )
-        pairs = chsh_mod.setting_pairs(settings)
         for label, (a, b), est in zip(chsh_mod.SETTING_LABELS, pairs, estimates):
             records.append({
                 "r": r_cfg,
@@ -276,7 +275,7 @@ def cmd_optimize(cfg: RunConfig, reproduce: str = "prbox-sim optimize") -> int:
         "reproduce": reproduce,
     }
     if cfg.target_fidelity > 0.0:
-        record["tuned_r"] = tune_r(state, _settings(cfg, r), cfg.target_fidelity, cfg.tune_r_max)
+        record["tuned_r"] = tune_r(state, _settings(cfg), cfg.target_fidelity, cfg.tune_r_max)
         record["target_fidelity"] = cfg.target_fidelity
     return _write(cfg, record, {"": [record]})
 

@@ -11,8 +11,6 @@ import math
 import re
 from dataclasses import dataclass, fields
 
-TWO_PI = 2.0 * math.pi
-
 _PI_RE = re.compile(r"^([+-]?)(\d+(?:\.\d+)?)?pi(?:/(\d+(?:\.\d+)?))?$")
 _FRACTION_RE = re.compile(r"^([+-]?\d+(?:\.\d+)?)/(\d+(?:\.\d+)?)$")
 
@@ -90,7 +88,7 @@ class RunConfig:
     mc_workers: int = 1
     # sweep
     sweep_beta_min: float = 0.0
-    sweep_beta_max: float = TWO_PI
+    sweep_beta_max: float = math.tau
     sweep_steps: int = 97
     sweep_alphas: tuple[float, ...] = (math.pi, math.pi / 2.0)
     reference_curve: bool = False

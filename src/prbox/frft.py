@@ -13,7 +13,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-TWO_PI = 2.0 * math.pi
 Z_TOL_CM = 0.05
 # realizable single-stage order range (open: sin(theta) > 0 needed)
 MAX_STAGE_ORDER = math.pi - 1e-9
@@ -26,7 +25,7 @@ class PlanNotFoundError(ValueError):
 
 def frft_distance(order: float, focal_cm: float) -> float:
     """Symmetric lens distance z = 2 f sin^2(theta/2) in centimeters."""
-    if not 0.0 < order < TWO_PI:
+    if not 0.0 < order < math.tau:
         raise ValueError(f"order must be in (0, 2*pi), got {order}")
     if not focal_cm > 0.0:
         raise ValueError(f"focal length must be positive, got {focal_cm}")
@@ -46,7 +45,7 @@ def compose_orders(orders) -> float:
     orders = list(orders)
     if not orders:
         raise ValueError("orders must be non-empty")
-    return math.fsum(orders) % TWO_PI
+    return math.fsum(orders) % math.tau
 
 
 @dataclass(frozen=True)
@@ -93,8 +92,8 @@ class FrftPlan:
 
 def _angle_deviation(a: float, b: float) -> float:
     """Distance between two angles modulo 2*pi."""
-    d = (a - b) % TWO_PI
-    return min(d, TWO_PI - d)
+    d = (a - b) % math.tau
+    return min(d, math.tau - d)
 
 
 def plan_lens_system(
@@ -123,8 +122,8 @@ def plan_lens_system(
     if max_stages < 1:
         raise ValueError(f"max_stages must be >= 1, got {max_stages}")
 
-    reduced = target % TWO_PI
-    if reduced <= angle_tol or TWO_PI - reduced <= angle_tol:
+    reduced = target % math.tau
+    if reduced <= angle_tol or math.tau - reduced <= angle_tol:
         return FrftPlan(stages=(), target_order=target, angle_tol=angle_tol)
 
     k_limit = min(max_stages, len(inventory))

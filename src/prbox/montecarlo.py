@@ -7,6 +7,7 @@ Sampling is chunked with per-chunk seeds derived deterministically from
 regardless of how many workers execute the chunks.  Each chunk is drawn and
 sign-binned block by block into reused buffers, so counts are bit-identical to
 binning ``sample_pairs`` and memory does not scale with CHUNK_SIZE.
+setting_estimates and mc_bell_S take r as an argument, as simulate_counts does.
 """
 
 from __future__ import annotations
@@ -195,22 +196,23 @@ def derive_setting_seed(seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def setting_estimates(state: GaussianTwoModeState, settings, n, seed, workers=1):
-    """Yield the ProbEstimate of each setting pair, in setting_pairs order."""
+def setting_estimates(state: GaussianTwoModeState, settings, r, n, seed, workers=1):
+    """Yield the ProbEstimate of each setting pair at r, in setting_pairs order."""
     for k, (a, b) in enumerate(setting_pairs(settings)):
         sub_seed = derive_setting_seed(seed, k)
-        yield estimate_probabilities(simulate_counts(state, a, b, settings.r, n, sub_seed, workers))
+        yield estimate_probabilities(simulate_counts(state, a, b, r, n, sub_seed, workers))
 
 
 def mc_bell_S(
     state: GaussianTwoModeState,
     settings,
+    r: float,
     n: int,
     seed: int,
     workers: int = 1,
 ) -> tuple[float, float]:
-    """Bell parameter estimate and standard error from four simulated tables."""
-    ests = list(setting_estimates(state, settings, n, seed, workers))
+    """Bell parameter estimate and standard error from four simulated tables at r."""
+    ests = list(setting_estimates(state, settings, r, n, seed, workers))
     e_ab, e_apb, e_abp, e_apbp = (est.correlation_E for est in ests)
     v = [est.correlation_E_se**2 for est in ests]  # left to right; sum() compensates from 3.12
     return e_ab + e_apb + e_abp - e_apbp, math.sqrt(v[0] + v[1] + v[2] + v[3])

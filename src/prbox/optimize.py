@@ -13,7 +13,7 @@ its slope from the same gradient, inside a bisection bracket.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,7 +84,7 @@ def maximize_S(
     def evaluate(x):
         nonlocal iterations
         iterations += 1
-        s, grad = bell_S_gradient(state, MeasurementSettings(*x, r=r))
+        s, grad = bell_S_gradient(state, MeasurementSettings(*x), r)
         return s, grad[:4]
 
     s, g = evaluate(x)
@@ -113,7 +113,7 @@ def maximize_S(
             h_inv += (curv + dg @ hy) * np.outer(dx, dx) / curv**2
             h_inv -= (np.outer(hy, dx) + np.outer(dx, hy)) / curv
         x, s, g = x + dx, s_new, g_new
-    settings = MeasurementSettings(*map(float, x), r=r)
+    settings = MeasurementSettings(*map(float, x))
     return SearchResult(settings, s, iterations, converged)
 
 
@@ -125,9 +125,9 @@ def tune_r(
     r_tol: float = 1e-4,
 ) -> float:
     """Safeguarded Newton search for the dark-region half-width reaching a
-    target fidelity: a Newton step on the exact slope dF/dr where it stays
-    inside the bracket, bisection where it does not.  The bracket's ends
-    need no slope, so they are plain bell_S values.
+    target fidelity at the settings' angles: a Newton step on the exact
+    slope dF/dr where it stays inside the bracket, bisection where it does
+    not.  The bracket's ends need no slope, so they are plain bell_S values.
 
     Fidelity is assumed monotone in r only on the bracket, and the
     assumption is checked at every step.
@@ -142,7 +142,7 @@ def tune_r(
         raise ValueError(f"r_tol must be a finite positive real, got {r_tol}")
 
     lo, hi = 0.0, r_max
-    f_lo, f_hi = (pr_fidelity(bell_S(state, replace(settings, r=x))) for x in (lo, hi))
+    f_lo, f_hi = (pr_fidelity(bell_S(state, settings, x)) for x in (lo, hi))
     if target_fidelity <= f_lo:
         return 0.0
     if target_fidelity > f_hi:
@@ -154,7 +154,7 @@ def tune_r(
     # the bracket also ends once no double lies strictly inside it
     while hi - lo > r_tol and lo < 0.5 * (lo + hi) < hi:
         x = newton if lo < newton < hi else 0.5 * (lo + hi)
-        s, grad = bell_S_gradient(state, replace(settings, r=x))
+        s, grad = bell_S_gradient(state, settings, x)
         f_x, slope = pr_fidelity(s), grad[4] / 8.0
         if not (f_lo - 1e-9 <= f_x <= f_hi + 1e-9):
             raise ValueError(

@@ -3,7 +3,6 @@ PASS/FAIL line.  Run with `pytest tests/test_acceptance.py -s` to see the
 per-criterion report."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -48,14 +47,15 @@ def random_state(rng) -> GaussianTwoModeState:
     return GaussianTwoModeState(delta, delta * rng.uniform(1.2, 3.0))
 
 
-def random_settings(rng, r_max: float = 1.5) -> MeasurementSettings:
-    return MeasurementSettings(
+def random_settings(rng, r_max: float = 1.5) -> tuple[MeasurementSettings, float]:
+    """Random angles, then a random dark width r in [0, r_max)."""
+    settings = MeasurementSettings(
         alpha=rng.uniform(0, 2 * PI),
         alpha_prime=rng.uniform(0, 2 * PI),
         beta=rng.uniform(0, 2 * PI),
         beta_prime=rng.uniform(0, 2 * PI),
-        r=rng.uniform(0.0, r_max),
     )
+    return settings, rng.uniform(0.0, r_max)
 
 
 def test_criterion_1_lens_table_reproduction():
@@ -94,9 +94,9 @@ def test_criterion_3_and_gate_identity():
     worst = 0.0
     for _ in range(100):
         state = random_state(rng)
-        settings = random_settings(rng)
-        lhs = and_gate_success(state, settings)
-        rhs = (4.0 + bell_S(state, settings)) / 8.0
+        settings, r = random_settings(rng)
+        lhs = and_gate_success(state, settings, r)
+        rhs = (4.0 + bell_S(state, settings, r)) / 8.0
         worst = max(worst, abs(lhs - rhs))
     report(
         3,
@@ -146,7 +146,7 @@ def test_criterion_5_tsirelson_respect_at_r_zero():
             random_state(rng), r=0.0, angle_grid_step=PI / 8, refine_tol=1e-3
         )
         worst = max(worst, result.objective)
-    s_ref = bell_S(STATE, REFERENCE_SETTINGS)
+    s_ref = bell_S(STATE, REFERENCE_SETTINGS, 0.0)
     ok = worst <= TSIRELSON + 1e-6 and s_ref <= 2.0
     report(
         5,
@@ -157,7 +157,7 @@ def test_criterion_5_tsirelson_respect_at_r_zero():
 
 
 def test_criterion_6_tsirelson_violation_with_postselection():
-    s2 = bell_S(STATE, replace(REFERENCE_SETTINGS, r=2.0))
+    s2 = bell_S(STATE, REFERENCE_SETTINGS, 2.0)
     ok = s2 > TSIRELSON
     # plateau of the sweep curves grows toward 1 with r
     beta_plateau = 5 * PI / 4
@@ -166,9 +166,7 @@ def test_criterion_6_tsirelson_violation_with_postselection():
         for r in (0.75, 1.0, 2.0)
     ]
     ok = ok and plateau[0] < plateau[1] < plateau[2] <= 1.0
-    s_curve = [
-        bell_S(STATE, replace(REFERENCE_SETTINGS, r=r)) for r in (0.5, 1.0, 1.5, 2.0)
-    ]
+    s_curve = [bell_S(STATE, REFERENCE_SETTINGS, r) for r in (0.5, 1.0, 1.5, 2.0)]
     h_curve = []
     for r in (0.5, 1.0, 1.5, 2.0):
         kept = [
@@ -184,7 +182,7 @@ def test_criterion_6_tsirelson_violation_with_postselection():
     ok = ok and all(a < b for a, b in zip(s_curve, s_curve[1:]))
     ok = ok and all(a > b for a, b in zip(h_curve, h_curve[1:]))
     r_star = tune_r(STATE, REFERENCE_SETTINGS, 0.908, r_max=3.0)
-    s_star = bell_S(STATE, replace(REFERENCE_SETTINGS, r=r_star))
+    s_star = bell_S(STATE, REFERENCE_SETTINGS, r_star)
     ok = ok and r_star <= 3.0 and s_star > 3.266 - 0.01
     report(
         6,
@@ -199,8 +197,8 @@ def test_criterion_7_no_signaling_marginals():
     worst = 0.0
     for _ in range(5):
         state = random_state(rng)
-        settings = random_settings(rng)
-        worst = max(worst, no_signaling_report(state, settings).max_deviation)
+        settings, r = random_settings(rng)
+        worst = max(worst, no_signaling_report(state, settings, r).max_deviation)
     ok = worst <= 1e-9
     # Monte Carlo marginals at n = 1e6
     mc_ok = True

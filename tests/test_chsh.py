@@ -1,14 +1,12 @@
 import math
 import re
 import sys
-from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import roots_laguerre
 
 import oracles
 from strategies import angles, dark_widths, valid_states
@@ -40,7 +38,7 @@ from prbox.chsh import (
     correlation_grid,
     setting_pairs,
 )
-from prbox.montecarlo import simulate_counts
+from prbox.montecarlo import mc_bell_S, setting_estimates, simulate_counts
 
 PI = math.pi
 STATE = GaussianTwoModeState(delta=0.75, gamma=1.25)
@@ -168,11 +166,6 @@ class TestOrthantAccuracy:
         assert tail_branch(monkeypatch, h1, h2, rho).all()
         assert_tail_matches_oracle(h1, h2, rho, chsh._orthants(h1, h2, rho))
 
-    def test_laguerre_literals_match_scipy(self):
-        nodes, weights = roots_laguerre(20)
-        np.testing.assert_allclose(chsh._LAGUERRE_X, nodes, rtol=1e-15, atol=0.0)
-        np.testing.assert_allclose(chsh._LAGUERRE_W, weights, rtol=1e-15, atol=0.0)
-
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_tail_extremes_are_finite_and_warning_free(self, monkeypatch):
         # log f(h) below -746 (the first four), h up to 40, and |rho| just
@@ -285,19 +278,19 @@ class TestSignExpectation:
 
 class TestBellParameter:
     def test_separable_gives_zero(self):
-        assert bell_S(SEPARABLE, REFERENCE_SETTINGS) == pytest.approx(0.0, abs=1e-12)
+        assert bell_S(SEPARABLE, REFERENCE_SETTINGS, 0.0) == pytest.approx(0.0, abs=1e-12)
 
     @settings(max_examples=15, deadline=None)
     @given(valid_states(), angles, angles, angles, angles, dark_widths)
     def test_algebraic_bound(self, state, a, ap, b, bp, r):
-        settings_ = MeasurementSettings(a, ap, b, bp, r)
-        assert abs(bell_S(state, settings_)) <= 4.0 + 1e-9
+        settings_ = MeasurementSettings(a, ap, b, bp)
+        assert abs(bell_S(state, settings_, r)) <= 4.0 + 1e-9
 
     def test_reference_settings_no_violation_without_postselection(self):
-        assert bell_S(STATE, REFERENCE_SETTINGS) <= 2.0
+        assert bell_S(STATE, REFERENCE_SETTINGS, 0.0) <= 2.0
 
     def test_reference_settings_violation_with_postselection(self):
-        s = bell_S(STATE, replace(REFERENCE_SETTINGS, r=2.0))
+        s = bell_S(STATE, REFERENCE_SETTINGS, 2.0)
         assert s > 2.0 * math.sqrt(2.0)
 
 
@@ -318,33 +311,33 @@ class TestPrFidelity:
 
 class TestAndGate:
     def test_separable_is_coin_flip(self):
-        assert and_gate_success(SEPARABLE, REFERENCE_SETTINGS) == pytest.approx(
+        assert and_gate_success(SEPARABLE, REFERENCE_SETTINGS, 0.0) == pytest.approx(
             0.5, abs=1e-12
         )
 
     @settings(max_examples=15, deadline=None)
     @given(valid_states(), angles, angles, angles, angles, dark_widths)
     def test_equals_fidelity_of_bell_parameter(self, state, a, ap, b, bp, r):
-        settings_ = MeasurementSettings(a, ap, b, bp, r)
-        p_and = and_gate_success(state, settings_)
+        settings_ = MeasurementSettings(a, ap, b, bp)
+        p_and = and_gate_success(state, settings_, r)
         assert p_and == pytest.approx(
-            pr_fidelity(bell_S(state, settings_)), abs=1e-9
+            pr_fidelity(bell_S(state, settings_, r)), abs=1e-9
         )
 
     def test_beats_communication_threshold_at_large_r(self):
-        assert and_gate_success(STATE, replace(REFERENCE_SETTINGS, r=2.0)) > 0.908
+        assert and_gate_success(STATE, REFERENCE_SETTINGS, 2.0) > 0.908
 
 
 class TestNoSignaling:
     @pytest.mark.parametrize("r", [0.0, 0.5, 1.5])
     def test_all_marginals_half(self, r):
-        report = no_signaling_report(STATE, replace(REFERENCE_SETTINGS, r=r))
+        report = no_signaling_report(STATE, REFERENCE_SETTINGS, r)
         assert report.max_deviation <= 1e-9
         assert np.allclose(report.alice_plus, 0.5, atol=1e-9)
         assert np.allclose(report.bob_plus, 0.5, atol=1e-9)
 
     def test_marginals_independent_of_partner_setting(self):
-        report = no_signaling_report(STATE, replace(REFERENCE_SETTINGS, r=0.8))
+        report = no_signaling_report(STATE, REFERENCE_SETTINGS, 0.8)
         assert report.alice_plus[0, 0] == pytest.approx(
             report.alice_plus[0, 1], abs=1e-9
         )
@@ -495,7 +488,7 @@ class TestCorrelationGrid:
     def test_r_sequence_raises_the_first_failing_rung(self):
         # the kept fraction underflows at r = 20 and at r = 30
         with pytest.raises(EmptyPostSelectionError) as rung:
-            bell_S(STATE, replace(REFERENCE_SETTINGS, r=20.0))
+            bell_S(STATE, REFERENCE_SETTINGS, 20.0)
         with pytest.raises(EmptyPostSelectionError) as ladder:
             chsh.postselected_tables(
                 STATE, REF_ALPHA_COLUMN, REF_BETAS, np.array([1.0, 20.0, 30.0])[:, None, None])
@@ -538,7 +531,7 @@ class TestCorrelationGrid:
         )
         for k, quadruple in enumerate(quadruples):
             single = chsh.setting_tables(
-                state, MeasurementSettings(*quadruple), quadruple[4], gradient=True)
+                state, MeasurementSettings(*quadruple[:4]), quadruple[4], gradient=True)
             for got, want in zip(batched, single):
                 assert np.array_equal(got[..., k, :, :], want)
 
@@ -567,13 +560,22 @@ BAD_R_ENTRY_POINTS = {
         STATE, REF_ALPHA_COLUMN, REF_BETAS, np.array([1.0, r])[:, None, None]),
     "sweep_beta": lambda r: sweep_beta(STATE, PI, r, [0.0, 1.0]),
     "simulate_counts": lambda r: simulate_counts(STATE, PI, 5 * PI / 4, r, 100, 1),
+    # a MeasurementSettings holds angles only, so these check the r they are passed
+    "bell_S": lambda r: bell_S(STATE, REFERENCE_SETTINGS, r),
+    "bell_S_gradient": lambda r: bell_S_gradient(STATE, REFERENCE_SETTINGS, r),
+    "and_gate_success": lambda r: and_gate_success(STATE, REFERENCE_SETTINGS, r),
+    "no_signaling_report": lambda r: no_signaling_report(STATE, REFERENCE_SETTINGS, r),
+    "setting_estimates": lambda r: list(setting_estimates(STATE, REFERENCE_SETTINGS, r, 100, 1)),
+    "mc_bell_S": lambda r: mc_bell_S(STATE, REFERENCE_SETTINGS, r, 100, 1),
 }
 
 
 @pytest.mark.parametrize("entry", BAD_R_ENTRY_POINTS)
 @pytest.mark.parametrize("r", [math.nan, math.inf, -1.0])
 def test_bad_dark_width_names_r(entry, r):
-    with pytest.raises(ValueError, match="r must be a finite non-negative real"):
+    # one message for scalar and array r alike
+    message = f"r must be a finite non-negative real, got {r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         BAD_R_ENTRY_POINTS[entry](r)
 
 
@@ -632,15 +634,16 @@ class TestBellSGradient:
     @example(STATE, PI, PI / 2, 5 * PI / 4, 3 * PI / 4, 1.0)
     @example(GaussianTwoModeState(1.5, 1.78125), 0.0, 0.0, 0.0, 1.0, 3.0)
     def test_matches_differences_of_bell_S(self, state, a, ap, b, bp, r):
-        settings_ = MeasurementSettings(a, ap, b, bp, r)
-        s, grad = bell_S_gradient(state, settings_)
-        assert s == bell_S(state, settings_)
+        point = (a, ap, b, bp, r)
+        s, grad = bell_S_gradient(state, MeasurementSettings(a, ap, b, bp), r)
+        assert s == bell_S(state, MeasurementSettings(a, ap, b, bp), r)
         h = 1e-3  # balances the O(h^4) error against 1e-10 noise in the masses
-        for name, g in zip(GRADIENT_FIELDS, grad):
-            x = getattr(settings_, name)
+        for i, (name, g) in enumerate(zip(GRADIENT_FIELDS, grad)):
+            x = point[i]
 
-            def along(v, name=name):
-                return bell_S(state, replace(settings_, **{name: v}))
+            def along(v, i=i):
+                moved = (*point[:i], v, *point[i + 1:])
+                return bell_S(state, MeasurementSettings(*moved[:4]), moved[4])
 
             want = _difference(along, x, h, forward=(name == "r" and x < h))
             assert abs(g - want) <= 1e-6 * max(abs(want), 1.0), name
@@ -649,21 +652,21 @@ class TestBellSGradient:
     @given(angles, angles, angles, angles, st.floats(min_value=0.0, max_value=12.0))
     @example(PI, PI / 2, 5 * PI / 4, 3 * PI / 4, 12.0)
     def test_finite_wherever_bell_S_is(self, a, ap, b, bp, r):
-        settings_ = MeasurementSettings(a, ap, b, bp, r)
+        settings_ = MeasurementSettings(a, ap, b, bp)
         try:
-            want = bell_S(STATE, settings_)
+            want = bell_S(STATE, settings_, r)
         except EmptyPostSelectionError:
             with pytest.raises(EmptyPostSelectionError):
-                bell_S_gradient(STATE, settings_)
+                bell_S_gradient(STATE, settings_, r)
             return
-        s, grad = bell_S_gradient(STATE, settings_)
+        s, grad = bell_S_gradient(STATE, settings_, r)
         assert s == want
         assert np.isfinite(grad).all()
 
     @settings(max_examples=30, deadline=None)
     @given(angles, angles, angles, angles, dark_widths)
     def test_zero_on_the_separable_state(self, a, ap, b, bp, r):
-        s, grad = bell_S_gradient(SEPARABLE, MeasurementSettings(a, ap, b, bp, r))
+        s, grad = bell_S_gradient(SEPARABLE, MeasurementSettings(a, ap, b, bp), r)
         assert s == 0.0
         assert (grad == 0.0).all()
 

@@ -4,7 +4,6 @@ import json
 import math
 import os
 import shlex
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -228,10 +227,10 @@ class TestChsh:
         assert main(["chsh", "--config", cfg, "--format", "json"]) == 0
         rows = json.loads(capsys.readouterr().out)["results"]
         for row in rows:
-            settings = replace(REFERENCE_SETTINGS, r=row["r"])
-            report = no_signaling_report(STATE, settings)
-            assert row["S"] == bell_S(STATE, settings)
-            assert row["P_AND"] == and_gate_success(STATE, settings)
+            r = row["r"]
+            report = no_signaling_report(STATE, REFERENCE_SETTINGS, r)
+            assert row["S"] == bell_S(STATE, REFERENCE_SETTINGS, r)
+            assert row["P_AND"] == and_gate_success(STATE, REFERENCE_SETTINGS, r)
             assert row["max_marginal_dev"] == report.max_deviation
             for who, plus in (("A", report.alice_plus), ("B", report.bob_plus)):
                 for (i, j), label in np.ndenumerate(MARGINAL_LABELS[who]):
@@ -240,7 +239,7 @@ class TestChsh:
     def test_first_failing_rung_is_named(self, tmp_path, capsys):
         # the kept fraction underflows at r = 20 and at r = 30
         with pytest.raises(EmptyPostSelectionError) as rung:
-            bell_S(STATE, replace(REFERENCE_SETTINGS, r=20.0))
+            bell_S(STATE, REFERENCE_SETTINGS, 20.0)
         cfg = write_config(tmp_path, "r = 1, 20, 30\n")
         assert main(["chsh", "--config", cfg]) == 3
         captured = capsys.readouterr()
@@ -454,8 +453,7 @@ class TestMain:
         cfg = write_config(tmp_path, config)
         run_cfg = load_config(cfg)
         rows = {
-            "chsh": lambda: [bell_S(STATE, replace(REFERENCE_SETTINGS, r=r))
-                             for r in run_cfg.r_values],
+            "chsh": lambda: [bell_S(STATE, REFERENCE_SETTINGS, r) for r in run_cfg.r_values],
             "sweep": lambda: [sweep_beta(STATE, alpha, r, run_cfg.beta_grid())
                               for alpha in run_cfg.sweep_alphas for r in run_cfg.r_values],
         }

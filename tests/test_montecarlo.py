@@ -2,7 +2,6 @@ import importlib
 import json
 import math
 import tracemalloc
-from dataclasses import replace
 from functools import cache
 from pathlib import Path
 
@@ -278,10 +277,9 @@ class TestEstimateProbabilities:
 
 class TestSettingEstimates:
     def test_yields_estimates_in_setting_pairs_order_with_sub_seeds(self):
-        settings = replace(REFERENCE_SETTINGS, r=0.4)
-        ests = list(setting_estimates(STATE, settings, 20_000, seed=17))
+        ests = list(setting_estimates(STATE, REFERENCE_SETTINGS, 0.4, 20_000, seed=17))
         assert len(ests) == 4
-        for k, ((a, b), est) in enumerate(zip(setting_pairs(settings), ests)):
+        for k, ((a, b), est) in enumerate(zip(setting_pairs(REFERENCE_SETTINGS), ests)):
             assert isinstance(est, ProbEstimate)
             assert est.seed == derive_setting_seed(17, k)
             counts = simulate_counts(STATE, a, b, 0.4, 20_000, est.seed)
@@ -290,7 +288,7 @@ class TestSettingEstimates:
 
 class TestMcBellS:
     def test_separable_consistent_with_zero(self):
-        s, se = mc_bell_S(SEPARABLE, replace(REFERENCE_SETTINGS, r=0.3), 200_000, seed=14)
+        s, se = mc_bell_S(SEPARABLE, REFERENCE_SETTINGS, 0.3, 200_000, seed=14)
         assert abs(s) < 4.0 * se
 
     def test_matches_analytic(self):
@@ -303,24 +301,22 @@ class TestMcBellS:
                 alpha_prime=rng.uniform(0, 2 * PI),
                 beta=rng.uniform(0, 2 * PI),
                 beta_prime=rng.uniform(0, 2 * PI),
-                r=rng.uniform(0.0, 1.0),
             )
-            s_mc, se = mc_bell_S(state, settings, 1_000_000, seed=int(rng.integers(1 << 32)))
-            assert abs(s_mc - bell_S(state, settings)) < 4.0 * se
+            r = rng.uniform(0.0, 1.0)
+            s_mc, se = mc_bell_S(state, settings, r, 1_000_000, seed=int(rng.integers(1 << 32)))
+            assert abs(s_mc - bell_S(state, settings, r)) < 4.0 * se
 
     def test_equals_the_sum_over_simulated_settings(self):
-        settings = replace(REFERENCE_SETTINGS, r=0.4)
         s_val = var = 0.0
-        for k, ((a, b), w) in enumerate(zip(setting_pairs(settings), (1, 1, 1, -1))):
+        for k, ((a, b), w) in enumerate(zip(setting_pairs(REFERENCE_SETTINGS), (1, 1, 1, -1))):
             c = simulate_counts(STATE, a, b, 0.4, 50_000, derive_setting_seed(16, k))
             est = estimate_probabilities(c)
             s_val += w * est.correlation_E
             var += est.correlation_E_se**2
-        assert mc_bell_S(STATE, settings, 50_000, seed=16) == (s_val, math.sqrt(var))
+        assert mc_bell_S(STATE, REFERENCE_SETTINGS, 0.4, 50_000, seed=16) == (s_val, math.sqrt(var))
 
     def test_tsirelson_violation_significant(self):
-        settings = replace(REFERENCE_SETTINGS, r=2.0)
-        s_mc, se = mc_bell_S(STATE, settings, 10_000_000, seed=15)
+        s_mc, se = mc_bell_S(STATE, REFERENCE_SETTINGS, 2.0, 10_000_000, seed=15)
         assert s_mc - 2.0 * math.sqrt(2.0) > 5.0 * se
 
 

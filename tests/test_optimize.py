@@ -2,7 +2,6 @@ import importlib
 import json
 import math
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +47,7 @@ class TestMaximizeS:
 
     def test_objective_reproducible(self):
         result = maximize_S(STATE, r=1.0, angle_grid_step=PI / 6, refine_tol=1e-3)
-        assert bell_S(STATE, result.settings) == pytest.approx(
+        assert bell_S(STATE, result.settings, 1.0) == pytest.approx(
             result.objective, abs=1e-8
         )
         assert result.objective <= 4.0
@@ -88,7 +87,7 @@ class TestMaximizeS:
     def test_converges_at_r_one(self, state):
         result = maximize_S(state, r=1.0)
         assert result.converged
-        assert result.objective == bell_S(state, result.settings)
+        assert result.objective == bell_S(state, result.settings, 1.0)
 
     def test_strong_state_reaches_its_local_maximum(self):
         # the maximum a Nelder-Mead search on the benchmark oracle finds
@@ -190,18 +189,18 @@ class TestBenchmarkChecks:
 
 class TestTuneR:
     def test_target_at_r_zero_returns_zero(self):
-        f0 = pr_fidelity(bell_S(STATE, REFERENCE_SETTINGS))
+        f0 = pr_fidelity(bell_S(STATE, REFERENCE_SETTINGS, 0.0))
         assert tune_r(STATE, REFERENCE_SETTINGS, f0, r_max=3.0) == 0.0
 
     def test_communication_threshold_reachable(self):
         r_star = tune_r(STATE, REFERENCE_SETTINGS, 0.908, r_max=3.0)
-        f_star = pr_fidelity(bell_S(STATE, replace(REFERENCE_SETTINGS, r=r_star)))
+        f_star = pr_fidelity(bell_S(STATE, REFERENCE_SETTINGS, r_star))
         assert f_star == pytest.approx(0.908, abs=1e-3)
 
     def test_93_percent_reachable_below_r_three(self):
         r_star = tune_r(STATE, REFERENCE_SETTINGS, 0.93, r_max=3.0)
         assert 0.0 < r_star <= 3.0
-        f_star = pr_fidelity(bell_S(STATE, replace(REFERENCE_SETTINGS, r=r_star)))
+        f_star = pr_fidelity(bell_S(STATE, REFERENCE_SETTINGS, r_star))
         assert f_star == pytest.approx(0.93, abs=1e-3)
 
     def test_unreachable_target_names_maximum(self):
@@ -224,10 +223,10 @@ class TestTuneR:
         evaluated = []
         kernel = prbox.optimize.bell_S_gradient
 
-        def counting(state, settings):
-            evaluated.append(settings.r)
+        def counting(state, settings, r):
+            evaluated.append(r)
             assert len(evaluated) <= 200, "bracket search does not end"
-            return kernel(state, settings)
+            return kernel(state, settings, r)
 
         monkeypatch.setattr(prbox.optimize, "bell_S_gradient", counting)
 
@@ -247,7 +246,7 @@ class TestTuneR:
         r_star = tune_r(STATE, REFERENCE_SETTINGS, target, r_max=3.0, r_tol=1e-4)
 
         def fidelity(r):
-            return pr_fidelity(bell_S(STATE, replace(REFERENCE_SETTINGS, r=r)))
+            return pr_fidelity(bell_S(STATE, REFERENCE_SETTINGS, r))
 
         assert fidelity(max(0.0, r_star - 1e-4)) <= target <= fidelity(r_star + 1e-4)
 
@@ -255,9 +254,9 @@ class TestTuneR:
         evaluated = []
         kernel = prbox.optimize.bell_S_gradient
 
-        def counting(state, settings):
-            evaluated.append(settings.r)
-            return kernel(state, settings)
+        def counting(state, settings, r):
+            evaluated.append(r)
+            return kernel(state, settings, r)
 
         monkeypatch.setattr(prbox.optimize, "bell_S_gradient", counting)
         tune_r(STATE, REFERENCE_SETTINGS, 0.9275, r_max=3.0)
@@ -267,12 +266,12 @@ class TestTuneR:
 
     def test_non_monotone_fidelity_is_refused(self, monkeypatch):
         # S(r) = -2 + r + 2 sin(20 r) falls below S(0) inside [0, 3]
-        def wavy(state, settings):
-            return -2.0 + settings.r + 2.0 * math.sin(20.0 * settings.r)
+        def wavy(state, settings, r):
+            return -2.0 + r + 2.0 * math.sin(20.0 * r)
 
-        def wavy_gradient(state, settings):
-            slope = 1.0 + 40.0 * math.cos(20.0 * settings.r)
-            return wavy(state, settings), np.array([0.0] * 4 + [slope])
+        def wavy_gradient(state, settings, r):
+            slope = 1.0 + 40.0 * math.cos(20.0 * r)
+            return wavy(state, settings, r), np.array([0.0] * 4 + [slope])
 
         monkeypatch.setattr(prbox.optimize, "bell_S", wavy)
         monkeypatch.setattr(prbox.optimize, "bell_S_gradient", wavy_gradient)

@@ -1,8 +1,8 @@
+import json
 import os
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from prbox import REFERENCE_SETTINGS, GaussianTwoModeState, and_gate_success, bell_S
@@ -25,12 +25,11 @@ def test_chsh_trend_runs():
     assert lines[0] == "    r  H_ave_%       S   P_AND  fidelity"
     assert len(lines) == 5 and lines[4].startswith("MC check at r=1: S = ")
     # the r = 1 row at the script's default state and the reference settings
-    settings = replace(REFERENCE_SETTINGS, r=1.0)
     state = GaussianTwoModeState(delta=0.75, gamma=1.25)
     r, _, s, p_and, _ = lines[2].split()
     assert r == "1.00"
-    assert s == f"{bell_S(state, settings):.3f}"
-    assert p_and == f"{and_gate_success(state, settings):.4f}"
+    assert s == f"{bell_S(state, REFERENCE_SETTINGS, 1.0):.3f}"
+    assert p_and == f"{and_gate_success(state, REFERENCE_SETTINGS, 1.0):.4f}"
 
 
 def _compare_outputs(other_src):
@@ -62,3 +61,21 @@ def test_compare_outputs_names_the_json_outputs_of_a_changed_tree(tmp_path):
         "differs: table seed 1 chsh_r4 json (files)",
         "3 of 6 outputs differ",
     ]
+
+
+def test_benchmark_search_workload_runs_and_checks(tmp_path):
+    # a copy, as perfbench/run.py writes .perfbench_runs/ under its checkout;
+    # the traced pass calls bell_S, tune_r and maximize_S through its wrappers
+    ignore = shutil.ignore_patterns("__pycache__", ".perfbench_runs")
+    for name in ("src", "perfbench"):
+        shutil.copytree(ROOT / name, tmp_path / name, ignore=ignore)
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "search", "--seconds", "0.5",
+         "--trace", "1"],
+        cwd=tmp_path, capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert (result["correct"], result["failed"]) == (True, 0), proc.stderr
