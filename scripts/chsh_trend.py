@@ -12,8 +12,9 @@ import math
 
 import numpy as np
 
-from prbox import GaussianTwoModeState, REFERENCE_SETTINGS, mc_bell_S, pr_fidelity
-from prbox.chsh import chsh_values, setting_tables
+from prbox.chsh import REFERENCE_SETTINGS, chsh_values, pr_fidelity, setting_tables
+from prbox.montecarlo import mc_bell_S
+from prbox.state import GaussianTwoModeState
 
 
 def main() -> None:
@@ -40,7 +41,7 @@ def main() -> None:
     s_exact = s_values[len(args.r) // 2]
     print(
         f"\nMC check at r={r_check:g}: S = {s_mc:.4f} +/- {se:.4f} "
-        f"(quadrature {s_exact:.4f}, "
+        f"(analytic {s_exact:.4f}, "
         f"{abs(s_mc - s_exact) / se:.1f} se away)"
     )
     tsirelson = 2.0 * math.sqrt(2.0)

@@ -71,9 +71,9 @@ class MeasurementSettings:
     beta_prime: float
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "alpha_prime", "beta", "beta_prime"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 REFERENCE_SETTINGS = MeasurementSettings(

@@ -250,7 +250,7 @@ def cmd_plan_frft(cfg: RunConfig) -> int:
     return _write(cfg, doc, {"": stages}, header=["angle_rad", "f_cm", "z_cm"])
 
 
-def cmd_optimize(cfg: RunConfig, reproduce: str = "prbox-sim optimize") -> int:
+def cmd_optimize(cfg: RunConfig, reproduce: str) -> int:
     if len(cfg.r_values) != 1:
         raise ConfigError(f"optimize takes exactly one r, got {len(cfg.r_values)} r_values")
     state = _state_from_config(cfg)

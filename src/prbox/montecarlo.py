@@ -7,7 +7,6 @@ Sampling is chunked with per-chunk seeds derived deterministically from
 regardless of how many workers execute the chunks.  Each chunk is drawn and
 sign-binned block by block into reused buffers, so counts are bit-identical to
 binning ``sample_pairs`` and memory does not scale with CHUNK_SIZE.
-setting_estimates and mc_bell_S take r as an argument, as simulate_counts does.
 """
 
 from __future__ import annotations

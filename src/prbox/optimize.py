@@ -26,9 +26,14 @@ GRAD_TOL = 1e-6
 # Armijo sufficient-rise constant, and the line search's smallest step fraction.
 ARMIJO = 1e-4
 MIN_STEP = 2.0**-40
-# Most grid angles per axis.  grid_argmax holds two (n, n, n) float64 arrays,
-# 16 n^3 bytes: 268 MB at n = 256, an angle_grid_step of at least 2 pi / 256.
+# Grid angles per axis.  With fewer than 3 every angle is 0 or pi, where
+# grad S = 0, so the ascent cannot leave its grid point; grid_argmax holds two
+# (n, n, n) float64 arrays, 16 n^3 bytes: 268 MB at n = 256.
+MIN_GRID_ANGLES = 3
 MAX_GRID_ANGLES = 256
+# The most quasi-Newton steps of maximize_S, and tune_r's tolerance in r.
+MAX_STEPS = 100
+R_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -55,13 +60,12 @@ def maximize_S(
     r: float,
     angle_grid_step: float = math.pi / 12.0,
     refine_tol: float = 1e-4,
-    max_steps: int = 100,
 ) -> SearchResult:
     """Grid search plus BFGS ascent of S on its exact gradient.
 
     refine_tol bounds the final quasi-Newton step, in radians; the search
     has converged when that step is shorter and |grad S| < GRAD_TOL, and
-    stops unconverged after max_steps steps or when no step raises S.
+    stops unconverged after MAX_STEPS steps or when no step raises S.
     Returns a local optimum; no global guarantee.  Deterministic: grid ties
     are broken lexicographically in (alpha, alpha', beta, beta').
     ``iterations`` counts the grid's tables and the gradient evaluations.
@@ -72,10 +76,10 @@ def maximize_S(
             f"{angle_grid_step} and {refine_tol}"
         )
     # np.arange makes a grid of ceil(tau / angle_grid_step) angles
-    if not (math.isfinite(angle_grid_step) and math.tau / angle_grid_step <= MAX_GRID_ANGLES):
+    if not MIN_GRID_ANGLES - 1 < math.tau / angle_grid_step <= MAX_GRID_ANGLES:
         raise ValueError(
-            f"angle_grid_step must be finite and give at most {MAX_GRID_ANGLES} grid "
-            f"angles per axis, got {angle_grid_step}"
+            f"angle_grid_step must be finite and give {MIN_GRID_ANGLES} to "
+            f"{MAX_GRID_ANGLES} grid angles per axis, got {angle_grid_step}"
         )
     grid = np.arange(0.0, math.tau, angle_grid_step)
     x = grid[list(grid_argmax(correlation_grid(state, grid[:, None], grid, r)))]
@@ -90,7 +94,7 @@ def maximize_S(
     s, g = evaluate(x)
     h_inv = np.eye(4)  # inverse Hessian of -S
     converged = False
-    for k in range(max_steps):
+    for k in range(MAX_STEPS):
         p = h_inv @ g
         if math.hypot(*p) < refine_tol and math.hypot(*g) < GRAD_TOL:
             converged = True
@@ -122,12 +126,12 @@ def tune_r(
     settings: MeasurementSettings,
     target_fidelity: float,
     r_max: float,
-    r_tol: float = 1e-4,
 ) -> float:
-    """Safeguarded Newton search for the dark-region half-width reaching a
-    target fidelity at the settings' angles: a Newton step on the exact
-    slope dF/dr where it stays inside the bracket, bisection where it does
-    not.  The bracket's ends need no slope, so they are plain bell_S values.
+    """Safeguarded Newton search, to within R_TOL, for the dark-region
+    half-width reaching a target fidelity at the settings' angles: a Newton
+    step on the exact slope dF/dr where it stays inside the bracket,
+    bisection where it does not.  The bracket's ends need no slope, so they
+    are plain bell_S values.
 
     Fidelity is assumed monotone in r only on the bracket, and the
     assumption is checked at every step.
@@ -138,8 +142,6 @@ def tune_r(
         raise ValueError(f"r_max must be positive, got {r_max}")
     if not math.isfinite(r_max):
         raise ValueError(f"r_max must be finite, got {r_max}")
-    if not (r_tol > 0.0 and math.isfinite(r_tol)):
-        raise ValueError(f"r_tol must be a finite positive real, got {r_tol}")
 
     lo, hi = 0.0, r_max
     f_lo, f_hi = (pr_fidelity(bell_S(state, settings, x)) for x in (lo, hi))
@@ -152,7 +154,7 @@ def tune_r(
         )
     newton = math.nan
     # the bracket also ends once no double lies strictly inside it
-    while hi - lo > r_tol and lo < 0.5 * (lo + hi) < hi:
+    while hi - lo > R_TOL and lo < 0.5 * (lo + hi) < hi:
         x = newton if lo < newton < hi else 0.5 * (lo + hi)
         s, grad = bell_S_gradient(state, settings, x)
         f_x, slope = pr_fidelity(s), grad[4] / 8.0
@@ -166,6 +168,6 @@ def tune_r(
         else:
             hi, f_hi = x, f_x
         newton = x - (f_x - target_fidelity) / slope if slope > 0.0 else math.nan
-        if abs(newton - x) < r_tol and lo <= newton <= hi:
+        if abs(newton - x) < R_TOL and lo <= newton <= hi:
             return newton
     return 0.5 * (lo + hi)

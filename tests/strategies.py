@@ -4,7 +4,7 @@ import math
 
 from hypothesis import strategies as st
 
-from prbox import GaussianTwoModeState
+from prbox.state import GaussianTwoModeState
 
 
 @st.composite

@@ -7,26 +7,30 @@ import math
 import numpy as np
 
 import oracles
-from prbox import (
-    GaussianTwoModeState,
-    MeasurementSettings,
+from prbox.chsh import (
     REFERENCE_SETTINGS,
+    MeasurementSettings,
     and_gate_success,
     bell_S,
-    closed_form_R_half_pi,
-    closed_form_R_pi,
     correlation_E,
-    frft_distance,
-    maximize_S,
     no_signaling_report,
-    position_joint_density,
     postselected_probs,
     pr_fidelity,
     sign_expectation,
-    simulate_counts,
-    tune_r,
 )
-from prbox.montecarlo import derive_setting_seed, estimate_probabilities
+from prbox.frft import frft_distance
+from prbox.montecarlo import (
+    derive_setting_seed,
+    estimate_probabilities,
+    simulate_counts,
+)
+from prbox.optimize import maximize_S, tune_r
+from prbox.state import (
+    GaussianTwoModeState,
+    closed_form_R_half_pi,
+    closed_form_R_pi,
+    position_joint_density,
+)
 
 PI = math.pi
 TSIRELSON = 2.0 * math.sqrt(2.0)

@@ -10,35 +10,31 @@ from hypothesis import strategies as st
 
 import oracles
 from strategies import angles, dark_widths, valid_states
-from prbox import (
-    BivariateGaussian,
-    GaussianTwoModeState,
-    JointProbTable,
-    MeasurementSettings,
-    REFERENCE_SETTINGS,
-    and_gate_success,
-    bell_S,
-    correlation_E,
-    no_signaling_report,
-    position_joint_density,
-    postselected_probs,
-    pr_fidelity,
-    quadrant_probability,
-    quantum_reference_curve,
-    sign_expectation,
-    sweep_beta,
-)
 from prbox import chsh
 from prbox.chsh import (
     DEGENERATE_CORR,
     ORTHANT_RTOL,
+    REFERENCE_SETTINGS,
     EmptyPostSelectionError,
+    JointProbTable,
+    MeasurementSettings,
+    and_gate_success,
+    bell_S,
     bell_S_gradient,
     chsh_values,
+    correlation_E,
     correlation_grid,
+    no_signaling_report,
+    postselected_probs,
+    pr_fidelity,
+    quadrant_probability,
+    quantum_reference_curve,
     setting_pairs,
+    sign_expectation,
+    sweep_beta,
 )
 from prbox.montecarlo import mc_bell_S, setting_estimates, simulate_counts
+from prbox.state import BivariateGaussian, GaussianTwoModeState, position_joint_density
 
 PI = math.pi
 STATE = GaussianTwoModeState(delta=0.75, gamma=1.25)
@@ -601,6 +597,15 @@ def test_bad_angle_names_the_angle(entry, bad, name):
     message = f"{name} must be finite, got {bad}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         BAD_ANGLE_ENTRY_POINTS[entry](angles["alpha"], angles["beta"])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["alpha", "alpha_prime", "beta", "beta_prime"])
+def test_measurement_settings_refuse_a_non_finite_angle(bad, name):
+    angles = dict(vars(REFERENCE_SETTINGS), **{name: bad})
+    message = f"{name} must be finite, got {bad}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MeasurementSettings(**angles)
 
 
 def test_bad_angles_raise_the_first_in_c_order_after_r():

@@ -10,22 +10,21 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from prbox import (
+from prbox import chsh, cli
+from prbox.chsh import (
     REFERENCE_SETTINGS,
-    GaussianTwoModeState,
+    EmptyPostSelectionError,
     and_gate_success,
     bell_S,
     no_signaling_report,
     sweep_beta,
 )
-from prbox import chsh, cli
-from prbox.chsh import EmptyPostSelectionError
 from prbox.cli import main
 from prbox.config import ConfigError, load_config
 from prbox.frft import MAX_STAGE_ORDER, MIN_STAGE_ORDER, PlanNotFoundError
 from prbox.montecarlo import InsufficientCountsError
-from prbox.optimize import MAX_GRID_ANGLES
-from prbox.state import NonNormalizableStateError
+from prbox.optimize import MAX_GRID_ANGLES, MIN_GRID_ANGLES
+from prbox.state import GaussianTwoModeState, NonNormalizableStateError
 
 PI = math.pi
 STATE = GaussianTwoModeState(delta=0.75, gamma=1.25)
@@ -382,8 +381,8 @@ class TestOptimize:
         cfg = write_config(tmp_path, "r = 1\nangle_grid_step = 1e-9\n")
         assert main(["optimize", "--config", cfg]) == 3
         assert capsys.readouterr() == ("", (
-            "numerical failure: angle_grid_step must be finite and give at most "
-            f"{MAX_GRID_ANGLES} grid angles per axis, got 1e-09\n"))
+            f"numerical failure: angle_grid_step must be finite and give {MIN_GRID_ANGLES} "
+            f"to {MAX_GRID_ANGLES} grid angles per axis, got 1e-09\n"))
 
     def test_more_than_one_r_is_a_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "r = 1, 2\n")

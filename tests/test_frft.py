@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prbox import (
+from prbox.frft import (
     FrftPlan,
     FrftStage,
+    PlanNotFoundError,
     compose_orders,
     frft_distance,
     frft_order_from_distance,
     plan_lens_system,
 )
-from prbox.frft import PlanNotFoundError
 
 PI = math.pi
 

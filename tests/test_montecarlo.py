@@ -10,32 +10,30 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prbox import (
-    BivariateGaussian,
-    CountTable,
-    GaussianTwoModeState,
-    MeasurementSettings,
-    ProbEstimate,
+from prbox.chsh import (
     REFERENCE_SETTINGS,
+    MeasurementSettings,
     bell_S,
     correlation_E,
-    estimate_probabilities,
-    mc_bell_S,
-    position_joint_density,
     postselected_probs,
-    sample_pairs,
-    simulate_counts,
+    setting_pairs,
 )
-from prbox.chsh import setting_pairs
 from prbox.cli import main
 from prbox.montecarlo import (
     BLOCK_SIZE,
     CHUNK_SIZE,
     MIN_KEPT_COUNT,
+    CountTable,
     InsufficientCountsError,
+    ProbEstimate,
     derive_setting_seed,
+    estimate_probabilities,
+    mc_bell_S,
+    sample_pairs,
     setting_estimates,
+    simulate_counts,
 )
+from prbox.state import BivariateGaussian, GaussianTwoModeState, position_joint_density
 
 PI = math.pi
 STATE = GaussianTwoModeState(delta=0.75, gamma=1.25)

@@ -11,16 +11,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import prbox.optimize
-from prbox import (
-    GaussianTwoModeState,
-    REFERENCE_SETTINGS,
-    bell_S,
+from prbox.chsh import REFERENCE_SETTINGS, bell_S, pr_fidelity
+from prbox.cli import main
+from prbox.optimize import (
+    MAX_GRID_ANGLES,
+    MIN_GRID_ANGLES,
+    grid_argmax,
     maximize_S,
-    pr_fidelity,
     tune_r,
 )
-from prbox.cli import main
-from prbox.optimize import MAX_GRID_ANGLES, grid_argmax
+from prbox.state import GaussianTwoModeState
 
 PI = math.pi
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -67,20 +67,20 @@ class TestMaximizeS:
         with pytest.raises(ValueError, match="must be positive"):
             maximize_S(STATE, r=1.0, angle_grid_step=step, refine_tol=tol)
 
-    @pytest.mark.parametrize("step", [math.inf, 1e-9, 5e-324])
+    @pytest.mark.parametrize("step", [math.inf, 1e-9, 5e-324, 10.0, 2 * PI, 4.0, PI])
     def test_rejects_a_grid_it_cannot_hold(self, step):
-        # refused before the grid is built: inf makes a one-point grid, and
-        # 1e-9 a grid of 6.3e9 angles, whose argmax would take 16 n^3 bytes
-        message = (f"angle_grid_step must be finite and give at most {MAX_GRID_ANGLES} "
-                   f"grid angles per axis, got {step}")
+        # refused before the grid is built: 1e-9 makes a grid of 6.3e9 angles,
+        # whose argmax would take 16 n^3 bytes; inf to pi make one or two
+        # angles per axis, all at 0 or pi, where grad S = 0 and the ascent
+        # would stop at once, reporting converged at S = 1.50 on this state
+        message = (f"angle_grid_step must be finite and give {MIN_GRID_ANGLES} to "
+                   f"{MAX_GRID_ANGLES} grid angles per axis, got {step}")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             maximize_S(STATE, r=1.0, angle_grid_step=step)
 
     def test_tolerance_below_float_resolution_returns(self):
         # no quasi-Newton step is ever shorter than 1e-300 rad
-        result = maximize_S(
-            STATE, r=1.0, angle_grid_step=PI / 2, refine_tol=1e-300, max_steps=1
-        )
+        result = maximize_S(STATE, r=1.0, angle_grid_step=PI / 2, refine_tol=1e-300)
         assert not result.converged
 
     @pytest.mark.parametrize("state", [STATE, STRONG, SEPARABLE])
@@ -230,20 +230,16 @@ class TestTuneR:
 
         monkeypatch.setattr(prbox.optimize, "bell_S_gradient", counting)
 
-    @pytest.mark.parametrize("r_tol", [0.0, -1.0, math.nan])
-    def test_rejects_degenerate_r_tol(self, bounded, r_tol):
-        with pytest.raises(ValueError, match="r_tol"):
-            tune_r(STATE, REFERENCE_SETTINGS, 0.9, r_max=3.0, r_tol=r_tol)
-
-    def test_r_tol_below_double_spacing_ends(self, bounded):
-        r_star = tune_r(STATE, REFERENCE_SETTINGS, 0.9, r_max=3.0, r_tol=1e-300)
+    def test_r_tol_below_double_spacing_ends(self, bounded, monkeypatch):
+        r_tuned = tune_r(STATE, REFERENCE_SETTINGS, 0.9, r_max=3.0)
+        monkeypatch.setattr(prbox.optimize, "R_TOL", 1e-300)
+        r_star = tune_r(STATE, REFERENCE_SETTINGS, 0.9, r_max=3.0)
         assert 0.0 < r_star < 3.0
-        assert r_star == pytest.approx(
-            tune_r(STATE, REFERENCE_SETTINGS, 0.9, r_max=3.0), abs=1e-4)
+        assert r_star == pytest.approx(r_tuned, abs=1e-4)
 
     @pytest.mark.parametrize("target", [0.6, 0.8, 0.9275, 0.95])
     def test_root_within_r_tol(self, target):
-        r_star = tune_r(STATE, REFERENCE_SETTINGS, target, r_max=3.0, r_tol=1e-4)
+        r_star = tune_r(STATE, REFERENCE_SETTINGS, target, r_max=3.0)
 
         def fidelity(r):
             return pr_fidelity(bell_S(STATE, REFERENCE_SETTINGS, r))

@@ -5,7 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-from prbox import REFERENCE_SETTINGS, GaussianTwoModeState, and_gate_success, bell_S
+import pytest
+
+from prbox.chsh import REFERENCE_SETTINGS, and_gate_success, bell_S
+from prbox.state import GaussianTwoModeState
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -63,19 +66,24 @@ def test_compare_outputs_names_the_json_outputs_of_a_changed_tree(tmp_path):
     ]
 
 
-def test_benchmark_search_workload_runs_and_checks(tmp_path):
+@pytest.mark.parametrize("workload,failed_share", [("search", 0.0), ("sample", 0.25)],
+                         ids=["search", "sample"])
+def test_benchmark_workload_runs_and_checks(tmp_path, workload, failed_share):
     # a copy, as perfbench/run.py writes .perfbench_runs/ under its checkout;
-    # the traced pass calls bell_S, tune_r and maximize_S through its wrappers
+    # the traced pass calls bell_S, tune_r and maximize_S (search) and the
+    # Monte Carlo layers (sample) through its wrappers; one sample
+    # invocation in four runs short of kept counts and exits 3 by design
     ignore = shutil.ignore_patterns("__pycache__", ".perfbench_runs")
     for name in ("src", "perfbench"):
         shutil.copytree(ROOT / name, tmp_path / name, ignore=ignore)
     shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "search", "--seconds", "0.5",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", "0.5",
          "--trace", "1"],
         cwd=tmp_path, capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert (result["correct"], result["failed"]) == (True, 0), proc.stderr
+    assert result["correct"], proc.stderr
+    assert result["failed"] <= failed_share * result["attempted"], proc.stderr

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 import oracles
 from strategies import angles, valid_states
-from prbox import (
+from prbox.state import (
     BivariateGaussian,
     GaussianTwoModeState,
     NonNormalizableStateError,
