@@ -8,19 +8,21 @@ surviving sign combinations are renormalized to a probability table.  The
 pair is a zero-mean Gaussian and the strip is symmetric, so a table takes
 two orthant masses, each Owen's T closed form in the bulk and, where that
 form cancels, a 20-node Gauss-Laguerre rule of the tail integral, evaluated
-as one array expression.  postselected_tables is the one kernel: its
-alpha, beta and r broadcast as numpy arrays do, and a failure raises for
-the first failing element in C order.  Callers lay out their axes in
-output order, so prbox-sim chsh over its r rungs and prbox-sim sweep over
-its curves each make one call, which raises what a loop over its rows
-would raise first.  postselected_probs, correlation_grid and sweep_beta
-read from it.  E, S, the AND-gate success, the no-signaling marginals and
-the kept fraction are one array formula, chsh_values, over the tables of
-setting_tables, the kernel on the (alpha, alpha') x (beta, beta') grid of
-a MeasurementSettings, its four angles, at any number of r; bell_S,
-and_gate_success, no_signaling_report, bell_S_gradient, prbox-sim chsh and
-scripts/chsh_trend.py read from it, each taking r as an argument, and
-bell_S_gradient sums the kernel's exact derivatives into grad S.
+as one array expression.  postselected_tables is the one kernel and its
+(p_pp, p_pm, kept) the one table type: alpha, beta and r broadcast as
+numpy arrays do, and a failure raises for the first failing element in C
+order.  Callers lay out their axes in output order, so prbox-sim chsh over
+its r rungs and prbox-sim sweep over its curves each make one call, which
+raises what a loop over its rows would raise first.  postselected_probs
+(the table as floats), correlation_grid and sweep_beta read from it.  E,
+S, the AND-gate success, the no-signaling marginals and the kept fraction
+are one array formula, chsh_values, over the tables of setting_tables, the
+kernel on the (alpha, alpha') x (beta, beta') grid of a
+MeasurementSettings, its four angles, at any number of r, with S and P_AND
+weighted by CHSH_SIGN; bell_S, and_gate_success, no_signaling_report,
+bell_S_gradient, prbox-sim chsh and scripts/chsh_trend.py read from it,
+each taking r as an argument, and bell_S_gradient sums the kernel's exact
+derivatives into grad S.
 """
 
 from __future__ import annotations
@@ -82,18 +84,6 @@ REFERENCE_SETTINGS = MeasurementSettings(
     beta=5 * math.pi / 4,
     beta_prime=3 * math.pi / 4,
 )
-
-
-@dataclass(frozen=True)
-class JointProbTable:
-    """Renormalized post-selected sign probabilities and the kept fraction,
-    as postselected_tables computes and checks them."""
-
-    p_pp: float
-    p_pm: float
-    p_mp: float
-    p_mm: float
-    kept_fraction: float
 
 
 def _tail_orthants(h1, h2, rho) -> np.ndarray:
@@ -218,25 +208,18 @@ def postselected_tables(state: GaussianTwoModeState, alpha, beta, r, gradient: b
 
 def postselected_probs(
     state: GaussianTwoModeState, alpha: float, beta: float, r: float
-) -> JointProbTable:
-    """Renormalized post-selected sign probabilities at rotation (alpha, beta):
-    postselected_tables at scalar inputs."""
-    p_pp, p_pm, kept = map(float, postselected_tables(state, alpha, beta, r))
-    return JointProbTable(p_pp, p_pm, p_pm, p_pp, kept)
-
-
-def correlation_E(table: JointProbTable) -> float:
-    """E = P(+,+) + P(-,-) - P(+,-) - P(-,+)."""
-    return table.p_pp + table.p_mm - table.p_pm - table.p_mp
+) -> tuple[float, float, float]:
+    """(p_pp, p_pm, kept) of postselected_tables at scalar inputs, as floats."""
+    return tuple(map(float, postselected_tables(state, alpha, beta, r)))
 
 
 def _correlation(p_pp, p_pm):
-    return ((p_pp + p_pp) - p_pm) - p_pm  # correlation_E, as p_mm = p_pp and p_mp = p_pm
+    return ((p_pp + p_pp) - p_pm) - p_pm  # E = p_pp + p_mm - p_pm - p_mp
 
 
 def correlation_grid(state: GaussianTwoModeState, alpha, beta, r):
-    """correlation_E of postselected_probs at each element of broadcast
-    (alpha, beta, r), from one postselected_tables call."""
+    """The correlation E of the table at each element of broadcast (alpha,
+    beta, r), from one postselected_tables call."""
     p_pp, p_pm, _ = postselected_tables(state, alpha, beta, r)
     return _correlation(p_pp, p_pm)
 
@@ -250,6 +233,8 @@ def sign_expectation(
 
 
 SETTING_LABELS = ("ab", "apb", "abp", "apbp")
+# The sign of E(alpha_i, beta_j) in S (Clauser, Horne, Shimony & Holt 1969).
+CHSH_SIGN = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
 def setting_pairs(settings: MeasurementSettings) -> tuple[tuple[float, float], ...]:
@@ -269,20 +254,19 @@ def setting_columns(x) -> tuple:
 def chsh_values(p_pp, p_pm, kept):
     """(E, S, P_AND, plus, max_dev, kept_pct) of postselected_tables arrays
     whose last two axes are (alpha, alpha') x (beta, beta'), over any leading
-    axes: the correlation of each table; the Bell parameter S = E(a,b) +
-    E(a',b) + E(a,b') - E(a',b'); the AND-gate success, the average of the
-    same-sign probabilities of the three pairs with positive target
-    correlation and the cross-sign ones of (alpha', beta'), summed from table
-    entries so that P_AND = (4 + S)/8 stays a check; Alice's P(+) at each
-    table, which is Bob's P(+) with the last two axes swapped, as p_mp =
-    p_pm; the largest deviation of a marginal from 1/2; and the average kept
-    fraction in percent."""
+    axes: the correlation of each table; the Bell parameter S, the sum of
+    CHSH_SIGN times E in SETTING_LABELS order; the AND-gate success, the
+    average over the tables of the same-sign probability where the sign is
+    +1 and the cross-sign one where it is -1, summed from table entries so
+    that P_AND = (4 + S)/8 stays a check; Alice's P(+) at each table, which
+    is Bob's P(+) with the last two axes swapped, as p_mp = p_pm; the largest
+    deviation of a marginal from 1/2; and the average kept fraction in
+    percent."""
     e = _correlation(p_pp, p_pm)
-    e_ab, e_apb, e_abp, e_apbp = setting_columns(e)
-    pp_ab, pp_apb, pp_abp, _ = setting_columns(p_pp)
-    pm_apbp = p_pm[..., 1, 1]
-    s = e_ab + e_apb + e_abp - e_apbp
-    p_and = 0.25 * (pp_ab + pp_ab + pp_apb + pp_apb + pp_abp + pp_abp + pm_apbp + pm_apbp)
+    s_ab, s_apb, s_abp, s_apbp = setting_columns(CHSH_SIGN * e)
+    s = s_ab + s_apb + s_abp + s_apbp
+    w_ab, w_apb, w_abp, w_apbp = setting_columns(np.where(CHSH_SIGN > 0.0, p_pp, p_pm))
+    p_and = 0.25 * (w_ab + w_ab + w_apb + w_apb + w_abp + w_abp + w_apbp + w_apbp)
     plus = p_pp + p_pm
     max_dev = np.abs(plus - 0.5).max(axis=(-2, -1))
     kept_pct = 100.0 * sum(setting_columns(kept)) / 4.0
@@ -311,11 +295,10 @@ def bell_S_gradient(
     beta', r), from the four setting tables as one postselected_tables call."""
     p_pp, p_pm, kept, dm = setting_tables(state, settings, r, gradient=True)
     e, s = chsh_values(p_pp, p_pm, kept)[:2]
-    # E = (m_pp - m_pm) / (m_pp + m_pm) and kept = 2 (m_pp + m_pm)
+    # E = (m_pp - m_pm) / (m_pp + m_pm) and kept = 2 (m_pp + m_pm); S sums CHSH_SIGN * E
     u, w = dm
-    e_a, e_b, e_r = 2.0 * (u * (1.0 - e) - w * (1.0 + e))
-    sign = np.array([[1.0, 1.0], [1.0, -1.0]])  # E[i, j] at (alpha_i, beta_j)
-    grad = [*(sign * e_a).sum(axis=1), *(sign * e_b).sum(axis=0), (sign * e_r).sum()]
+    s_a, s_b, s_r = CHSH_SIGN * (2.0 * (u * (1.0 - e) - w * (1.0 + e)))
+    grad = [*s_a.sum(axis=1), *s_b.sum(axis=0), s_r.sum()]
     return float(s), np.array(grad)
 
 
@@ -333,27 +316,13 @@ def and_gate_success(
     return float(chsh_values(*setting_tables(state, settings, r))[2])
 
 
-@dataclass(frozen=True)
-class NoSignalingReport:
-    """P(+) marginals under every setting pairing.
-
-    ``alice_plus[i, j]`` is Alice's P(+) with her i-th setting (alpha,
-    alpha') against Bob's j-th setting (beta, beta'); ``bob_plus`` likewise
-    with Bob's setting first.
-    """
-
-    alice_plus: np.ndarray
-    bob_plus: np.ndarray
-    max_deviation: float
-
-
 def no_signaling_report(
     state: GaussianTwoModeState, settings: MeasurementSettings, r: float
-) -> NoSignalingReport:
-    """Marginal P(+) for both parties under all four setting combinations at r."""
+) -> tuple[np.ndarray, float]:
+    """(plus, max_dev) of chsh_values at r: Alice's P(+) at (alpha_i, beta_j),
+    whose transpose is Bob's, and the largest deviation of either from 1/2."""
     plus, max_dev = chsh_values(*setting_tables(state, settings, r))[3:5]
-    plus.setflags(write=False)
-    return NoSignalingReport(alice_plus=plus, bob_plus=plus.T, max_deviation=float(max_dev))
+    return plus, float(max_dev)
 
 
 def sweep_beta(

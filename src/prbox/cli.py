@@ -51,9 +51,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
-# Correlation columns of a chsh row, in SETTING_LABELS order, printed at 3
-# decimals (report convention).
-_E_COLUMNS = ("E_ab", "E_apb", "E_abp", "E_apbp")
+# Correlation columns of a chsh row, printed at 3 decimals (report convention).
+_E_COLUMNS = tuple("E_" + label for label in chsh_mod.SETTING_LABELS)
 # Sign outcomes of an mc record's p_* and se_* columns, in ProbEstimate order.
 _OUTCOMES = ("pp", "pm", "mp", "mm")
 # JSON's spelling of the non-finite floats.
@@ -92,7 +91,7 @@ def _json_float(key: str, v, precision: int) -> str:
     # A normal double's cell at <= 15 significant digits is its repr, unless
     # the notations differ: E+ (repr is positional below 1e16) or no point.
     if (precision <= 15 and key not in _E_COLUMNS and "e+" not in text
-            and ("." in text or "e" in text) and abs(v) >= chsh_mod.MIN_NORMAL):
+            and ("." in text or "e" in text) and abs(v) >= sys.float_info.min):
         return text
     text = repr(float(text))  # 2e+308 reads back as inf
     return _JSON_SPECIAL.get(text, text)

@@ -11,6 +11,8 @@ import math
 import re
 from dataclasses import dataclass, fields
 
+from .optimize import angle_grid
+
 _PI_RE = re.compile(r"^([+-]?)(\d+(?:\.\d+)?)?pi(?:/(\d+(?:\.\d+)?))?$")
 _FRACTION_RE = re.compile(r"^([+-]?\d+(?:\.\d+)?)/(\d+(?:\.\d+)?)$")
 
@@ -59,10 +61,7 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"cannot parse boolean {text!r}")
 
 
-_POSITIVE = (
-    "delta", "gamma", "scale_s_mm", "angle_grid_step", "refine_tol", "frft_angle_tol",
-    "tune_r_max",
-)
+_POSITIVE = ("delta", "gamma", "scale_s_mm", "refine_tol", "frft_angle_tol", "tune_r_max")
 _AT_LEAST_ONE = ("mc_n", "mc_workers", "sweep_steps", "frft_max_stages")
 
 
@@ -130,6 +129,7 @@ class RunConfig:
             raise ConfigError(
                 f"r_unit must be 'dimensionless' or 'mm', got {self.r_unit!r}"
             )
+        angle_grid(self.angle_grid_step, ConfigError)  # also refuses a step <= 0
         if not 0.0 <= self.target_fidelity < 1.0:  # 0 tunes no r
             raise ConfigError(f"target_fidelity must be in [0, 1), got {self.target_fidelity}")
         if any(r < 0.0 for r in self.r_values):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chsh import _check_r, setting_pairs
+from .chsh import CHSH_SIGN, _check_r, setting_columns, setting_pairs
 from .state import BivariateGaussian, GaussianTwoModeState, position_joint_density
 
 CHUNK_SIZE = 250_000
@@ -212,6 +212,6 @@ def mc_bell_S(
 ) -> tuple[float, float]:
     """Bell parameter estimate and standard error from four simulated tables at r."""
     ests = list(setting_estimates(state, settings, r, n, seed, workers))
-    e_ab, e_apb, e_abp, e_apbp = (est.correlation_E for est in ests)
+    s = [float(sign) * est.correlation_E for sign, est in zip(setting_columns(CHSH_SIGN), ests)]
     v = [est.correlation_E_se**2 for est in ests]  # left to right; sum() compensates from 3.12
-    return e_ab + e_apb + e_abp - e_apbp, math.sqrt(v[0] + v[1] + v[2] + v[3])
+    return s[0] + s[1] + s[2] + s[3], math.sqrt(v[0] + v[1] + v[2] + v[3])

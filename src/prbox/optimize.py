@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chsh import MeasurementSettings, bell_S, bell_S_gradient, pr_fidelity
+from .chsh import CHSH_SIGN, MeasurementSettings, bell_S, bell_S_gradient, pr_fidelity
 from .chsh import correlation_grid
 from .state import GaussianTwoModeState
 
@@ -46,13 +46,26 @@ class SearchResult:
 
 def grid_argmax(e_tab: np.ndarray) -> tuple[int, int, int, int]:
     """(i, j, k, l) maximizing S = (E[i, k] + E[j, k]) + (E[i, l] - E[j, l]),
-    ties going to the smallest (i, j), then the smallest k and l.  For fixed
-    (i, j) the k and l terms are maximized apart: O(n^3) work, not O(n^4)."""
-    plus = e_tab[:, None, :] + e_tab[None, :, :]
-    minus = e_tab[:, None, :] - e_tab[None, :, :]
-    best = plus.max(axis=2) + minus.max(axis=2)
+    as CHSH_SIGN signs it, ties going to the smallest (i, j), then the
+    smallest k and l.  For fixed (i, j) the k and l terms are maximized
+    apart: O(n^3) work, not O(n^4)."""
+    b_term, bp_term = (sign[0] * e_tab[:, None, :] + sign[1] * e_tab[None, :, :]
+                       for sign in CHSH_SIGN.T)
+    best = b_term.max(axis=2) + bp_term.max(axis=2)
     i, j = np.unravel_index(int(np.argmax(best)), best.shape)
-    return int(i), int(j), int(np.argmax(plus[i, j])), int(np.argmax(minus[i, j]))
+    return int(i), int(j), int(np.argmax(b_term[i, j])), int(np.argmax(bp_term[i, j]))
+
+
+def angle_grid(angle_grid_step: float, error: type[Exception] = ValueError) -> np.ndarray:
+    """maximize_S's grid angles from 0 to 2 pi; a step it cannot hold raises error."""
+    # np.arange makes a grid of ceil(tau / angle_grid_step) angles
+    if not (angle_grid_step > 0.0
+            and MIN_GRID_ANGLES - 1 < math.tau / angle_grid_step <= MAX_GRID_ANGLES):
+        raise error(
+            f"angle_grid_step must be finite and give {MIN_GRID_ANGLES} to "
+            f"{MAX_GRID_ANGLES} grid angles per axis, got {angle_grid_step}"
+        )
+    return np.arange(0.0, math.tau, angle_grid_step)
 
 
 def maximize_S(
@@ -75,13 +88,7 @@ def maximize_S(
             f"angle_grid_step and refine_tol must be positive, got "
             f"{angle_grid_step} and {refine_tol}"
         )
-    # np.arange makes a grid of ceil(tau / angle_grid_step) angles
-    if not MIN_GRID_ANGLES - 1 < math.tau / angle_grid_step <= MAX_GRID_ANGLES:
-        raise ValueError(
-            f"angle_grid_step must be finite and give {MIN_GRID_ANGLES} to "
-            f"{MAX_GRID_ANGLES} grid angles per axis, got {angle_grid_step}"
-        )
-    grid = np.arange(0.0, math.tau, angle_grid_step)
+    grid = angle_grid(angle_grid_step)
     x = grid[list(grid_argmax(correlation_grid(state, grid[:, None], grid, r)))]
     iterations = len(grid) ** 2
 

@@ -12,7 +12,7 @@ from prbox.chsh import (
     MeasurementSettings,
     and_gate_success,
     bell_S,
-    correlation_E,
+    correlation_grid,
     no_signaling_report,
     postselected_probs,
     pr_fidelity,
@@ -118,7 +118,7 @@ def test_criterion_4_arcsine_law_consistency():
         alpha, beta = rng.uniform(0, 2 * PI, size=2)
         rho = position_joint_density(state, alpha, beta).corr
         e_sign = sign_expectation(state, alpha, beta)
-        e_zero = correlation_E(postselected_probs(state, alpha, beta, 0.0))
+        e_zero = float(correlation_grid(state, alpha, beta, 0.0))
         worst = max(
             worst,
             abs(e_sign - (2.0 / PI) * math.asin(rho)),
@@ -166,7 +166,7 @@ def test_criterion_6_tsirelson_violation_with_postselection():
     # plateau of the sweep curves grows toward 1 with r
     beta_plateau = 5 * PI / 4
     plateau = [
-        abs(correlation_E(postselected_probs(STATE, PI, beta_plateau, r)))
+        abs(float(correlation_grid(STATE, PI, beta_plateau, r)))
         for r in (0.75, 1.0, 2.0)
     ]
     ok = ok and plateau[0] < plateau[1] < plateau[2] <= 1.0
@@ -174,7 +174,7 @@ def test_criterion_6_tsirelson_violation_with_postselection():
     h_curve = []
     for r in (0.5, 1.0, 1.5, 2.0):
         kept = [
-            postselected_probs(STATE, a, b, r).kept_fraction
+            postselected_probs(STATE, a, b, r)[2]
             for a, b in [
                 (REFERENCE_SETTINGS.alpha, REFERENCE_SETTINGS.beta),
                 (REFERENCE_SETTINGS.alpha_prime, REFERENCE_SETTINGS.beta),
@@ -202,7 +202,7 @@ def test_criterion_7_no_signaling_marginals():
     for _ in range(5):
         state = random_state(rng)
         settings, r = random_settings(rng)
-        worst = max(worst, no_signaling_report(state, settings, r).max_deviation)
+        worst = max(worst, no_signaling_report(state, settings, r)[1])
     ok = worst <= 1e-9
     # Monte Carlo marginals at n = 1e6
     mc_ok = True
@@ -236,7 +236,7 @@ def test_criterion_8_monte_carlo_vs_quadrature():
         r = rng.uniform(0.0, 1.2)
         counts = simulate_counts(state, alpha, beta, r, 1_000_000, seed=8000 + case)
         est = estimate_probabilities(counts)
-        e_analytic = correlation_E(postselected_probs(state, alpha, beta, r))
+        e_analytic = float(correlation_grid(state, alpha, beta, r))
         if abs(est.correlation_E - e_analytic) > 4.0 * max(
             est.correlation_E_se, 1e-12
         ):

@@ -16,13 +16,11 @@ from prbox.chsh import (
     ORTHANT_RTOL,
     REFERENCE_SETTINGS,
     EmptyPostSelectionError,
-    JointProbTable,
     MeasurementSettings,
     and_gate_success,
     bell_S,
     bell_S_gradient,
     chsh_values,
-    correlation_E,
     correlation_grid,
     no_signaling_report,
     postselected_probs,
@@ -181,28 +179,28 @@ class TestOrthantAccuracy:
 
 class TestPostselectedProbs:
     def test_r_zero_keeps_everything(self):
-        t = postselected_probs(STATE, PI, 5 * PI / 4, 0.0)
-        assert t.kept_fraction == pytest.approx(1.0, abs=1e-9)
-        assert t.p_pp + t.p_pm + t.p_mp + t.p_mm == pytest.approx(1.0, abs=1e-12)
+        p_pp, p_pm, kept = postselected_probs(STATE, PI, 5 * PI / 4, 0.0)
+        assert kept == pytest.approx(1.0, abs=1e-9)
+        assert p_pp + p_pm + p_pm + p_pp == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("r", [0.0, 0.5, 2.0])
     @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (PI, 5 * PI / 4)])
     def test_separable_uniform(self, alpha, beta, r):
-        t = postselected_probs(SEPARABLE, alpha, beta, r)
-        for p in (t.p_pp, t.p_pm, t.p_mp, t.p_mm):
+        p_pp, p_pm, _ = postselected_probs(SEPARABLE, alpha, beta, r)
+        for p in (p_pp, p_pm):
             assert p == pytest.approx(0.25, abs=1e-10)
 
     def test_large_r_tail_dominance(self):
         bg = position_joint_density(STATE, PI, 5 * PI / 4)
         assert bg.corr > 0
         r = 3.0 * max(bg.std1, bg.std2)
-        t = postselected_probs(STATE, PI, 5 * PI / 4, r)
-        assert t.p_pp + t.p_mm > 0.99
+        p_pp, _, kept = postselected_probs(STATE, PI, 5 * PI / 4, r)
+        assert p_pp + p_pp > 0.99
         # cross-check the kept mass against direct sampling
         est, se = oracles.mc_quadrant_probability(
             bg.var1, bg.var2, bg.corr, 1, 1, r, n=10_000_000, seed=7
         )
-        assert abs(est - t.p_pp * t.kept_fraction) < 4.0 * se
+        assert abs(est - p_pp * kept) < 4.0 * se
 
     def test_empty_postselection_rejected(self):
         with pytest.raises(EmptyPostSelectionError):
@@ -216,29 +214,19 @@ class TestPostselectedProbs:
     @settings(max_examples=25, deadline=None)
     @given(valid_states(), angles, angles, dark_widths)
     def test_table_invariants(self, state, alpha, beta, r):
-        t = postselected_probs(state, alpha, beta, r)
-        total = t.p_pp + t.p_pm + t.p_mp + t.p_mm
-        assert total == pytest.approx(1.0, abs=1e-9)
-        assert t.p_pp == t.p_mm and t.p_pm == t.p_mp
-        assert 0.0 < t.kept_fraction <= 1.0 + 1e-12
+        p_pp, p_pm, kept = postselected_probs(state, alpha, beta, r)
+        assert p_pp + p_pm + p_pm + p_pp == pytest.approx(1.0, abs=1e-9)
+        assert 0.0 < kept <= 1.0 + 1e-12
 
     def test_kept_fraction_strictly_decreasing_in_r(self):
         kfs = [
-            postselected_probs(STATE, PI, 5 * PI / 4, r).kept_fraction
+            postselected_probs(STATE, PI, 5 * PI / 4, r)[2]
             for r in np.linspace(0.0, 3.0, 13)
         ]
         assert all(a > b for a, b in zip(kfs, kfs[1:]))
 
 
 class TestCorrelationE:
-    def test_uniform_table(self):
-        t = JointProbTable(0.25, 0.25, 0.25, 0.25, 1.0)
-        assert correlation_E(t) == 0.0
-
-    def test_perfect_table(self):
-        t = JointProbTable(0.5, 0.0, 0.0, 0.5, 1.0)
-        assert correlation_E(t) == 1.0
-
     @pytest.mark.parametrize("rho", [-0.9, -0.2, 0.0, 0.35, 0.95])
     def test_arcsine_law_at_r_zero(self, rho):
         bg = BivariateGaussian(var1=1.0, var2=1.0, corr=rho)
@@ -259,7 +247,7 @@ class TestSignExpectation:
     @settings(max_examples=25, deadline=None)
     @given(valid_states(), angles, angles)
     def test_matches_postselection_free_limit(self, state, alpha, beta):
-        e0 = correlation_E(postselected_probs(state, alpha, beta, 0.0))
+        e0 = float(correlation_grid(state, alpha, beta, 0.0))
         assert sign_expectation(state, alpha, beta) == pytest.approx(e0, abs=1e-8)
 
     @pytest.mark.parametrize(
@@ -327,17 +315,17 @@ class TestAndGate:
 class TestNoSignaling:
     @pytest.mark.parametrize("r", [0.0, 0.5, 1.5])
     def test_all_marginals_half(self, r):
-        report = no_signaling_report(STATE, REFERENCE_SETTINGS, r)
-        assert report.max_deviation <= 1e-9
-        assert np.allclose(report.alice_plus, 0.5, atol=1e-9)
-        assert np.allclose(report.bob_plus, 0.5, atol=1e-9)
+        plus, max_dev = no_signaling_report(STATE, REFERENCE_SETTINGS, r)
+        assert max_dev <= 1e-9
+        assert np.allclose(plus, 0.5, atol=1e-9)
+        assert np.allclose(plus.T, 0.5, atol=1e-9)
 
     def test_marginals_independent_of_partner_setting(self):
-        report = no_signaling_report(STATE, REFERENCE_SETTINGS, 0.8)
-        assert report.alice_plus[0, 0] == pytest.approx(
-            report.alice_plus[0, 1], abs=1e-9
-        )
-        assert report.bob_plus[1, 0] == pytest.approx(report.bob_plus[1, 1], abs=1e-9)
+        plus, _ = no_signaling_report(STATE, REFERENCE_SETTINGS, 0.8)
+        # Alice's P(+) at her setting alpha against beta and beta'
+        assert plus[0, 0] == pytest.approx(plus[0, 1], abs=1e-9)
+        # Bob's, plus.T, at his setting beta' against alpha and alpha'
+        assert plus.T[1, 0] == pytest.approx(plus.T[1, 1], abs=1e-9)
 
 
 class TestSweep:
@@ -353,23 +341,19 @@ class TestSweep:
 
     def test_large_r_approaches_square_wave(self):
         beta_plateau = 5 * PI / 4  # plateau point of the imaging-arm curve
-        e0 = abs(
-            correlation_E(postselected_probs(STATE, PI, beta_plateau, 0.0))
-        )
-        e_large = abs(
-            correlation_E(postselected_probs(STATE, PI, beta_plateau, 2.5))
-        )
+        e0 = abs(float(correlation_grid(STATE, PI, beta_plateau, 0.0)))
+        e_large = abs(float(correlation_grid(STATE, PI, beta_plateau, 2.5)))
         assert e_large > e0
         assert e_large > 0.95
 
     def test_periodicity_in_beta(self):
-        e1 = correlation_E(postselected_probs(STATE, PI, 0.7, 0.5))
-        e2 = correlation_E(postselected_probs(STATE, PI, 0.7 + 2.0 * PI, 0.5))
+        e1 = float(correlation_grid(STATE, PI, 0.7, 0.5))
+        e2 = float(correlation_grid(STATE, PI, 0.7 + 2.0 * PI, 0.5))
         assert e1 == pytest.approx(e2, abs=1e-10)
 
     def test_postselection_strengthens_correlation(self):
         vals = [
-            abs(correlation_E(postselected_probs(STATE, PI, 5 * PI / 4, r)))
+            abs(float(correlation_grid(STATE, PI, 5 * PI / 4, r)))
             for r in (0.0, 0.5, 1.0, 2.0)
         ]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
@@ -408,14 +392,14 @@ class TestCorrelationGrid:
     @example(NEAR_EPR, [-2.5, PI, 7.0], [-0.3, 5 * PI / 4, 13.0], 2.0)
     @example(SEPARABLE, [0.0, -PI], [PI / 2, 2.0 * PI + 1.0], 0.5)
     def test_bit_identical_to_scalar_path(self, state, alphas, betas, r):
-        # every element of one batched call equals the 1x1 call of
-        # postselected_probs, which guards the stacking of the +rho and -rho
-        # orthants and the batched tail rule
+        # every element of one batched call equals the scalar call, which
+        # guards the stacking of the +rho and -rho orthants and the batched
+        # tail rule
         grid = correlation_grid(state, np.array(alphas)[:, None], betas, r)
         assert grid.shape == (len(alphas), len(betas))
         for i, a in enumerate(alphas):
             for j, b in enumerate(betas):
-                assert grid[i, j] == correlation_E(postselected_probs(state, a, b, r))
+                assert grid[i, j] == float(correlation_grid(state, a, b, r))
 
     @pytest.mark.parametrize("r", [2.0, 3.0, 4.0])
     def test_reference_grid_matches_oracle(self, r):
@@ -432,7 +416,7 @@ class TestCorrelationGrid:
         grid = [-1.0, 0.0, 2.5, 7.5]
         curve = sweep_beta(NEAR_EPR, PI / 2, 1.5, grid)
         assert curve == [
-            (b, correlation_E(postselected_probs(NEAR_EPR, PI / 2, b, 1.5))) for b in grid
+            (b, float(correlation_grid(NEAR_EPR, PI / 2, b, 1.5))) for b in grid
         ]
         assert all(type(e) is float for _, e in curve)
 
@@ -464,22 +448,22 @@ class TestCorrelationGrid:
         for n, r in enumerate(r_list):
             tables = [postselected_probs(state, x, y, r)
                       for x, y in ((a, b), (ap, b), (a, bp), (ap, bp))]
-            t_ab, t_apb, t_abp, t_apbp = tables
-            e_ab, e_apb, e_abp, e_apbp = (t.p_pp + t.p_mm - t.p_pm - t.p_mp for t in tables)
+            # each table is (p_pp, p_pm, kept), with p_mm = p_pp and p_mp = p_pm
+            (pp_ab, _, _), (pp_apb, _, _), (pp_abp, _, _), (_, pm_apbp, _) = tables
+            e_ab, e_apb, e_abp, e_apbp = (p_pp + p_pp - p_pm - p_pm for p_pp, p_pm, _ in tables)
             alice, bob = np.zeros((2, 2)), np.zeros((2, 2))
-            for k, t in enumerate(tables):
+            for k, (p_pp, p_pm, _) in enumerate(tables):
                 i, j = k % 2, k // 2
-                assert e[n, i, j] == t.p_pp + t.p_mm - t.p_pm - t.p_mp
-                alice[i, j] = t.p_pp + t.p_pm
-                bob[j, i] = t.p_pp + t.p_mp
+                assert e[n, i, j] == p_pp + p_pp - p_pm - p_pm
+                alice[i, j] = p_pp + p_pm  # P(+,+) + P(+,-)
+                bob[j, i] = p_pp + p_pm  # P(+,+) + P(-,+)
             assert s[n] == e_ab + e_apb + e_abp - e_apbp
             assert p_and[n] == 0.25 * (
-                t_ab.p_pp + t_ab.p_mm + t_apb.p_pp + t_apb.p_mm
-                + t_abp.p_pp + t_abp.p_mm + t_apbp.p_pm + t_apbp.p_mp
+                pp_ab + pp_ab + pp_apb + pp_apb + pp_abp + pp_abp + pm_apbp + pm_apbp
             )
             assert np.array_equal(plus[n], alice) and np.array_equal(plus[n].T, bob)
             assert max_dev[n] == max(np.max(np.abs(alice - 0.5)), np.max(np.abs(bob - 0.5)))
-            assert kept_pct[n] == 100.0 * sum(t.kept_fraction for t in tables) / 4.0
+            assert kept_pct[n] == 100.0 * sum(kept for _, _, kept in tables) / 4.0
 
     def test_r_sequence_raises_the_first_failing_rung(self):
         # the kept fraction underflows at r = 20 and at r = 30

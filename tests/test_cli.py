@@ -28,7 +28,8 @@ from prbox.state import GaussianTwoModeState, NonNormalizableStateError
 
 PI = math.pi
 STATE = GaussianTwoModeState(delta=0.75, gamma=1.25)
-# CSV/JSON column labels of NoSignalingReport entries [i, j]
+# CSV/JSON column labels of the marginals [i, j]: Alice's P(+) is no_signaling_report's
+# plus, and Bob's its transpose
 MARGINAL_LABELS = {
     "A": np.array([["ab", "abp"], ["apb", "apbp"]]),
     "B": np.array([["ab", "apb"], ["abp", "apbp"]]),
@@ -227,13 +228,13 @@ class TestChsh:
         rows = json.loads(capsys.readouterr().out)["results"]
         for row in rows:
             r = row["r"]
-            report = no_signaling_report(STATE, REFERENCE_SETTINGS, r)
+            plus, max_dev = no_signaling_report(STATE, REFERENCE_SETTINGS, r)
             assert row["S"] == bell_S(STATE, REFERENCE_SETTINGS, r)
             assert row["P_AND"] == and_gate_success(STATE, REFERENCE_SETTINGS, r)
-            assert row["max_marginal_dev"] == report.max_deviation
-            for who, plus in (("A", report.alice_plus), ("B", report.bob_plus)):
+            assert row["max_marginal_dev"] == max_dev
+            for who, marginal in (("A", plus), ("B", plus.T)):
                 for (i, j), label in np.ndenumerate(MARGINAL_LABELS[who]):
-                    assert row[f"{who}_plus_{label}"] == plus[i, j]
+                    assert row[f"{who}_plus_{label}"] == marginal[i, j]
 
     def test_first_failing_rung_is_named(self, tmp_path, capsys):
         # the kept fraction underflows at r = 20 and at r = 30
@@ -377,11 +378,11 @@ class TestOptimize:
         assert len(row) == len(header) == 10
         assert dict(zip(header, row))["reproduce"] == "prbox-sim optimize --config " + shlex.quote(cfg)
 
-    def test_a_grid_it_cannot_hold_exits_3_naming_the_step(self, tmp_path, capsys):
+    def test_a_grid_it_cannot_hold_exits_2_naming_the_step(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "r = 1\nangle_grid_step = 1e-9\n")
-        assert main(["optimize", "--config", cfg]) == 3
+        assert main(["optimize", "--config", cfg]) == 2
         assert capsys.readouterr() == ("", (
-            f"numerical failure: angle_grid_step must be finite and give {MIN_GRID_ANGLES} "
+            f"config error: angle_grid_step must be finite and give {MIN_GRID_ANGLES} "
             f"to {MAX_GRID_ANGLES} grid angles per axis, got 1e-09\n"))
 
     def test_more_than_one_r_is_a_config_error(self, tmp_path, capsys):

@@ -1,11 +1,13 @@
 import argparse
 import math
+import re
 from dataclasses import fields
 
 import pytest
 
 from prbox import cli, config
 from prbox.config import ConfigError, RunConfig, parse_config_text, parse_number
+from prbox.optimize import MAX_GRID_ANGLES, MIN_GRID_ANGLES, angle_grid
 
 PI = math.pi
 
@@ -91,6 +93,22 @@ class TestParseConfig:
     def test_negative_r_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text("r = -0.5\n")
+
+    @pytest.mark.parametrize("text", ["0", "-0.1", "1e-9", "2pi/257", "pi", "4", "2pi", "10"])
+    def test_grid_step_it_cannot_hold_rejected(self, text):
+        # optimize's grid rule and message, refused before any command runs
+        step = parse_number(text)
+        message = (f"angle_grid_step must be finite and give {MIN_GRID_ANGLES} to "
+                   f"{MAX_GRID_ANGLES} grid angles per axis, got {step}")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config_text(f"angle_grid_step = {text}\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            RunConfig(angle_grid_step=step)
+
+    @pytest.mark.parametrize("text", ["2pi/256", "pi/12", "3.14"])
+    def test_grid_step_it_can_hold_accepted(self, text):
+        cfg = parse_config_text(f"angle_grid_step = {text}\n")
+        assert MIN_GRID_ANGLES <= len(angle_grid(cfg.angle_grid_step)) <= MAX_GRID_ANGLES
 
     def test_overrides_win(self):
         cfg = parse_config_text("mc_seed = 1\n", overrides={"mc_seed": 42})

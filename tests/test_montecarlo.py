@@ -14,7 +14,6 @@ from prbox.chsh import (
     REFERENCE_SETTINGS,
     MeasurementSettings,
     bell_S,
-    correlation_E,
     postselected_probs,
     setting_pairs,
 )
@@ -108,7 +107,7 @@ class TestSimulateCounts:
     def test_kept_fraction_matches_analytic(self):
         n = 1_000_000
         c = simulate_counts(STATE, PI, 5 * PI / 4, 0.8, n, seed=8)
-        kf_analytic = postselected_probs(STATE, PI, 5 * PI / 4, 0.8).kept_fraction
+        kf_analytic = postselected_probs(STATE, PI, 5 * PI / 4, 0.8)[2]
         kf_hat = c.n_kept / n
         se = math.sqrt(kf_analytic * (1 - kf_analytic) / n)
         assert abs(kf_hat - kf_analytic) < 4.0 * se

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -66,13 +67,18 @@ def test_compare_outputs_names_the_json_outputs_of_a_changed_tree(tmp_path):
     ]
 
 
-@pytest.mark.parametrize("workload,failed_share", [("search", 0.0), ("sample", 0.25)],
-                         ids=["search", "sample"])
-def test_benchmark_workload_runs_and_checks(tmp_path, workload, failed_share):
+@pytest.mark.parametrize(
+    "workload,trace,failed_share",
+    [("search", 1, 0.0), ("sample", 1, 0.25), ("table", 1, 0.0), ("table", 0, 0.0)],
+    ids=["search", "sample", "table", "table-untraced"],
+)
+def test_benchmark_workload_runs_and_checks(tmp_path, workload, trace, failed_share):
     # a copy, as perfbench/run.py writes .perfbench_runs/ under its checkout;
-    # the traced pass calls bell_S, tune_r and maximize_S (search) and the
-    # Monte Carlo layers (sample) through its wrappers; one sample
-    # invocation in four runs short of kept counts and exits 3 by design
+    # the traced pass calls bell_S, tune_r and maximize_S (search), the
+    # Monte Carlo layers (sample) and the chsh and sweep layers (table)
+    # through its wrappers; one sample invocation in four runs short of kept
+    # counts and exits 3 by design; the untraced pass, with its set-up
+    # launches, is the one whose metrics the benchmark compares
     ignore = shutil.ignore_patterns("__pycache__", ".perfbench_runs")
     for name in ("src", "perfbench"):
         shutil.copytree(ROOT / name, tmp_path / name, ignore=ignore)
@@ -80,10 +86,13 @@ def test_benchmark_workload_runs_and_checks(tmp_path, workload, failed_share):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", "0.5",
-         "--trace", "1"],
+         "--trace", str(trace)],
         cwd=tmp_path, capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"], proc.stderr
     assert result["failed"] <= failed_share * result["attempted"], proc.stderr
+    if not trace:
+        for name in ("setup_s", "call_s", "peak_rss_mb"):
+            assert math.isfinite(result["metrics"][name]["value"]), name
