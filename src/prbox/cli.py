@@ -16,10 +16,10 @@ goes to ``out_path`` or stdout, any other name into the ``out_path``
 directory (``sweep``'s file per curve and its reference curve).  In both,
 the ``E_*`` correlation columns of ``chsh`` are printed at 3 decimals,
 other floats at ``precision`` significant digits with -0 as 0, and the
-rest as they are.
-JSON is written in one pass from the document to text, with the bytes of
-``json.dumps(indent=2, sort_keys=True)``: a float is the repr of its CSV
-cell read back, or NaN, Infinity, -Infinity.
+rest as they are; one helper states the float formats.  JSON has the
+bytes of ``json.dumps(indent=2, sort_keys=True)``: a float is the repr of
+its CSV cell read back, or NaN, Infinity, -Infinity.  One % call formats
+all its floats; only tokens that may not be their repr are rewritten.
 
 Exit codes: 0 success, 2 config validation failure, 3 numerical failure,
 4 I/O failure.
@@ -57,44 +57,82 @@ _E_COLUMNS = tuple("E_" + label for label in chsh_mod.SETTING_LABELS)
 _OUTCOMES = ("pp", "pm", "mp", "mm")
 # JSON's spelling of the non-finite floats.
 _JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# A float's JSON slot is its % format behind the mark \x00, then \x01 if each
+# token is rewritten (fixed-point ones keep trailing zeros; 16 or 17 digits may
+# outrun the repr).  Other tokens are rewritten if they have neither point nor
+# exponent, an e+ exponent (repr is positional below 1e16) or one of -308 or
+# less (maybe subnormal).  A token ends at a comma or a line break.
+_NOT_REPR = re.compile(
+    r"\x00(?:\x01[^,\n]*|[-0-9]+(?=[,\n])|[-0-9.]*e(?:\+|-30[89]|-3[12][0-9])[0-9]*|nan|-?inf)"
+)
 
 
-def _json_text(v, precision: int, key: str = "", indent: str = "\n") -> str:
-    """v as JSON text, keys sorted and indented by two spaces; a float is
+def _json_text(doc: dict, precision: int) -> str:
+    """doc as JSON text, keys sorted and indented by two spaces; a float is
     float.__repr__ of its CSV cell, or NaN, Infinity, -Infinity."""
+    values = []
+    text = _json_template(doc, precision, values) % tuple(values)
+    return _NOT_REPR.sub(_json_repr, text).replace("\x00", "")
+
+
+def _json_repr(token: re.Match) -> str:
+    text = repr(float(token[0].lstrip("\x00\x01")))  # 2e+308 reads back as inf
+    return _JSON_SPECIAL.get(text, text)
+
+
+def _json_template(v, precision: int, values: list, key: str = "", indent: str = "\n") -> str:
+    """v as a JSON % template, keys sorted and indented by two spaces, with
+    a slot for each float, whose value is appended to values; a float array
+    is one step: all its values at once and one row's template repeated."""
     inner = indent + "  "
     if isinstance(v, dict):
-        items = [head + (_json_float(k, x, precision) if type(x := v[k]) is float
-                         else _json_text(x, precision, k, inner))
-                 for k, head in _json_heads(tuple(v), inner)]
+        items = []
+        for k, head, slot, zero in _json_heads(tuple(v), inner, precision):
+            if type(x := v[k]) is float:
+                values.append(x + zero)
+            else:
+                slot = head + _json_template(x, precision, values, k, inner)
+            items.append(slot)
         return "{" + ",".join(items) + indent + "}" if items else "{}"
+    if isinstance(v, np.ndarray):
+        if not (v.ndim and v.size and v.dtype.kind == "f"):
+            return _json_template(v.tolist(), precision, values, key, indent)
+        values += (v + 0.0).ravel().tolist()
+        row = _json_template(v[0] if v.ndim > 1 else 0.0, precision, [], "", inner)
+        return "[" + inner + ("," + inner).join([row] * len(v)) + indent + "]"
     if isinstance(v, (list, tuple)):
-        items = [_json_float("", x, precision) if type(x) is float
-                 else _json_text(x, precision, "", inner) for x in v]
+        items = [_json_template(x, precision, values, "", inner) for x in v]
         return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
     if isinstance(v, str):
-        return _json_str(v)
+        return _json_str(v).replace("%", "%%")
     if isinstance(v, int):  # bool is an int
         return "true" if v is True else "false" if v is False else int.__repr__(v)
-    return _json_float(key, v, precision)
+    _, zero, slot = _float_format(key, precision)
+    values.append(v + zero)
+    return slot
 
 
 @functools.lru_cache(maxsize=64)
-def _json_heads(keys: tuple, indent: str) -> tuple[tuple[str, str], ...]:
-    """Each key in sorted order, with its text up to the value: rows that
-    share their keys sort them once."""
-    return tuple((k, indent + _json_str(k) + ": ") for k in sorted(keys))
+def _json_heads(keys: tuple, indent: str, precision: int) -> tuple[tuple, ...]:
+    """Each key in sorted order, with its text up to the value, that text
+    and the key's float slot, and the slot's zero: rows that share their
+    keys sort them once."""
+    heads = []
+    for k in sorted(keys):
+        head = indent + _json_str(k).replace("%", "%%") + ": "
+        _, zero, slot = _float_format(k, precision)
+        heads.append((k, head, head + slot, zero))
+    return tuple(heads)
 
 
-def _json_float(key: str, v, precision: int) -> str:
-    text = _cell(key, v, precision)
-    # A normal double's cell at <= 15 significant digits is its repr, unless
-    # the notations differ: E+ (repr is positional below 1e16) or no point.
-    if (precision <= 15 and key not in _E_COLUMNS and "e+" not in text
-            and ("." in text or "e" in text) and abs(v) >= sys.float_info.min):
-        return text
-    text = repr(float(text))  # 2e+308 reads back as inf
-    return _JSON_SPECIAL.get(text, text)
+def _float_format(key: str, precision: int) -> tuple[str, float, str]:
+    """The % format of a float under key, the zero to add to the float
+    first, and its JSON slot: an E column at 3 decimals as it is (v + -0.0
+    is v), any other float at precision significant digits with -0 as 0."""
+    if key in _E_COLUMNS:
+        return "%.3f", -0.0, "\x00\x01%.3f"
+    fmt = f"%.{precision}g"
+    return fmt, 0.0, ("\x00\x01" if precision > 15 else "\x00") + fmt
 
 
 def _cell(key: str, v, precision: int) -> str:
@@ -102,9 +140,8 @@ def _cell(key: str, v, precision: int) -> str:
         return '"' + v.replace('"', '""') + '"' if any(c in v for c in ',"\r\n') else v
     if isinstance(v, int):
         return str(v)
-    if key in _E_COLUMNS:
-        return f"{v:.3f}"
-    return f"{v + 0.0:.{precision}g}"  # + 0.0 prints -0 as 0
+    fmt, zero, _ = _float_format(key, precision)
+    return fmt % (v + zero)
 
 
 def _csv_text(rows: list[dict], precision: int, header: list[str] | None = None) -> str:
@@ -163,17 +200,15 @@ def cmd_sweep(cfg: RunConfig) -> int:
     e = chsh_mod.correlation_grid(
         state, np.array(cfg.sweep_alphas)[:, None, None], grid, np.array(r_dim)[:, None]
     )
-    curves = [
-        {"alpha_rad": alpha, "r": r, "points": list(zip(grid, points))}
-        for (alpha, r), points in zip(pairs, e.reshape(len(pairs), -1).tolist())
-    ]
+    points = np.stack(np.broadcast_arrays(grid, e.reshape(len(pairs), -1)), -1)  # (beta, E) rows
+    curves = [{"alpha_rad": alpha, "r": r, "points": p} for (alpha, r), p in zip(pairs, points)]
     doc, files = {"curves": curves}, {}
     if cfg.reference_curve:
         doc["reference"] = chsh_mod.quantum_reference_curve(grid, cfg.reference_phase)
     if cfg.out_format == "csv":  # a JSON run builds no rows
         files = {
             name: [{"beta_rad": b, "E": e, "alpha_rad": c["alpha_rad"], "r": c["r"]}
-                   for b, e in c["points"]]
+                   for b, e in c["points"].tolist()]
             for c, name in zip(curves, names)
         }
         if cfg.reference_curve:
@@ -189,8 +224,10 @@ def cmd_chsh(cfg: RunConfig) -> int:
         state, _settings(cfg), np.array(cfg.r_dimensionless())[:, None, None]
     ))
     # Alice's P(+) at (alpha_i, beta_j) is Bob's at (beta_j, alpha_i): the A
-    # columns run over i then j, the B columns in SETTING_LABELS order
+    # columns run over i then j, plus[..., i, j] naming the label whose setting
+    # column is flat index 2i + j; the B columns run in SETTING_LABELS order
     labels = chsh_mod.SETTING_LABELS
+    ij = np.argsort(chsh_mod.setting_columns(np.arange(4).reshape(2, 2)))
     columns = {
         "H_ave_pct": kept_pct,
         **dict(zip(_E_COLUMNS, chsh_mod.setting_columns(e))),
@@ -198,7 +235,7 @@ def cmd_chsh(cfg: RunConfig) -> int:
         "P_AND": p_and,
         "fidelity": np.array([chsh_mod.pr_fidelity(x) for x in s.tolist()]),
         "max_marginal_dev": max_dev,
-        **{"A_plus_" + k: x for k, x in zip(("ab", "abp", "apb", "apbp"), plus.reshape(-1, 4).T)},
+        **{"A_plus_" + labels[k]: x for k, x in zip(ij, plus.reshape(-1, 4).T)},
         **{"B_plus_" + k: x for k, x in zip(labels, chsh_mod.setting_columns(plus))},
     }
     values = np.stack(list(columns.values()), axis=-1).tolist()

@@ -236,6 +236,18 @@ class TestChsh:
                 for (i, j), label in np.ndenumerate(MARGINAL_LABELS[who]):
                     assert row[f"{who}_plus_{label}"] == marginal[i, j]
 
+    def test_a_plus_columns_are_the_tables_at_their_setting_pairs(self, tmp_path, capsys):
+        # A_plus_<k> is Alice's P(+) at k's (alpha_i, beta_j), as setting_pairs
+        # names it, whatever order the columns are written in
+        cfg = write_config(tmp_path, "r = 0.4, 1.3\nprecision = 17\n")
+        assert main(["chsh", "--config", cfg, "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["results"]
+        pairs = dict(zip(chsh.SETTING_LABELS, chsh.setting_pairs(REFERENCE_SETTINGS)))
+        for row in rows:
+            for label, (alpha, beta) in pairs.items():
+                p_pp, p_pm, _ = chsh.postselected_tables(STATE, alpha, beta, row["r"])
+                assert row["A_plus_" + label] == float(p_pp + p_pm)
+
     def test_first_failing_rung_is_named(self, tmp_path, capsys):
         # the kept fraction underflows at r = 20 and at r = 30
         with pytest.raises(EmptyPostSelectionError) as rung:
@@ -377,6 +389,20 @@ class TestOptimize:
         header, row = csv.reader(io.StringIO(capsys.readouterr().out, newline=""))
         assert len(row) == len(header) == 10
         assert dict(zip(header, row))["reproduce"] == "prbox-sim optimize --config " + shlex.quote(cfg)
+
+    def test_percent_in_the_reproduce_string_is_written_as_it_is(self, tmp_path, monkeypatch):
+        docs = []
+        write = cli._write
+        monkeypatch.setattr(
+            cli, "_write", lambda cfg, doc, *rest: docs.append(doc) or write(cfg, doc, *rest)
+        )
+        cfg = write_config(tmp_path, "r = 0.5\nangle_grid_step = pi/4\nrefine_tol = 1e-2\n")
+        out = tmp_path / "100%s %%d.json"
+        assert main(["optimize", "--config", cfg, "--format", "json", "--out", str(out)]) == 0
+        (doc,) = docs
+        assert doc["reproduce"].endswith(shlex.quote(str(out)))
+        expected = old_json_text({"schema_version": cli.SCHEMA_VERSION, **doc}, 6)
+        assert out.read_bytes() == expected.encode()
 
     def test_a_grid_it_cannot_hold_exits_2_naming_the_step(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "r = 1\nangle_grid_step = 1e-9\n")
@@ -523,7 +549,10 @@ class TestMain:
 
 def old_json_value(v, precision: int, key: str = ""):
     """The JSON rule as it was before the one-pass writer, kept as the
-    oracle: the document with each float read back from its CSV cell."""
+    oracle: the document with each float read back from its CSV cell, and
+    an ndarray read as its tolist()."""
+    if isinstance(v, np.ndarray):
+        return old_json_value(v.tolist(), precision, key)
     if isinstance(v, dict):
         return {k: old_json_value(x, precision, k) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
@@ -614,5 +643,10 @@ class TestOutputRule:
 
     @given(st.dictionaries(JSON_KEYS, JSON_DOCUMENTS, max_size=5), st.sampled_from(PRECISIONS))
     @example({"": [], "E_ab": {}, "\u00e9\"": ("x\\y", True, 0, -0.0)}, 6)
+    @example({"%": 0.0, "%s": "%%d", "E_%s": -0.0}, 6)
+    @example({"": ["%s", "%%", 0.5]}, 15)
+    @example({"E_ab": [np.array([[0.0, -0.0], [2.5, 1e300]]), np.array([5e-324, 0.1])]}, 1)
+    @example({"r": np.array([1.0, np.nan, -np.inf, 1e17]), "E_ab": np.array(-0.0)}, 17)
+    @example({"S": 5e-324, "": [1.570376581136e-312, -2.2250738585072e-308]}, 15)
     def test_any_document_is_the_old_rule(self, doc, precision):
         assert cli._json_text(doc, precision) + "\n" == old_json_text(doc, precision)

@@ -36,10 +36,10 @@ def test_chsh_trend_runs():
     assert p_and == f"{and_gate_success(state, REFERENCE_SETTINGS, 1.0):.4f}"
 
 
-def _compare_outputs(other_src):
+def _compare_outputs(other_src, *flags):
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "compare_outputs.py"), str(other_src),
-         "--workload", "table", "--seeds", "1"],
+         "--workload", "table", "--seeds", "1", *flags],
         capture_output=True, text=True, timeout=300,
     )
 
@@ -48,6 +48,13 @@ def test_compare_outputs_passes_on_the_same_tree():
     proc = _compare_outputs(ROOT / "src")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout == "0 of 6 outputs differ\n"
+
+
+def test_compare_outputs_runs_each_call_at_each_precision():
+    # precision 1 and 17 are where the JSON writer rewrites most float tokens
+    proc = _compare_outputs(ROOT / "src", "--precision", "1", "17")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == "0 of 12 outputs differ\n"
 
 
 def test_compare_outputs_names_the_json_outputs_of_a_changed_tree(tmp_path):
