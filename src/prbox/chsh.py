@@ -36,8 +36,7 @@ import numpy as np
 import scipy.integrate  # noqa: F401
 from scipy.special import log_ndtr, ndtr, owens_t, roots_laguerre
 
-from .state import BivariateGaussian, GaussianTwoModeState, _require
-from .state import position_joint_density, rotated_block
+from .state import BivariateGaussian, GaussianTwoModeState, _require, rotated_block
 
 # Relative accuracy target of an orthant mass.  Owen's T form errs by about
 # 1e-14 of its leading term, so it meets the target while the mass is at
@@ -222,14 +221,6 @@ def correlation_grid(state: GaussianTwoModeState, alpha, beta, r):
     beta, r), from one postselected_tables call."""
     p_pp, p_pm, _ = postselected_tables(state, alpha, beta, r)
     return _correlation(p_pp, p_pm)
-
-
-def sign_expectation(
-    state: GaussianTwoModeState, alpha: float, beta: float
-) -> float:
-    """<sgn(x1) sgn(x2)> without post-selection: (2/pi) asin(corr)."""
-    rho = position_joint_density(state, alpha, beta).corr
-    return (2.0 / math.pi) * math.asin(rho)
 
 
 SETTING_LABELS = ("ab", "apb", "abp", "apbp")

@@ -11,7 +11,7 @@ import math
 import re
 from dataclasses import dataclass, fields
 
-from .optimize import angle_grid
+from .optimize import ANGLE_GRID_STEP, REFINE_TOL, angle_grid
 
 _PI_RE = re.compile(r"^([+-]?)(\d+(?:\.\d+)?)?pi(?:/(\d+(?:\.\d+)?))?$")
 _FRACTION_RE = re.compile(r"^([+-]?\d+(?:\.\d+)?)/(\d+(?:\.\d+)?)$")
@@ -98,8 +98,8 @@ class RunConfig:
     frft_max_stages: int = 2
     frft_angle_tol: float = 1e-3
     # optimizer
-    angle_grid_step: float = math.pi / 12.0
-    refine_tol: float = 1e-4
+    angle_grid_step: float = ANGLE_GRID_STEP
+    refine_tol: float = REFINE_TOL
     target_fidelity: float = 0.0
     tune_r_max: float = 3.0
     # output

@@ -32,14 +32,6 @@ def frft_distance(order: float, focal_cm: float) -> float:
     return 2.0 * focal_cm * math.sin(0.5 * order) ** 2
 
 
-def frft_order_from_distance(z_cm: float, focal_cm: float) -> float:
-    """Inverse design rule: the order in (0, pi] realized at distance z."""
-    half_turn_z = frft_distance(math.pi, focal_cm)  # 2f
-    if not 0.0 < z_cm <= half_turn_z:
-        raise ValueError(f"need 0 < z <= 2f, got z={z_cm}, f={focal_cm}")
-    return 2.0 * math.asin(math.sqrt(z_cm / (2.0 * focal_cm)))
-
-
 def compose_orders(orders) -> float:
     """Sum of FRFT orders modulo 2*pi (additivity of the FRFT)."""
     orders = list(orders)

@@ -6,7 +6,8 @@ Sampling is chunked with per-chunk seeds derived deterministically from
 (seed, chunk index), so results are bit-identical for a given seed
 regardless of how many workers execute the chunks.  Each chunk is drawn and
 sign-binned block by block into reused buffers, so counts are bit-identical to
-binning ``sample_pairs`` and memory does not scale with CHUNK_SIZE.
+binning the test oracle ``sample_pairs`` (tests/oracles.py) and memory does not
+scale with CHUNK_SIZE.
 """
 
 from __future__ import annotations
@@ -106,30 +107,12 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
-def sample_pairs(bg: BivariateGaussian, n: int, seed: int) -> np.ndarray:
-    """n i.i.d. position pairs from bg as an (n, 2) array; seed-deterministic.
-    Each chunk's normals are drawn into its rows of the output and mapped in
-    place, elementwise (a 2x2 matrix product starts a second BLAS thread) and
-    block by block, so that no temporary outgrows a block."""
-    _check_count("n", n)
-    l00, l10, l11 = _cholesky_factor(bg)
-    out = np.empty((n, 2))
-    start = 0
-    for idx, m in enumerate(_chunk_sizes(n)):
-        z0, z1 = _chunk_rng(seed, idx).standard_normal(out=out[start:start + m]).T
-        start += m
-        z1 *= l11
-        for b in range(0, m, BLOCK_SIZE):  # x2 = l10 z0 + l11 z1, block by block
-            z1[b:b + BLOCK_SIZE] += l10 * z0[b:b + BLOCK_SIZE]
-        z0 *= l00
-    return out
-
-
 def _bin_chunk(args) -> np.ndarray:
     """Counts (kept, kept & up1, kept & up2, kept & up1 & up2) of one chunk, up
     meaning x > 0.  Binned block by block into reused buffers, bit-identical to
-    binning the chunk's ``sample_pairs`` rows (successive ``out=`` draws continue
-    one stream), in memory that does not scale with CHUNK_SIZE."""
+    binning the chunk's rows of the oracle ``sample_pairs`` in tests/oracles.py
+    (successive ``out=`` draws continue one stream), in memory that does not
+    scale with CHUNK_SIZE."""
     seed, idx, m, (l00, l10, l11), r = args
     rng = _chunk_rng(seed, idx)
     z = np.empty((BLOCK_SIZE, 2))

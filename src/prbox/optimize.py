@@ -31,6 +31,9 @@ MIN_STEP = 2.0**-40
 # (n, n, n) float64 arrays, 16 n^3 bytes: 268 MB at n = 256.
 MIN_GRID_ANGLES = 3
 MAX_GRID_ANGLES = 256
+# maximize_S's default grid step and quasi-Newton step bound, in radians.
+ANGLE_GRID_STEP = math.pi / 12.0
+REFINE_TOL = 1e-4
 # The most quasi-Newton steps of maximize_S, and tune_r's tolerance in r.
 MAX_STEPS = 100
 R_TOL = 1e-4
@@ -71,8 +74,8 @@ def angle_grid(angle_grid_step: float, error: type[Exception] = ValueError) -> n
 def maximize_S(
     state: GaussianTwoModeState,
     r: float,
-    angle_grid_step: float = math.pi / 12.0,
-    refine_tol: float = 1e-4,
+    angle_grid_step: float = ANGLE_GRID_STEP,
+    refine_tol: float = REFINE_TOL,
 ) -> SearchResult:
     """Grid search plus BFGS ascent of S on its exact gradient.
 

@@ -82,26 +82,12 @@ class BivariateGaussian:
     def std2(self) -> float:
         return math.sqrt(self.var2)
 
-    @property
-    def cov(self) -> float:
-        return self.corr * self.std1 * self.std2
-
-    def pdf(self, x1, x2):
-        """Joint probability density, broadcasting over array inputs."""
-        rho = self.corr
-        det = self.var1 * self.var2 * (1.0 - rho * rho)
-        if det < DET_GUARD:
-            raise ValueError("degenerate bivariate Gaussian (|corr| ~ 1)")
-        z1 = np.asarray(x1) / self.std1
-        z2 = np.asarray(x2) / self.std2
-        q = (z1 * z1 - 2.0 * rho * z1 * z2 + z2 * z2) / (1.0 - rho * rho)
-        return np.exp(-0.5 * q) / (2.0 * math.pi * math.sqrt(det))
-
 
 def _covariance_terms(state: GaussianTwoModeState) -> tuple[float, float, float]:
     """Entries a = 1/delta^2 and b = 1/gamma^2 of the momentum-space quadratic
     form A = [[a, b], [b, a]] and d = det A = a^2 - b^2, refusing states at
-    or too near the EPR limit, where no covariance matrix exists."""
+    or too near the EPR limit, where no covariance matrix exists.  Nearness
+    is d / a^2 = 1 - (b/a)^2, which does not depend on the state's scale."""
     if state.gamma <= state.delta:
         raise NonNormalizableStateError(
             f"gamma={state.gamma} <= delta={state.delta}: no covariance "
@@ -110,9 +96,10 @@ def _covariance_terms(state: GaussianTwoModeState) -> tuple[float, float, float]
     a = 1.0 / state.delta**2
     b = 0.0 if state.is_separable else 1.0 / state.gamma**2
     d = a * a - b * b
-    if d < DET_GUARD:
+    if d < DET_GUARD * a * a:
         raise NonNormalizableStateError(
-            f"state too close to the EPR limit: det(A)={d} below guard"
+            f"state too close to the EPR limit: 1 - (b/a)^2 = {d / (a * a)} "
+            f"below guard {DET_GUARD}"
         )
     return a, b, d
 
@@ -172,43 +159,3 @@ def position_joint_density(
     rotated_block at scalar angles."""
     v1, v2, rho = rotated_block(state, alpha, beta)
     return BivariateGaussian(var1=float(v1), var2=float(v2), corr=float(rho))
-
-
-def _marginal_times_conditional(var1, var2, cov, x1, x2):
-    """Bivariate normal density written as marginal(x2) * conditional(x1|x2)."""
-    cond_var = var1 - cov * cov / var2
-    mu = (cov / var2) * np.asarray(x2)
-    m2 = np.exp(-np.asarray(x2) ** 2 / (2.0 * var2)) / math.sqrt(2.0 * math.pi * var2)
-    c1 = np.exp(-((np.asarray(x1) - mu) ** 2) / (2.0 * cond_var)) / math.sqrt(
-        2.0 * math.pi * cond_var
-    )
-    return m2 * c1
-
-
-def closed_form_R_pi(state: GaussianTwoModeState, beta: float, x1, x2):
-    """Closed-form joint position density for an imaging system on photon 1
-    (rotation pi) and a beta-order transform on photon 2.
-
-    Written directly in (delta, gamma, beta) as a marginal-times-conditional
-    factorization; must agree with position_joint_density(state, pi, beta).
-    """
-    a, b, d = _covariance_terms(state)
-    cb, sb = math.cos(beta), math.sin(beta)
-    var1 = 0.5 * a
-    var2 = 0.5 * a * (cb * cb + sb * sb / d)
-    cov = -0.5 * b * cb
-    return _marginal_times_conditional(var1, var2, cov, x1, x2)
-
-
-def closed_form_R_half_pi(state: GaussianTwoModeState, beta: float, x1, x2):
-    """Closed-form joint position density for a Fourier-transform system on
-    photon 1 (rotation pi/2) and a beta-order transform on photon 2.
-
-    Must agree with position_joint_density(state, pi/2, beta).
-    """
-    a, b, d = _covariance_terms(state)
-    cb, sb = math.cos(beta), math.sin(beta)
-    var1 = 0.5 * a / d
-    var2 = 0.5 * a * (cb * cb + sb * sb / d)
-    cov = -0.5 * b * sb / d
-    return _marginal_times_conditional(var1, var2, cov, x1, x2)

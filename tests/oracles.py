@@ -5,7 +5,9 @@ covariance/marginalization machinery: moments come from direct numerical
 integration of the pair wavefunction, and sign-correlation values from
 tensor-product Gauss-Legendre quadrature of the 4D Gaussian phase-space
 density, split per quadrant so every integrand is smooth, and orthant masses
-from a 40-digit mpmath integral.
+from a 40-digit mpmath integral.  The one exception is sign_expectation,
+Sheppard's law over the package's rotated block: it checks the orthant kernel
+at r = 0 and, against the 4D quadrature, the block itself.
 """
 
 from __future__ import annotations
@@ -15,6 +17,16 @@ import math
 import mpmath
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+
+from prbox.montecarlo import CHUNK_SIZE
+from prbox.state import rotated_block
+
+
+def quad_form_terms(delta: float, gamma: float):
+    """a = 1/delta^2, b = 1/gamma^2 and d = a^2 - b^2 of the form [[a, b], [b, a]]."""
+    a = 1.0 / delta**2
+    b = 0.0 if math.isinf(gamma) else 1.0 / gamma**2
+    return a, b, a * a - b * b
 
 
 def momentum_moments(delta: float, gamma: float, lim: float = 10.0, n: int = 1201):
@@ -59,9 +71,7 @@ def position_moments(
 
 def pair_covariance_4x4(delta: float, gamma: float) -> np.ndarray:
     """Reference covariance over (x1, p1, x2, p2) assembled from scratch."""
-    a = 1.0 / delta**2
-    b = 0.0 if math.isinf(gamma) else 1.0 / gamma**2
-    d = a * a - b * b
+    a, b, d = quad_form_terms(delta, gamma)
     sigma = np.zeros((4, 4))
     sigma[0, 0] = sigma[2, 2] = 0.5 * a
     sigma[0, 2] = sigma[2, 0] = 0.5 * b
@@ -76,6 +86,64 @@ def rotate_4x4(sigma: np.ndarray, alpha: float, beta: float) -> np.ndarray:
         c, s = math.cos(theta), math.sin(theta)
         rot[i : i + 2, i : i + 2] = [[c, s], [-s, c]]
     return rot @ sigma @ rot.T
+
+
+def bivariate_pdf(var1: float, var2: float, corr: float, x1, x2):
+    """Zero-mean bivariate normal density, broadcasting over x1 and x2."""
+    det = var1 * var2 * (1.0 - corr * corr)
+    z1 = np.asarray(x1) / math.sqrt(var1)
+    z2 = np.asarray(x2) / math.sqrt(var2)
+    q = (z1 * z1 - 2.0 * corr * z1 * z2 + z2 * z2) / (1.0 - corr * corr)
+    return np.exp(-0.5 * q) / (2.0 * math.pi * math.sqrt(det))
+
+
+def _marginal_times_conditional(var1, var2, cov, x1, x2):
+    """Bivariate normal density written as marginal(x2) * conditional(x1|x2)."""
+    x1, x2 = np.asarray(x1), np.asarray(x2)
+    cond_var = var1 - cov * cov / var2
+    m2 = np.exp(-x2**2 / (2.0 * var2)) / math.sqrt(2.0 * math.pi * var2)
+    c1 = np.exp(-((x1 - (cov / var2) * x2) ** 2) / (2.0 * cond_var))
+    return m2 * c1 / math.sqrt(2.0 * math.pi * cond_var)
+
+
+def closed_form_R_pi(delta: float, gamma: float, beta: float, x1, x2):
+    """Closed-form joint position density for an imaging system on photon 1
+    (rotation pi) and a beta-order transform on photon 2, written directly in
+    (delta, gamma, beta) as a marginal-times-conditional factorization."""
+    a, b, d = quad_form_terms(delta, gamma)
+    cb, sb = math.cos(beta), math.sin(beta)
+    var2 = 0.5 * a * (cb * cb + sb * sb / d)
+    return _marginal_times_conditional(0.5 * a, var2, -0.5 * b * cb, x1, x2)
+
+
+def closed_form_R_half_pi(delta: float, gamma: float, beta: float, x1, x2):
+    """Closed-form joint position density for a Fourier-transform system on
+    photon 1 (rotation pi/2) and a beta-order transform on photon 2."""
+    a, b, d = quad_form_terms(delta, gamma)
+    cb, sb = math.cos(beta), math.sin(beta)
+    var2 = 0.5 * a * (cb * cb + sb * sb / d)
+    return _marginal_times_conditional(0.5 * a / d, var2, -0.5 * b * sb / d, x1, x2)
+
+
+def sign_expectation(state, alpha: float, beta: float) -> float:
+    """<sgn(x1) sgn(x2)> without post-selection: Sheppard's (2/pi) asin rho,
+    over the rho of the package's rotated block."""
+    rho = float(rotated_block(state, alpha, beta)[2])
+    return (2.0 / math.pi) * math.asin(rho)
+
+
+def sample_pairs(var1: float, var2: float, corr: float, n: int, seed: int) -> np.ndarray:
+    """n pairs from the zero-mean bivariate normal as an (n, 2) array: chunk k
+    of CHUNK_SIZE rows is one (m, 2) draw of default_rng(SeedSequence((seed
+    mod 2^64, k))), mapped by the Cholesky factor, x2 = l10 z0 + l11 z1."""
+    std2 = math.sqrt(var2)
+    l00, l10, l11 = math.sqrt(var1), std2 * corr, std2 * math.sqrt(1.0 - corr * corr)
+    chunks = []
+    for k, start in enumerate(range(0, n, CHUNK_SIZE)):
+        rng = np.random.default_rng(np.random.SeedSequence((seed % 2**64, k)))
+        z0, z1 = rng.standard_normal((min(CHUNK_SIZE, n - start), 2)).T
+        chunks.append(np.column_stack((l00 * z0, l10 * z0 + l11 * z1)))
+    return np.concatenate(chunks)
 
 
 def _gauss_density_4d(inv: np.ndarray, norm: float, axes) -> np.ndarray:

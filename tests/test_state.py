@@ -10,8 +10,6 @@ from prbox.state import (
     BivariateGaussian,
     GaussianTwoModeState,
     NonNormalizableStateError,
-    closed_form_R_half_pi,
-    closed_form_R_pi,
     position_joint_density,
 )
 
@@ -26,12 +24,22 @@ def oracle_sigma(state, alpha, beta):
     return oracles.rotate_4x4(sigma, alpha, beta)
 
 
+def cov(bg):
+    """Covariance of the block's two positions."""
+    return bg.corr * bg.std1 * bg.std2
+
+
+def pdf(bg, x1, x2):
+    """The oracle's density of the block."""
+    return oracles.bivariate_pdf(bg.var1, bg.var2, bg.corr, x1, x2)
+
+
 def assert_block_matches(bg, sigma, rel=1e-12):
     """The closed-form block against the (x1, x2) block of a 4x4 covariance."""
     scale = math.sqrt(sigma[0, 0] * sigma[2, 2])
     assert bg.var1 == pytest.approx(sigma[0, 0], rel=rel, abs=0.0)
     assert bg.var2 == pytest.approx(sigma[2, 2], rel=rel, abs=0.0)
-    assert bg.cov == pytest.approx(sigma[0, 2], rel=0.0, abs=rel * scale)
+    assert cov(bg) == pytest.approx(sigma[0, 2], rel=0.0, abs=rel * scale)
 
 
 class TestStateConstruction:
@@ -59,17 +67,17 @@ class TestQuadFormMatrix:
     def test_separable_identity(self):
         for alpha in (0.0, PI / 2.0):
             bg = position_joint_density(SEPARABLE, alpha, alpha)
-            assert (bg.var1, bg.var2, bg.cov) == pytest.approx((0.5, 0.5, 0.0))
+            assert (bg.var1, bg.var2, cov(bg)) == pytest.approx((0.5, 0.5, 0.0))
 
     def test_direct_substitution(self):
         a, b = 16.0 / 9.0, 16.0 / 25.0
         d = a * a - b * b
         x = position_joint_density(STATE, 0.0, 0.0)
         assert (x.var1, x.var2) == pytest.approx((a / 2, a / 2), rel=1e-15)
-        assert x.cov == pytest.approx(b / 2, rel=1e-15)
+        assert cov(x) == pytest.approx(b / 2, rel=1e-15)
         p = position_joint_density(STATE, PI / 2.0, PI / 2.0)
         assert (p.var1, p.var2) == pytest.approx((a / d / 2, a / d / 2), rel=1e-14)
-        assert p.cov == pytest.approx(-b / d / 2, rel=1e-14)
+        assert cov(p) == pytest.approx(-b / d / 2, rel=1e-14)
 
     def test_epr_limit_singular(self):
         with pytest.raises(NonNormalizableStateError, match="no covariance"):
@@ -94,14 +102,14 @@ class TestCovarianceFromState:
         bg = position_joint_density(STATE, PI / 2.0, PI / 2.0)
         assert bg.var1 == pytest.approx(v1, abs=1e-8)
         assert bg.var2 == pytest.approx(v2, abs=1e-8)
-        assert bg.cov == pytest.approx(c, abs=1e-8)
+        assert cov(bg) == pytest.approx(c, abs=1e-8)
 
     def test_position_block_against_fourier_transform_moments(self):
         v1, v2, c = oracles.position_moments(STATE.delta, STATE.gamma)
         bg = position_joint_density(STATE, 0.0, 0.0)
         assert bg.var1 == pytest.approx(v1, abs=1e-4)
         assert bg.var2 == pytest.approx(v2, abs=1e-4)
-        assert bg.cov == pytest.approx(c, abs=1e-4)
+        assert cov(bg) == pytest.approx(c, abs=1e-4)
 
     @settings(max_examples=50, deadline=None)
     @given(valid_states())
@@ -149,8 +157,11 @@ class TestRotateCovariance:
 
 class TestPositionJointDensity:
     def test_separable_has_zero_correlation(self):
-        for alpha, beta in [(0.0, 0.0), (0.3, 1.2), (PI, 5 * PI / 4)]:
-            assert position_joint_density(SEPARABLE, alpha, beta).corr == 0.0
+        # at delta = 5000, det A = 1/delta^4 = 1.6e-15, yet 1 - (b/a)^2 = 1:
+        # as far from the EPR limit as a state can be
+        for state in (SEPARABLE, GaussianTwoModeState(5000.0, math.inf)):
+            for alpha, beta in [(0.0, 0.0), (0.3, 1.2), (PI, 5 * PI / 4)]:
+                assert position_joint_density(state, alpha, beta).corr == 0.0
 
     def test_unrotated_matches_covariance_blocks(self):
         sigma = oracles.pair_covariance_4x4(STATE.delta, STATE.gamma)
@@ -194,13 +205,13 @@ class TestPositionJointDensity:
             axes = (np.array([x1]), p1, np.array([x2]), p2)
             wigner = oracles._gauss_density_4d(inv, norm, axes)[0, :, 0, :]
             marginal = np.trapezoid(np.trapezoid(wigner, p2), p1)
-            assert marginal == pytest.approx(float(bg.pdf(x1, x2)), abs=1e-5)
+            assert marginal == pytest.approx(float(pdf(bg, x1, x2)), abs=1e-5)
 
     def test_density_is_even(self):
         bg = position_joint_density(STATE, PI, 0.4)
         x = np.array([0.3, -1.2, 0.9])
         y = np.array([-0.8, 0.1, 2.0])
-        assert np.array_equal(bg.pdf(x, y), bg.pdf(-x, -y))
+        assert np.array_equal(pdf(bg, x, y), pdf(bg, -x, -y))
 
 
 class TestClosedForms:
@@ -210,16 +221,16 @@ class TestClosedForms:
     def test_imaging_form_matches_covariance_path(self, beta):
         bg = position_joint_density(STATE, PI, beta)
         x1, x2 = np.meshgrid(self.GRID, self.GRID, indexing="ij")
-        got = closed_form_R_pi(STATE, beta, x1, x2)
-        want = bg.pdf(x1, x2)
+        got = oracles.closed_form_R_pi(STATE.delta, STATE.gamma, beta, x1, x2)
+        want = pdf(bg, x1, x2)
         assert np.allclose(got, want, rtol=1e-6, atol=0)
 
     @pytest.mark.parametrize("beta", [0.0, PI / 4.0, PI / 2.0])
     def test_fourier_form_matches_covariance_path(self, beta):
         bg = position_joint_density(STATE, PI / 2.0, beta)
         x1, x2 = np.meshgrid(self.GRID, self.GRID, indexing="ij")
-        got = closed_form_R_half_pi(STATE, beta, x1, x2)
-        want = bg.pdf(x1, x2)
+        got = oracles.closed_form_R_half_pi(STATE.delta, STATE.gamma, beta, x1, x2)
+        want = pdf(bg, x1, x2)
         assert np.allclose(got, want, rtol=1e-6, atol=0)
 
     def test_imaging_beta_zero_configuration(self):
@@ -227,15 +238,15 @@ class TestClosedForms:
         bg = position_joint_density(STATE, PI, 0.0)
         assert bg.var1 == pytest.approx(0.5 / STATE.delta**2, rel=1e-12)
         assert bg.var2 == pytest.approx(0.5 / STATE.delta**2, rel=1e-12)
-        got = closed_form_R_pi(STATE, 0.0, 0.7, -0.2)
-        assert got == pytest.approx(float(bg.pdf(0.7, -0.2)), rel=1e-9)
+        got = oracles.closed_form_R_pi(STATE.delta, STATE.gamma, 0.0, 0.7, -0.2)
+        assert got == pytest.approx(float(pdf(bg, 0.7, -0.2)), rel=1e-9)
 
     @pytest.mark.parametrize("beta", [0.0, PI / 4.0, PI / 2.0, 5 * PI / 4.0])
     def test_normalization(self, beta):
         g = np.linspace(-8.0, 8.0, 401)
         x1, x2 = np.meshgrid(g, g, indexing="ij")
-        for form in (closed_form_R_pi, closed_form_R_half_pi):
-            vals = form(STATE, beta, x1, x2)
+        for form in (oracles.closed_form_R_pi, oracles.closed_form_R_half_pi):
+            vals = form(STATE.delta, STATE.gamma, beta, x1, x2)
             assert np.all(vals >= 0.0)
             assert np.all(np.isfinite(vals))
             total = np.trapezoid(np.trapezoid(vals, g, axis=1), g)
@@ -252,6 +263,6 @@ class TestBivariateGaussian:
     def test_pdf_peak(self):
         bg = BivariateGaussian(var1=2.0, var2=0.5, corr=0.3)
         det = 2.0 * 0.5 * (1 - 0.09)
-        assert float(bg.pdf(0.0, 0.0)) == pytest.approx(
+        assert float(pdf(bg, 0.0, 0.0)) == pytest.approx(
             1.0 / (2 * PI * math.sqrt(det)), rel=1e-12
         )

@@ -1,8 +1,10 @@
 """The benchmark's traced pass wraps prbox functions by name, and reads the
 import times of prbox and scipy.integrate; a renamed or removed function, or
 an import dropped from prbox, breaks it.  Checked here against
-perfbench/spans.py and perfbench/run.py."""
+perfbench/spans.py and perfbench/run.py, together with the rule that src/
+holds only what the package, scripts/ or the traced pass use."""
 
+import ast
 import importlib
 import importlib.util
 import math
@@ -11,7 +13,8 @@ from pathlib import Path
 
 import prbox
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def load_perfbench(name: str):
@@ -51,3 +54,19 @@ def test_traced_pass_reads_both_import_times(monkeypatch):
     times = load_perfbench("run").import_seconds()
     for key in ("setup.import_prbox_s", "setup.import_scipy_integrate_s"):
         assert math.isfinite(times[key]), key
+
+
+def test_every_public_name_in_src_is_used_outside_the_tests():
+    # a name counts as used where code (not a docstring) in src/ or scripts/
+    # loads it, or where spans.TRACED wraps it; test oracles live in tests/
+    defined, used = set(), {name for _, name in load_perfbench("spans").TRACED}
+    for path in [*sorted((ROOT / "src" / "prbox").glob("*.py")),
+                 *sorted((ROOT / "scripts").glob("*.py"))]:
+        tree = ast.parse(path.read_text(), str(path))
+        if path.parent.name == "prbox":
+            defined |= {f"{path.stem}.{node.name}" for node in tree.body
+                        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                        and not node.name.startswith("_")}
+        used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert sorted(n for n in defined if n.split(".")[1] not in used) == []
