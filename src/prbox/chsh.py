@@ -19,10 +19,12 @@ S, the AND-gate success, the no-signaling marginals and the kept fraction
 are one array formula, chsh_values, over the tables of setting_tables, the
 kernel on the (alpha, alpha') x (beta, beta') grid of a
 MeasurementSettings, its four angles, at any number of r, with S and P_AND
-weighted by CHSH_SIGN; bell_S, and_gate_success, no_signaling_report,
-bell_S_gradient, prbox-sim chsh and scripts/chsh_trend.py read from it,
-each taking r as an argument, and bell_S_gradient sums the kernel's exact
-derivatives into grad S.
+weighted by CHSH_SIGN; and_gate_success, no_signaling_report, prbox-sim
+chsh and scripts/chsh_trend.py read from it, bell_S and bell_S_gradient
+only its E and its S sum, each taking r as an argument.  The kernel forms
+its thresholds and signed correlations once at the full (2, *shape), and
+bell_S_gradient sums its exact derivatives dm, of shape (3, 2, *shape),
+into grad S.
 """
 
 from __future__ import annotations
@@ -52,6 +54,8 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # approximates the integral of exp(-u) g(u), u >= 0.
 _LAGUERRE_X, _LAGUERRE_W = roots_laguerre(20)
 _LAGUERRE_SHIFT = _LAGUERRE_X + np.log(_LAGUERRE_W)
+# Signs of the correlations of a table's (m_pp, m_pm) orthants.
+_PAIR_SIGNS = np.array([1.0, -1.0])
 
 
 class EmptyPostSelectionError(ValueError):
@@ -128,11 +132,11 @@ def _orthants(h1, h2, rho) -> np.ndarray:
     degenerate = abs(rho) >= DEGENERATE_CORR
     special = arcsine | degenerate
     tail = ~(special | (mass > CANCELLATION_SHARE * lead))
-    if special.any():
+    if np.count_nonzero(special):
         mass = np.where(arcsine, 0.25 + np.arcsin(rho) / (2.0 * math.pi), mass)
         # Z2 = Z1 almost surely; Z2 = -Z1 never exceeds h2 when Z1 > h1
         mass = np.where(degenerate, np.where(rho > 0.0, ndtr(-np.maximum(h1, h2)), 0.0), mass)
-    if tail.any():
+    if np.count_nonzero(tail):
         args = (np.broadcast_to(x, mass.shape)[tail, None] for x in (h1, h2, rho))
         mass[tail] = _tail_orthants(*args)
     return mass
@@ -155,8 +159,8 @@ def postselected_tables(state: GaussianTwoModeState, alpha, beta, r, gradient: b
     orthants of correlation rho and -rho, one call with the pair on a
     leading axis.  A bad r raises first; then the first failing element in
     C order raises its first failing check: kept >= MIN_NORMAL, p_pp, p_pm,
-    their sum, kept <= 1.  With gradient=True, also dm of shape (2, 3,
-    *shape): the derivatives of (m_pp, m_pm) in alpha, beta and r, over kept."""
+    their sum, kept <= 1.  With gradient=True, also dm of shape (3, 2,
+    *shape): the derivatives in alpha, beta and r of (m_pp, m_pm), over kept."""
     try:
         r = np.asarray(r, dtype=float)
     except ValueError:  # a ragged r such as [[1, 2], [3]] makes no float array
@@ -165,22 +169,26 @@ def postselected_tables(state: GaussianTwoModeState, alpha, beta, r, gradient: b
         raise ValueError(f"r must have an array shape, got ragged r={r!r}") from None
     _check_r(r)
     v1, v2, rho, *block_grad = rotated_block(state, alpha, beta, gradient)
-    h1, h2 = r / np.sqrt(v1), r / np.sqrt(v2)
-    # signs of the correlations of the (m_pp, m_pm) orthants, on a leading axis
-    signs = np.array([1.0, -1.0]).reshape(2, *[1] * np.broadcast(h1, h2, rho).ndim)
-    c = rho * signs
+    sd1, sd2 = np.sqrt(v1), np.sqrt(v2)
+    # the (m_pp, m_pm) orthants' thresholds and correlations, formed at the full
+    # shape with the pair on a leading axis, so the ops on them do not broadcast
+    shape = (2, *np.broadcast(r, rho).shape)
+    signs = _PAIR_SIGNS.reshape(2, *[1] * (len(shape) - 1))
+    h1, h2 = (np.divide(r, sd, out=np.empty(shape)) for sd in (sd1, sd2))
+    c = np.multiply(rho, signs, out=np.empty(shape))
     m = _orthants(h1, h2, c)
     kept = ((m[0] + m[1]) + m[1]) + m[0]
     # a kept below MIN_NORMAL fails its check, which comes first at its element;
     # dividing by at least MIN_NORMAL keeps 0/0 out of the tables until then
-    p_pp, p_pm = m / np.maximum(kept, MIN_NORMAL)
+    p_pp, p_pm = p = m / np.maximum(kept, MIN_NORMAL)
     total = ((p_pp + p_pm) + p_pm) + p_pp
+    in_unit = (-1e-12 <= p) & (p <= 1.0 + 1e-12)
     _require(
         (kept >= MIN_NORMAL, EmptyPostSelectionError,
          "kept fraction {} below the smallest normal double: dark region "
          "half-width r={} removes essentially all probability mass", kept, r),
-        ((-1e-12 <= p_pp) & (p_pp <= 1.0 + 1e-12), ValueError, "p_pp={} outside [0, 1]", p_pp),
-        ((-1e-12 <= p_pm) & (p_pm <= 1.0 + 1e-12), ValueError, "p_pm={} outside [0, 1]", p_pm),
+        (in_unit[0], ValueError, "p_pp={} outside [0, 1]", p_pp),
+        (in_unit[1], ValueError, "p_pm={} outside [0, 1]", p_pm),
         (abs(total - 1.0) <= 1e-9, ValueError, "probabilities sum to {}, expected 1", total),
         (kept <= 1.0 + 1e-12, ValueError, "kept_fraction={} outside (0, 1]", kept),
     )
@@ -191,7 +199,7 @@ def postselected_tables(state: GaussianTwoModeState, alpha, beta, r, gradient: b
     # They are taken over kept in log space, so they stay finite wherever kept
     # is a normal double.  dc/drho is +1 for m_pp and -1 for m_pm.
     dlv1, dlv2, drho_a, drho_b = block_grad
-    s, log_kept = np.sqrt(1.0 - rho * rho), np.log(kept)
+    s, log_kept = np.sqrt(1.0 - c * c), np.log(kept)  # c * c is rho * rho
     d1 = -np.exp(log_ndtr((c * h1 - h2) / s) - 0.5 * h1 * h1 - log_kept) / _SQRT_2PI
     d2 = -np.exp(log_ndtr((c * h2 - h1) / s) - 0.5 * h2 * h2 - log_kept) / _SQRT_2PI
     dc = np.exp((c * h1 * h2 - 0.5 * (h1 * h1 + h2 * h2)) / (s * s) - log_kept) / s
@@ -200,9 +208,9 @@ def postselected_tables(state: GaussianTwoModeState, alpha, beta, r, gradient: b
     dm = (
         d1 * (-h1 * dlv1) + dc * drho_a,
         d2 * (-h2 * dlv2) + dc * drho_b,
-        d1 * (1.0 / np.sqrt(v1)) + d2 * (1.0 / np.sqrt(v2)),
+        d1 * (1.0 / sd1) + d2 * (1.0 / sd2),
     )
-    return p_pp, p_pm, kept, np.stack(dm, axis=1)
+    return p_pp, p_pm, kept, np.array(dm)
 
 
 def postselected_probs(
@@ -242,6 +250,11 @@ def setting_columns(x) -> tuple:
     return x[..., 0, 0], x[..., 1, 0], x[..., 0, 1], x[..., 1, 1]
 
 
+def _bell_sum(e):
+    s_ab, s_apb, s_abp, s_apbp = setting_columns(CHSH_SIGN * e)
+    return s_ab + s_apb + s_abp + s_apbp  # S, summed in SETTING_LABELS order
+
+
 def chsh_values(p_pp, p_pm, kept):
     """(E, S, P_AND, plus, max_dev, kept_pct) of postselected_tables arrays
     whose last two axes are (alpha, alpha') x (beta, beta'), over any leading
@@ -254,8 +267,7 @@ def chsh_values(p_pp, p_pm, kept):
     deviation of a marginal from 1/2; and the average kept fraction in
     percent."""
     e = _correlation(p_pp, p_pm)
-    s_ab, s_apb, s_abp, s_apbp = setting_columns(CHSH_SIGN * e)
-    s = s_ab + s_apb + s_abp + s_apbp
+    s = _bell_sum(e)
     w_ab, w_apb, w_abp, w_apbp = setting_columns(np.where(CHSH_SIGN > 0.0, p_pp, p_pm))
     p_and = 0.25 * (w_ab + w_ab + w_apb + w_apb + w_abp + w_abp + w_apbp + w_apbp)
     plus = p_pp + p_pm
@@ -276,7 +288,8 @@ def setting_tables(state: GaussianTwoModeState, settings: MeasurementSettings, r
 
 def bell_S(state: GaussianTwoModeState, settings: MeasurementSettings, r: float) -> float:
     """S = E(a,b) + E(a',b) + E(a,b') - E(a',b') from post-selected tables at r."""
-    return float(chsh_values(*setting_tables(state, settings, r))[1])
+    p_pp, p_pm, _ = setting_tables(state, settings, r)
+    return float(_bell_sum(_correlation(p_pp, p_pm)))
 
 
 def bell_S_gradient(
@@ -284,13 +297,12 @@ def bell_S_gradient(
 ) -> tuple[float, np.ndarray]:
     """bell_S, bit-identical, and its exact gradient in (alpha, alpha', beta,
     beta', r), from the four setting tables as one postselected_tables call."""
-    p_pp, p_pm, kept, dm = setting_tables(state, settings, r, gradient=True)
-    e, s = chsh_values(p_pp, p_pm, kept)[:2]
+    p_pp, p_pm, _, dm = setting_tables(state, settings, r, gradient=True)
+    e = _correlation(p_pp, p_pm)
     # E = (m_pp - m_pm) / (m_pp + m_pm) and kept = 2 (m_pp + m_pm); S sums CHSH_SIGN * E
-    u, w = dm
-    s_a, s_b, s_r = CHSH_SIGN * (2.0 * (u * (1.0 - e) - w * (1.0 + e)))
+    s_a, s_b, s_r = CHSH_SIGN * (2.0 * (dm[:, 0] * (1.0 - e) - dm[:, 1] * (1.0 + e)))
     grad = [*s_a.sum(axis=1), *s_b.sum(axis=0), s_r.sum()]
-    return float(s), np.array(grad)
+    return float(_bell_sum(e)), np.array(grad)
 
 
 def pr_fidelity(s: float) -> float:

@@ -124,8 +124,8 @@ def maximize_S(
             if k == 0:
                 h_inv *= curv / float(dg @ dg)
             hy = h_inv @ dg
-            h_inv += (curv + dg @ hy) * np.outer(dx, dx) / curv**2
-            h_inv -= (np.outer(hy, dx) + np.outer(dx, hy)) / curv
+            h_inv += (curv + dg @ hy) * (dx[:, None] * dx) / curv**2
+            h_inv -= (hy[:, None] * dx + dx[:, None] * hy) / curv
         x, s, g = x + dx, s_new, g_new
     settings = MeasurementSettings(*map(float, x))
     return SearchResult(settings, s, iterations, converged)

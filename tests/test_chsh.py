@@ -464,6 +464,42 @@ class TestCorrelationGrid:
             assert max_dev[n] == max(np.max(np.abs(alice - 0.5)), np.max(np.abs(bob - 0.5)))
             assert kept_pct[n] == 100.0 * sum(kept for _, _, kept in tables) / 4.0
 
+    @settings(max_examples=30, deadline=None)
+    @given(grid_states, angles, angles, angles, angles,
+           st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=6.0)))
+    # Owen's T, and the tail rule, which every table takes at r = 4 and 6
+    @example(STATE, PI, PI / 2, 5 * PI / 4, 3 * PI / 4, 1.0)
+    @example(STATE, PI, PI / 2, 5 * PI / 4, 3 * PI / 4, 4.0)
+    @example(STATE, PI, PI / 2, 5 * PI / 4, 3 * PI / 4, 6.0)
+    @example(NEAR_EPR, 0.3, 2.0, 5.0, 1.0, 6.0)
+    def test_bell_S_paths_equal_chsh_values(self, state, a, ap, b, bp, r):
+        # bell_S and bell_S_gradient skip the rest of chsh_values, yet give
+        # its S bit for bit; and_gate_success still reads its P_AND
+        settings_ = MeasurementSettings(a, ap, b, bp)
+        values = chsh_values(*chsh.setting_tables(state, settings_, r))
+        assert bell_S(state, settings_, r) == values[1]
+        assert bell_S_gradient(state, settings_, r)[0] == values[1]
+        assert and_gate_success(state, settings_, r) == values[2]
+
+    @settings(max_examples=30, deadline=None)
+    @given(grid_states, wide_angles, wide_angles, r_lists, st.booleans())
+    # the arcsine law, Owen's T and the tail rule (every element at r = 4 and 6)
+    @example(STATE, REF_ALPHAS, REF_BETAS, [0.0, 1.0, 4.0, 6.0], False)
+    @example(STATE, REF_ALPHAS, REF_BETAS, [0.0, 1.0, 4.0, 6.0], True)
+    def test_values_do_not_depend_on_operand_layout(self, state, alphas, betas, r_list, gradient):
+        # numpy's SIMD loops on contiguous arrays may round differently from
+        # its strided ones, so broadcast, zero-stride and contiguous full-shape
+        # operands must give the same bits
+        operands = np.array(alphas)[:, None], np.array(betas), np.array(r_list)[:, None, None]
+        full = np.broadcast_shapes(*(x.shape for x in operands))
+        views = [np.broadcast_to(x, full) for x in operands]
+        want = chsh.postselected_tables(state, *operands, gradient)
+        for layout in (views, [x.copy() for x in views]):
+            got = chsh.postselected_tables(state, *layout, gradient)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+
     def test_r_sequence_raises_the_first_failing_rung(self):
         # the kept fraction underflows at r = 20 and at r = 30
         with pytest.raises(EmptyPostSelectionError) as rung:
@@ -474,7 +510,8 @@ class TestCorrelationGrid:
         assert str(ladder.value) == str(rung.value)
         assert "r=20.0 " in str(ladder.value)
 
-    def test_r_sequence_raises_in_the_order_of_a_loop(self, monkeypatch):
+    @pytest.mark.parametrize("gradient", [False, True])
+    def test_r_sequence_raises_in_the_order_of_a_loop(self, monkeypatch, gradient):
         # the rung at r = 2 is made to fail the p_pm check, and the rung at
         # r = 30 fails the kept check, which comes first in a call; a loop
         # over the rungs meets r = 2 first
@@ -482,16 +519,18 @@ class TestCorrelationGrid:
         orthants = chsh._orthants
 
         def negative_m_pm_at_2(h1, h2, rho):
+            # the thresholds carry the (m_pp, m_pm) pair on their leading axis
             m = orthants(h1, h2, rho)
-            m[1] = np.where(np.isin(h1, at_2), -1e-3 * m[1], m[1])
+            m[1] = np.where(np.isin(h1[1], at_2), -1e-3 * m[1], m[1])
             return m
 
         monkeypatch.setattr(chsh, "_orthants", negative_m_pm_at_2)
         with pytest.raises(ValueError) as rung:
-            chsh.postselected_tables(STATE, REF_ALPHA_COLUMN, REF_BETAS, 2.0)
+            chsh.postselected_tables(STATE, REF_ALPHA_COLUMN, REF_BETAS, 2.0, gradient)
         with pytest.raises(ValueError) as ladder:
             chsh.postselected_tables(
-                STATE, REF_ALPHA_COLUMN, REF_BETAS, np.array([1.0, 2.0, 30.0])[:, None, None])
+                STATE, REF_ALPHA_COLUMN, REF_BETAS, np.array([1.0, 2.0, 30.0])[:, None, None],
+                gradient)
         assert str(rung.value).startswith("p_pm=-")
         assert str(ladder.value) == str(rung.value)
 
