@@ -6,25 +6,25 @@ Detection outcomes are the signs of the two rotated positions; events with
 either position inside the dark strip |x| <= r are discarded, and the four
 surviving sign combinations are renormalized to a probability table.  The
 pair is a zero-mean Gaussian and the strip is symmetric, so a table takes
-two orthant masses, each Owen's T closed form in the bulk and, where that
-form cancels, a 20-node Gauss-Laguerre rule of the tail integral, evaluated
-as one array expression.  postselected_tables is the one kernel and its
-(p_pp, p_pm, kept) the one table type: alpha, beta and r broadcast as
-numpy arrays do, and a failure raises for the first failing element in C
-order.  Callers lay out their axes in output order, so prbox-sim chsh over
-its r rungs and prbox-sim sweep over its curves each make one call, which
-raises what a loop over its rows would raise first.  postselected_probs
-(the table as floats), correlation_grid and sweep_beta read from it.  E,
-S, the AND-gate success, the no-signaling marginals and the kept fraction
-are one array formula, chsh_values, over the tables of setting_tables, the
-kernel on the (alpha, alpha') x (beta, beta') grid of a
-MeasurementSettings, its four angles, at any number of r, with S and P_AND
-weighted by CHSH_SIGN; and_gate_success, no_signaling_report, prbox-sim
-chsh and scripts/chsh_trend.py read from it, bell_S and bell_S_gradient
-only its E and its S sum, each taking r as an argument.  The kernel forms
-its thresholds and signed correlations once at the full (2, *shape), and
-bell_S_gradient sums its exact derivatives dm, of shape (3, 2, *shape),
-into grad S.
+two orthant masses, quadrant_probability: Owen's T closed form in the bulk
+and, where that form cancels, a 20-node Gauss-Laguerre rule of the tail
+integral, as one array expression.  postselected_tables is the one kernel
+and its (p_pp, p_pm, kept) the one table type: alpha, beta and r broadcast
+as numpy arrays do, and a failure raises for the first failing element in
+C order.  Callers lay out their axes in output order, so prbox-sim chsh
+over its r rungs and prbox-sim sweep over its curves (sweep_beta) each
+make one call, which raises what a loop over its rows would raise first.
+E, S, the AND-gate success (and_gate_success), the no-signaling marginals
+(no_signaling_report) and the kept fraction are one array formula,
+chsh_values, over the tables of setting_tables, the kernel on the (alpha,
+alpha') x (beta, beta') grid of a MeasurementSettings at any number of r,
+with S and P_AND weighted by CHSH_SIGN; prbox-sim chsh and
+scripts/chsh_trend.py read from it, bell_S and bell_S_gradient only its E
+and its S sum.  The kernel forms its thresholds and signed correlations
+once at the full (2, *shape), and bell_S_gradient sums its exact
+derivatives dm, of shape (3, 2, *shape), into grad S.  No prbox-sim
+command runs postselected_probs, the table as floats at scalar inputs:
+the benchmark's traced pass wraps it to count distinct tables.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 import scipy.integrate  # noqa: F401
 from scipy.special import log_ndtr, ndtr, owens_t, roots_laguerre
 
-from .state import BivariateGaussian, GaussianTwoModeState, _require, rotated_block
+from .state import GaussianTwoModeState, _require, rotated_block
 
 # Relative accuracy target of an orthant mass.  Owen's T form errs by about
 # 1e-14 of its leading term, so it meets the target while the mass is at
@@ -115,12 +115,14 @@ def _tail_orthants(h1, h2, rho) -> np.ndarray:
     return np.where(log_f0 < -746.0, 0.0, mass)[:, 0]  # exp(log_f0) underflows
 
 
-def _orthants(h1, h2, rho) -> np.ndarray:
+def quadrant_probability(h1, h2, rho) -> np.ndarray:
     """P(Z1 > h1, Z2 > h2), h1, h2 >= 0, for standard bivariate normals with
-    correlation rho, over broadcast arrays, to about ORTHANT_RTOL relative:
-    the arcsine law where h1^2 + h2^2 underflows, Owen's T form (Owen 1956)
-    in the bulk, and where that form cancels, the 20-node Gauss-Laguerre rule
-    of _tail_orthants, evaluated over those elements as one array expression."""
+    correlation rho, to about ORTHANT_RTOL relative: the arcsine law where
+    h1^2 + h2^2 underflows, Owen's T form (Owen 1956) in the bulk, and where
+    that form cancels, the 20-node Gauss-Laguerre rule of _tail_orthants,
+    evaluated over those elements as one array expression.  The inputs are
+    float arrays with at least one axis that broadcast to the shape of the
+    result, as postselected_tables passes them; nothing here converts them."""
     # a threshold above about 1.3e154 squares to inf, which the arcsine test reads right
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         s = np.sqrt(1.0 - rho * rho)
@@ -140,17 +142,6 @@ def _orthants(h1, h2, rho) -> np.ndarray:
         args = (np.broadcast_to(x, mass.shape)[tail, None] for x in (h1, h2, rho))
         mass[tail] = _tail_orthants(*args)
     return mass
-
-
-def quadrant_probability(
-    bg: BivariateGaussian, sign1: int, sign2: int, r: float
-) -> float:
-    """Un-normalized mass of bg over {sign1*x1 > r} x {sign2*x2 > r}."""
-    _check_r(r)
-    if sign1 not in (-1, 1) or sign2 not in (-1, 1):
-        raise ValueError("signs must be +1 or -1")
-    h1, h2, rho = np.array([[r / bg.std1], [r / bg.std2], [sign1 * sign2 * bg.corr]])
-    return float(_orthants(h1, h2, rho)[0])
 
 
 def postselected_tables(state: GaussianTwoModeState, alpha, beta, r, gradient: bool = False):
@@ -176,7 +167,7 @@ def postselected_tables(state: GaussianTwoModeState, alpha, beta, r, gradient: b
     signs = _PAIR_SIGNS.reshape(2, *[1] * (len(shape) - 1))
     h1, h2 = (np.divide(r, sd, out=np.empty(shape)) for sd in (sd1, sd2))
     c = np.multiply(rho, signs, out=np.empty(shape))
-    m = _orthants(h1, h2, c)
+    m = quadrant_probability(h1, h2, c)
     kept = ((m[0] + m[1]) + m[1]) + m[0]
     # a kept below MIN_NORMAL fails its check, which comes first at its element;
     # dividing by at least MIN_NORMAL keeps 0/0 out of the tables until then
@@ -216,7 +207,8 @@ def postselected_tables(state: GaussianTwoModeState, alpha, beta, r, gradient: b
 def postselected_probs(
     state: GaussianTwoModeState, alpha: float, beta: float, r: float
 ) -> tuple[float, float, float]:
-    """(p_pp, p_pm, kept) of postselected_tables at scalar inputs, as floats."""
+    """(p_pp, p_pm, kept) of postselected_tables at scalar inputs, as floats,
+    for the benchmark's traced pass, which hashes the arguments of each call."""
     return tuple(map(float, postselected_tables(state, alpha, beta, r)))
 
 
@@ -259,21 +251,34 @@ def chsh_values(p_pp, p_pm, kept):
     """(E, S, P_AND, plus, max_dev, kept_pct) of postselected_tables arrays
     whose last two axes are (alpha, alpha') x (beta, beta'), over any leading
     axes: the correlation of each table; the Bell parameter S, the sum of
-    CHSH_SIGN times E in SETTING_LABELS order; the AND-gate success, the
-    average over the tables of the same-sign probability where the sign is
-    +1 and the cross-sign one where it is -1, summed from table entries so
-    that P_AND = (4 + S)/8 stays a check; Alice's P(+) at each table, which
-    is Bob's P(+) with the last two axes swapped, as p_mp = p_pm; the largest
-    deviation of a marginal from 1/2; and the average kept fraction in
-    percent."""
+    CHSH_SIGN times E in SETTING_LABELS order; P_AND of and_gate_success;
+    (plus, max_dev) of no_signaling_report; and the average kept fraction
+    in percent."""
     e = _correlation(p_pp, p_pm)
     s = _bell_sum(e)
-    w_ab, w_apb, w_abp, w_apbp = setting_columns(np.where(CHSH_SIGN > 0.0, p_pp, p_pm))
-    p_and = 0.25 * (w_ab + w_ab + w_apb + w_apb + w_abp + w_abp + w_apbp + w_apbp)
-    plus = p_pp + p_pm
-    max_dev = np.abs(plus - 0.5).max(axis=(-2, -1))
+    p_and = and_gate_success(p_pp, p_pm)
+    plus, max_dev = no_signaling_report(p_pp, p_pm)
     kept_pct = 100.0 * sum(setting_columns(kept)) / 4.0
     return e, s, p_and, plus, max_dev, kept_pct
+
+
+def and_gate_success(p_pp, p_pm):
+    """Success probability of the post-selected non-local AND gate over
+    tables whose last two axes are (alpha, alpha') x (beta, beta'): the
+    average over the tables of the same-sign probability where CHSH_SIGN is
+    +1 and the cross-sign one where it is -1, summed from table entries so
+    that P_AND = (4 + S)/8 stays a check."""
+    w_ab, w_apb, w_abp, w_apbp = setting_columns(np.where(CHSH_SIGN > 0.0, p_pp, p_pm))
+    return 0.25 * (w_ab + w_ab + w_apb + w_apb + w_abp + w_abp + w_apbp + w_apbp)
+
+
+def no_signaling_report(p_pp, p_pm):
+    """(plus, max_dev) over tables whose last two axes are (alpha, alpha') x
+    (beta, beta'): Alice's P(+) at (alpha_i, beta_j), which is Bob's with
+    the last two axes swapped, as p_mp = p_pm, and the largest deviation of
+    either from 1/2."""
+    plus = p_pp + p_pm
+    return plus, np.abs(plus - 0.5).max(axis=(-2, -1))
 
 
 def setting_tables(state: GaussianTwoModeState, settings: MeasurementSettings, r,
@@ -312,31 +317,16 @@ def pr_fidelity(s: float) -> float:
     return (s + 4.0) / 8.0
 
 
-def and_gate_success(
-    state: GaussianTwoModeState, settings: MeasurementSettings, r: float
-) -> float:
-    """Success probability of the post-selected non-local AND gate at r."""
-    return float(chsh_values(*setting_tables(state, settings, r))[2])
-
-
-def no_signaling_report(
-    state: GaussianTwoModeState, settings: MeasurementSettings, r: float
-) -> tuple[np.ndarray, float]:
-    """(plus, max_dev) of chsh_values at r: Alice's P(+) at (alpha_i, beta_j),
-    whose transpose is Bob's, and the largest deviation of either from 1/2."""
-    plus, max_dev = chsh_values(*setting_tables(state, settings, r))[3:5]
-    return plus, float(max_dev)
-
-
-def sweep_beta(
-    state: GaussianTwoModeState, alpha: float, r: float, grid
-) -> list[tuple[float, float]]:
-    """Correlation curve E(alpha, beta) over a grid of beta values."""
-    grid = list(grid)
-    if not grid:
+def sweep_beta(state: GaussianTwoModeState, alpha, r, grid) -> np.ndarray:
+    """(beta, E) points of the correlation curve over a grid of beta values
+    at each element of broadcast (alpha, r), of shape (*shape, len(grid), 2),
+    from one correlation_grid call: the first failing curve in C order, and
+    on it the first failing beta, raises."""
+    grid = np.asarray(grid, dtype=float)
+    if not grid.size:
         raise ValueError("beta grid must be non-empty")
-    e = correlation_grid(state, alpha, grid, r)
-    return list(zip(map(float, grid), e.tolist()))
+    e = correlation_grid(state, np.asarray(alpha)[..., None], grid, np.asarray(r)[..., None])
+    return np.stack(np.broadcast_arrays(grid, e), -1)
 
 
 def quantum_reference_curve(grid, phase: float = 0.0) -> list[tuple[float, float]]:

@@ -197,10 +197,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
                     "sweep_alphas and r must differ at 4 decimals"
                 )
     # axes in output order, so the first failing curve raises
-    e = chsh_mod.correlation_grid(
-        state, np.array(cfg.sweep_alphas)[:, None, None], grid, np.array(r_dim)[:, None]
-    )
-    points = np.stack(np.broadcast_arrays(grid, e.reshape(len(pairs), -1)), -1)  # (beta, E) rows
+    points = chsh_mod.sweep_beta(state, np.array(cfg.sweep_alphas)[:, None], np.array(r_dim), grid)
+    points = points.reshape(len(pairs), len(grid), 2)  # (beta, E) rows
     curves = [{"alpha_rad": alpha, "r": r, "points": p} for (alpha, r), p in zip(pairs, points)]
     doc, files = {"curves": curves}, {}
     if cfg.reference_curve:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chsh import CHSH_SIGN, _check_r, setting_columns, setting_pairs
+from .chsh import CHSH_SIGN, DEGENERATE_CORR, _check_r, setting_columns, setting_pairs
 from .state import BivariateGaussian, GaussianTwoModeState, position_joint_density
 
 CHUNK_SIZE = 250_000
@@ -87,7 +87,7 @@ class ProbEstimate:
 def _cholesky_factor(bg: BivariateGaussian) -> tuple[float, float, float]:
     """Entries (L00, L10, L11) of the lower Cholesky factor of bg's covariance."""
     rho = bg.corr
-    if abs(rho) > 1.0 - 1e-12:
+    if abs(rho) > DEGENERATE_CORR:
         raise ValueError(f"|corr|={abs(rho)} too close to 1 for sampling")
     return bg.std1, bg.std2 * rho, bg.std2 * math.sqrt(1.0 - rho * rho)
 

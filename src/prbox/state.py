@@ -54,10 +54,6 @@ class GaussianTwoModeState:
                 "wavefunction is not normalizable (gamma > delta required)"
             )
 
-    @property
-    def is_separable(self) -> bool:
-        return math.isinf(self.gamma)
-
 
 @dataclass(frozen=True)
 class BivariateGaussian:
@@ -94,7 +90,7 @@ def _covariance_terms(state: GaussianTwoModeState) -> tuple[float, float, float]
             "matrix exists (positive definiteness requires gamma > delta)"
         )
     a = 1.0 / state.delta**2
-    b = 0.0 if state.is_separable else 1.0 / state.gamma**2
+    b = 1.0 / state.gamma**2  # 0.0 at the separable limit gamma = inf
     d = a * a - b * b
     if d < DET_GUARD * a * a:
         raise NonNormalizableStateError(

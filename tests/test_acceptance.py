@@ -16,6 +16,7 @@ from prbox.chsh import (
     no_signaling_report,
     postselected_probs,
     pr_fidelity,
+    setting_tables,
 )
 from prbox.frft import frft_distance
 from prbox.montecarlo import (
@@ -93,7 +94,7 @@ def test_criterion_3_and_gate_identity():
     for _ in range(100):
         state = random_state(rng)
         settings, r = random_settings(rng)
-        lhs = and_gate_success(state, settings, r)
+        lhs = and_gate_success(*setting_tables(state, settings, r)[:2])
         rhs = (4.0 + bell_S(state, settings, r)) / 8.0
         worst = max(worst, abs(lhs - rhs))
     report(
@@ -196,7 +197,7 @@ def test_criterion_7_no_signaling_marginals():
     for _ in range(5):
         state = random_state(rng)
         settings, r = random_settings(rng)
-        worst = max(worst, no_signaling_report(state, settings, r)[1])
+        worst = max(worst, no_signaling_report(*setting_tables(state, settings, r)[:2])[1])
     ok = worst <= 1e-9
     # Monte Carlo marginals at n = 1e6
     mc_ok = True

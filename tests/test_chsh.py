@@ -28,6 +28,7 @@ from prbox.chsh import (
     quadrant_probability,
     quantum_reference_curve,
     setting_pairs,
+    setting_tables,
     sweep_beta,
 )
 from prbox.montecarlo import mc_bell_S, setting_estimates, simulate_counts
@@ -39,49 +40,49 @@ SEPARABLE = GaussianTwoModeState(delta=1.0, gamma=math.inf)
 NEAR_EPR = GaussianTwoModeState(delta=0.75, gamma=0.75001)
 
 
+def orthant(bg, sign1, sign2, r):
+    """Mass of bg over {sign1*x1 > r} x {sign2*x2 > r}: quadrant_probability
+    at the thresholds r / std and the signed correlation."""
+    h1, h2, rho = np.array([[r / bg.std1], [r / bg.std2], [sign1 * sign2 * bg.corr]])
+    return float(quadrant_probability(h1, h2, rho)[0])
+
+
 class TestQuadrantProbability:
     def test_uncorrelated_r_zero_quadrants(self):
         bg = BivariateGaussian(var1=1.3, var2=0.4, corr=0.0)
         for s1 in (1, -1):
             for s2 in (1, -1):
-                assert quadrant_probability(bg, s1, s2, 0.0) == pytest.approx(
+                assert orthant(bg, s1, s2, 0.0) == pytest.approx(
                     0.25, abs=1e-10
                 )
 
     def test_perfectly_correlated(self):
         bg = BivariateGaussian(var1=1.0, var2=1.0, corr=1.0)
-        assert quadrant_probability(bg, 1, 1, 0.0) == pytest.approx(0.5, abs=1e-12)
-        assert quadrant_probability(bg, 1, -1, 0.0) == pytest.approx(0.0, abs=1e-12)
+        assert orthant(bg, 1, 1, 0.0) == pytest.approx(0.5, abs=1e-12)
+        assert orthant(bg, 1, -1, 0.0) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("rho", [-0.95, -0.5, 0.0, 0.3, 0.8, 0.999])
     def test_orthant_identity(self, rho):
         bg = BivariateGaussian(var1=0.7, var2=2.1, corr=rho)
         expected = 0.25 + math.asin(rho) / (2.0 * PI)
-        assert quadrant_probability(bg, 1, 1, 0.0) == pytest.approx(expected, abs=1e-9)
+        assert orthant(bg, 1, 1, 0.0) == pytest.approx(expected, abs=1e-9)
 
     def test_against_monte_carlo(self):
         bg = BivariateGaussian(var1=0.9, var2=1.7, corr=0.55)
-        analytic = quadrant_probability(bg, 1, 1, 0.0)
+        analytic = orthant(bg, 1, 1, 0.0)
         est, se = oracles.mc_quadrant_probability(
             bg.var1, bg.var2, bg.corr, 1, 1, 0.0, n=10_000_000, seed=20260823
         )
         assert abs(est - analytic) < 4.0 * se
 
-    def test_rejects_bad_arguments(self):
-        bg = BivariateGaussian(var1=1.0, var2=1.0, corr=0.0)
-        with pytest.raises(ValueError):
-            quadrant_probability(bg, 1, 1, -0.1)
-        with pytest.raises(ValueError):
-            quadrant_probability(bg, 2, 1, 0.0)
-
 
 def assert_orthants_match_oracle(bg, r):
-    """Both sign patterns of quadrant_probability within 1e-9 relative of
+    """Both sign patterns of orthant within 1e-9 relative of
     the 40-digit oracle; a mass below the normal doubles must underflow."""
     h1, h2 = r / bg.std1, r / bg.std2
     for sign2 in (1, -1):
         want = oracles.mp_upper_orthant(h1, h2, sign2 * bg.corr)
-        got = quadrant_probability(bg, 1, sign2, r)
+        got = orthant(bg, 1, sign2, r)
         if want < sys.float_info.min:
             assert got < sys.float_info.min
         else:
@@ -89,10 +90,11 @@ def assert_orthants_match_oracle(bg, r):
 
 
 def tail_branch(monkeypatch, h1, h2, rho):
-    """Mask of the elements of one _orthants call that take the tail rule."""
+    """Mask of the elements of one quadrant_probability call that take the
+    tail rule."""
     with monkeypatch.context() as m:
         m.setattr(chsh, "_tail_orthants", lambda h1, h2, rho: np.full(len(h1), -1.0))
-        return chsh._orthants(h1, h2, rho) == -1.0
+        return quadrant_probability(h1, h2, rho) == -1.0
 
 
 def assert_tail_matches_oracle(h1, h2, rho, got):
@@ -147,7 +149,7 @@ class TestOrthantAccuracy:
         tail = tail_branch(monkeypatch, h1, h2, rho)
         keep = np.flatnonzero(tail)[:20]
         assert len(keep) == 20
-        got = chsh._orthants(h1, h2, rho)
+        got = quadrant_probability(h1, h2, rho)
         assert_tail_matches_oracle(h1[keep], h2[keep], rho[keep], got[keep])
 
     def test_tail_rule_at_reference_settings(self, monkeypatch):
@@ -157,7 +159,7 @@ class TestOrthantAccuracy:
         h2 = np.array([4.0 / bg.std2 for bg in bgs for _ in (1, -1)])
         rho = np.array([sign * bg.corr for bg in bgs for sign in (1, -1)])
         assert tail_branch(monkeypatch, h1, h2, rho).all()
-        assert_tail_matches_oracle(h1, h2, rho, chsh._orthants(h1, h2, rho))
+        assert_tail_matches_oracle(h1, h2, rho, quadrant_probability(h1, h2, rho))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_tail_extremes_are_finite_and_warning_free(self, monkeypatch):
@@ -168,7 +170,7 @@ class TestOrthantAccuracy:
         h2 = np.array([40.0, 1.0, 38.5, 0.0, 20.0, 25.0, 11.0, 2.0])
         rho = np.array([0.0, -0.9, 0.5, near, near, -near, -near, -near])
         assert tail_branch(monkeypatch, h1, h2, rho).all()
-        mass = chsh._orthants(h1, h2, rho)
+        mass = quadrant_probability(h1, h2, rho)
         assert np.isfinite(mass).all() and (mass >= 0.0).all()
         assert (mass[:4] == 0.0).all()
         # thresholds whose squares overflow only give zero masses
@@ -230,7 +232,7 @@ class TestCorrelationE:
     def test_arcsine_law_at_r_zero(self, rho):
         bg = BivariateGaussian(var1=1.0, var2=1.0, corr=rho)
         masses = {
-            (s1, s2): quadrant_probability(bg, s1, s2, 0.0)
+            (s1, s2): orthant(bg, s1, s2, 0.0)
             for s1 in (1, -1)
             for s2 in (1, -1)
         }
@@ -294,33 +296,32 @@ class TestPrFidelity:
 
 class TestAndGate:
     def test_separable_is_coin_flip(self):
-        assert and_gate_success(SEPARABLE, REFERENCE_SETTINGS, 0.0) == pytest.approx(
-            0.5, abs=1e-12
-        )
+        p_and = and_gate_success(*setting_tables(SEPARABLE, REFERENCE_SETTINGS, 0.0)[:2])
+        assert p_and == pytest.approx(0.5, abs=1e-12)
 
     @settings(max_examples=15, deadline=None)
     @given(valid_states(), angles, angles, angles, angles, dark_widths)
     def test_equals_fidelity_of_bell_parameter(self, state, a, ap, b, bp, r):
         settings_ = MeasurementSettings(a, ap, b, bp)
-        p_and = and_gate_success(state, settings_, r)
+        p_and = and_gate_success(*setting_tables(state, settings_, r)[:2])
         assert p_and == pytest.approx(
             pr_fidelity(bell_S(state, settings_, r)), abs=1e-9
         )
 
     def test_beats_communication_threshold_at_large_r(self):
-        assert and_gate_success(STATE, REFERENCE_SETTINGS, 2.0) > 0.908
+        assert and_gate_success(*setting_tables(STATE, REFERENCE_SETTINGS, 2.0)[:2]) > 0.908
 
 
 class TestNoSignaling:
     @pytest.mark.parametrize("r", [0.0, 0.5, 1.5])
     def test_all_marginals_half(self, r):
-        plus, max_dev = no_signaling_report(STATE, REFERENCE_SETTINGS, r)
+        plus, max_dev = no_signaling_report(*setting_tables(STATE, REFERENCE_SETTINGS, r)[:2])
         assert max_dev <= 1e-9
         assert np.allclose(plus, 0.5, atol=1e-9)
         assert np.allclose(plus.T, 0.5, atol=1e-9)
 
     def test_marginals_independent_of_partner_setting(self):
-        plus, _ = no_signaling_report(STATE, REFERENCE_SETTINGS, 0.8)
+        plus, _ = no_signaling_report(*setting_tables(STATE, REFERENCE_SETTINGS, 0.8)[:2])
         # Alice's P(+) at her setting alpha against beta and beta'
         assert plus[0, 0] == pytest.approx(plus[0, 1], abs=1e-9)
         # Bob's, plus.T, at his setting beta' against alpha and alpha'
@@ -413,11 +414,24 @@ class TestCorrelationGrid:
 
     def test_sweep_matches_scalar_loop(self):
         grid = [-1.0, 0.0, 2.5, 7.5]
-        curve = sweep_beta(NEAR_EPR, PI / 2, 1.5, grid)
+        curve = sweep_beta(NEAR_EPR, PI / 2, 1.5, grid).tolist()
         assert curve == [
-            (b, float(correlation_grid(NEAR_EPR, PI / 2, b, 1.5))) for b in grid
+            [b, float(correlation_grid(NEAR_EPR, PI / 2, b, 1.5))] for b in grid
         ]
         assert all(type(e) is float for _, e in curve)
+
+    # the arcsine law, Owen's T and the tail rule
+    @pytest.mark.parametrize("r", [0.0, 1.0, 4.0])
+    def test_sweep_curves_equal_single_curve_calls(self, r):
+        # one call over an (alpha, r) grid has a curve of (beta, E) points at
+        # each (alpha, r), bit for bit the curve of a call at that pair
+        alphas, rs = np.array([PI, PI / 2, 0.3])[:, None], np.array([r, 2.0])
+        grid = [-1.0, 2.5, 7.5]
+        curves = sweep_beta(STATE, alphas, rs, grid)
+        assert curves.shape == (3, 2, 3, 2)
+        for i, j in np.ndindex(3, 2):
+            assert np.array_equal(curves[i, j], sweep_beta(STATE, alphas[i, 0], rs[j], grid))
+        assert (curves[..., 0] == grid).all()
 
     @settings(max_examples=30, deadline=None)
     @given(grid_states, wide_angles, wide_angles, r_lists)
@@ -479,7 +493,7 @@ class TestCorrelationGrid:
         values = chsh_values(*chsh.setting_tables(state, settings_, r))
         assert bell_S(state, settings_, r) == values[1]
         assert bell_S_gradient(state, settings_, r)[0] == values[1]
-        assert and_gate_success(state, settings_, r) == values[2]
+        assert and_gate_success(*chsh.setting_tables(state, settings_, r)[:2]) == values[2]
 
     @settings(max_examples=30, deadline=None)
     @given(grid_states, wide_angles, wide_angles, r_lists, st.booleans())
@@ -516,7 +530,7 @@ class TestCorrelationGrid:
         # r = 30 fails the kept check, which comes first in a call; a loop
         # over the rungs meets r = 2 first
         at_2 = 2.0 / np.sqrt(chsh.rotated_block(STATE, REF_ALPHAS, REF_BETAS)[0])
-        orthants = chsh._orthants
+        orthants = chsh.quadrant_probability
 
         def negative_m_pm_at_2(h1, h2, rho):
             # the thresholds carry the (m_pp, m_pm) pair on their leading axis
@@ -524,7 +538,7 @@ class TestCorrelationGrid:
             m[1] = np.where(np.isin(h1[1], at_2), -1e-3 * m[1], m[1])
             return m
 
-        monkeypatch.setattr(chsh, "_orthants", negative_m_pm_at_2)
+        monkeypatch.setattr(chsh, "quadrant_probability", negative_m_pm_at_2)
         with pytest.raises(ValueError) as rung:
             chsh.postselected_tables(STATE, REF_ALPHA_COLUMN, REF_BETAS, 2.0, gradient)
         with pytest.raises(ValueError) as ladder:
@@ -570,8 +584,6 @@ class TestCorrelationGrid:
 
 
 BAD_R_ENTRY_POINTS = {
-    "quadrant_probability": lambda r: quadrant_probability(
-        position_joint_density(STATE, PI, 5 * PI / 4), 1, 1, r),
     "postselected_probs": lambda r: postselected_probs(STATE, PI, 5 * PI / 4, r),
     "correlation_grid": lambda r: correlation_grid(STATE, REF_ALPHA_COLUMN, REF_BETAS, r),
     "r_sequence": lambda r: chsh.postselected_tables(
@@ -581,8 +593,11 @@ BAD_R_ENTRY_POINTS = {
     # a MeasurementSettings holds angles only, so these check the r they are passed
     "bell_S": lambda r: bell_S(STATE, REFERENCE_SETTINGS, r),
     "bell_S_gradient": lambda r: bell_S_gradient(STATE, REFERENCE_SETTINGS, r),
-    "and_gate_success": lambda r: and_gate_success(STATE, REFERENCE_SETTINGS, r),
-    "no_signaling_report": lambda r: no_signaling_report(STATE, REFERENCE_SETTINGS, r),
+    # P_AND and the marginals at r read the tables of setting_tables at r
+    "and_gate_success": lambda r: and_gate_success(
+        *setting_tables(STATE, REFERENCE_SETTINGS, r)[:2]),
+    "no_signaling_report": lambda r: no_signaling_report(
+        *setting_tables(STATE, REFERENCE_SETTINGS, r)[:2]),
     "setting_estimates": lambda r: list(setting_estimates(STATE, REFERENCE_SETTINGS, r, 100, 1)),
     "mc_bell_S": lambda r: mc_bell_S(STATE, REFERENCE_SETTINGS, r, 100, 1),
 }
@@ -724,7 +739,7 @@ class TestMonteCarloAgreement:
             r = rng.uniform(0.0, 1.5)
             s1, s2 = rng.choice([-1, 1], size=2)
             bg = position_joint_density(state, alpha, beta)
-            analytic = quadrant_probability(bg, int(s1), int(s2), r)
+            analytic = orthant(bg, int(s1), int(s2), r)
             est, se = oracles.mc_quadrant_probability(
                 bg.var1, bg.var2, bg.corr, int(s1), int(s2), r, 10_000_000, 1000 + case
             )

@@ -228,9 +228,10 @@ class TestChsh:
         rows = json.loads(capsys.readouterr().out)["results"]
         for row in rows:
             r = row["r"]
-            plus, max_dev = no_signaling_report(STATE, REFERENCE_SETTINGS, r)
+            p_pp, p_pm, _ = chsh.setting_tables(STATE, REFERENCE_SETTINGS, r)
+            plus, max_dev = no_signaling_report(p_pp, p_pm)
             assert row["S"] == bell_S(STATE, REFERENCE_SETTINGS, r)
-            assert row["P_AND"] == and_gate_success(STATE, REFERENCE_SETTINGS, r)
+            assert row["P_AND"] == and_gate_success(p_pp, p_pm)
             assert row["max_marginal_dev"] == max_dev
             for who, marginal in (("A", plus), ("B", plus.T)):
                 for (i, j), label in np.ndenumerate(MARGINAL_LABELS[who]):

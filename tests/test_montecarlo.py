@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from prbox.chsh import (
+    DEGENERATE_CORR,
     REFERENCE_SETTINGS,
     MeasurementSettings,
     bell_S,
@@ -26,13 +27,14 @@ from prbox.montecarlo import (
     CountTable,
     InsufficientCountsError,
     ProbEstimate,
+    _cholesky_factor,
     derive_setting_seed,
     estimate_probabilities,
     mc_bell_S,
     setting_estimates,
     simulate_counts,
 )
-from prbox.state import GaussianTwoModeState, position_joint_density
+from prbox.state import BivariateGaussian, GaussianTwoModeState, position_joint_density
 
 PI = math.pi
 STATE = GaussianTwoModeState(delta=0.75, gamma=1.25)
@@ -73,6 +75,15 @@ class TestSamplePairs:
         near = GaussianTwoModeState(delta=1.0, gamma=1.0 + 1e-13)
         with pytest.raises(ValueError, match="too close to 1 for sampling"):
             simulate_counts(near, 0.0, 0.0, 0.5, 10, seed=0)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_refuses_exactly_past_the_degenerate_threshold(self, sign):
+        # the analytic orthant takes its degenerate form from DEGENERATE_CORR
+        # on; sampling still accepts that correlation and refuses the next one
+        _cholesky_factor(BivariateGaussian(1.0, 1.0, sign * DEGENERATE_CORR))
+        past = sign * float(np.nextafter(DEGENERATE_CORR, 1.0))
+        with pytest.raises(ValueError, match="too close to 1 for sampling"):
+            _cholesky_factor(BivariateGaussian(1.0, 1.0, past))
 
 
 class TestSimulateCounts:

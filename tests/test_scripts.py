@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from prbox.chsh import REFERENCE_SETTINGS, and_gate_success, bell_S
+from prbox.chsh import REFERENCE_SETTINGS, and_gate_success, bell_S, setting_tables
 from prbox.state import GaussianTwoModeState
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -33,7 +33,8 @@ def test_chsh_trend_runs():
     r, _, s, p_and, _ = lines[2].split()
     assert r == "1.00"
     assert s == f"{bell_S(state, REFERENCE_SETTINGS, 1.0):.3f}"
-    assert p_and == f"{and_gate_success(state, REFERENCE_SETTINGS, 1.0):.4f}"
+    p_pp, p_pm, _ = setting_tables(state, REFERENCE_SETTINGS, 1.0)
+    assert p_and == f"{and_gate_success(p_pp, p_pm):.4f}"
 
 
 def _compare_outputs(other_src, *flags):
@@ -74,6 +75,15 @@ def test_compare_outputs_names_the_json_outputs_of_a_changed_tree(tmp_path):
     ]
 
 
+# per-layer metrics that a traced workload must read above zero, as its
+# invocations run the orthant, sweep, AND-gate and marginal layers
+TRACED_NONZERO = {
+    "table": ("chsh.quadrant_probability.calls", "chsh.sweep_beta.s",
+              "chsh.and_gate_success.s", "chsh.no_signaling_report.s"),
+    "search": ("chsh.quadrant_probability.calls",),
+}
+
+
 @pytest.mark.parametrize(
     "workload,trace,failed_share",
     [("search", 1, 0.0), ("sample", 1, 0.25), ("table", 1, 0.0), ("table", 0, 0.0)],
@@ -103,3 +113,6 @@ def test_benchmark_workload_runs_and_checks(tmp_path, workload, trace, failed_sh
     if not trace:
         for name in ("setup_s", "call_s", "peak_rss_mb"):
             assert math.isfinite(result["metrics"][name]["value"]), name
+    else:
+        for name in TRACED_NONZERO.get(workload, ()):
+            assert result["metrics"][name]["value"] > 0.0, name

@@ -12,6 +12,7 @@ import types
 from pathlib import Path
 
 import prbox
+from prbox import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -39,6 +40,27 @@ def test_traced_names_are_wrapped_and_restored():
             assert current.__wrapped__ is orig
     for (mod, name), orig in originals.items():
         assert getattr(importlib.import_module(mod), name) is orig
+
+
+def test_every_traced_name_but_postselected_probs_runs_in_prbox_sim(tmp_path, capsys):
+    # each layer the traced pass reads is timed on the code a subcommand runs;
+    # postselected_probs is wrapped only to count distinct scalar tables
+    spans = load_perfbench("spans")
+    configs = {
+        "chsh": "r = 0, 1.5\n",
+        "sweep": "r = 1\nsweep_steps = 5\n",
+        "optimize": "r = 1\ntarget_fidelity = 0.9275\n",
+        "mc": "r = 0.5\nmc_n = 2000\n",  # well over 100 kept events per setting
+        "plan-frft": "",
+    }
+    tracer = spans.Tracer()
+    with tracer.patched():
+        for command, text in configs.items():
+            path = tmp_path / f"{command}.cfg"
+            path.write_text(text + "out_format = json\n")
+            assert cli.main([command, "--config", str(path)]) == 0, capsys.readouterr().err
+    names = [f"{mod.split('.')[1]}.{fn}" for mod, fn in spans.TRACED]
+    assert [name for name in names if not tracer.calls[name]] == ["chsh.postselected_probs"]
 
 
 def test_the_package_binds_its_modules_and_nothing_else():
