@@ -30,7 +30,7 @@ def main() -> None:
     state = GaussianTwoModeState(args.delta, args.gamma)
     print(f"{'r':>5} {'H_ave_%':>8} {'S':>7} {'P_AND':>7} {'fidelity':>9}")
     ref = REFERENCE_SETTINGS
-    _, s_values, p_and, _, _, kept_pct = chsh_values(
+    _, s_values, p_and, _, kept_pct = chsh_values(
         *setting_tables(state, ref, np.array(args.r)[:, None, None]))
     s_values = s_values.tolist()
     for r, s, p, kept in zip(args.r, s_values, p_and.tolist(), kept_pct.tolist()):

@@ -14,11 +14,12 @@ as numpy arrays do, and a failure raises for the first failing element in
 C order.  Callers lay out their axes in output order, so prbox-sim chsh
 over its r rungs and prbox-sim sweep over its curves (sweep_beta) each
 make one call, which raises what a loop over its rows would raise first.
-E, S, the AND-gate success (and_gate_success), the no-signaling marginals
-(no_signaling_report) and the kept fraction are one array formula,
-chsh_values, over the tables of setting_tables, the kernel on the (alpha,
-alpha') x (beta, beta') grid of a MeasurementSettings at any number of r,
-with S and P_AND weighted by CHSH_SIGN; prbox-sim chsh and
+E, S, the AND-gate success (and_gate_success), the largest deviation of a
+marginal from 1/2 (no_signaling_report; by that same symmetry each
+marginal is 1/2, so none is returned) and the kept fraction are one array
+formula, chsh_values, over the tables of setting_tables, the kernel on the
+(alpha, alpha') x (beta, beta') grid of a MeasurementSettings at any number
+of r, with S and P_AND weighted by CHSH_SIGN; prbox-sim chsh and
 scripts/chsh_trend.py read from it, bell_S and bell_S_gradient only its E
 and its S sum.  The kernel forms its thresholds and signed correlations
 once at the full (2, *shape), and bell_S_gradient sums its exact
@@ -248,18 +249,18 @@ def _bell_sum(e):
 
 
 def chsh_values(p_pp, p_pm, kept):
-    """(E, S, P_AND, plus, max_dev, kept_pct) of postselected_tables arrays
-    whose last two axes are (alpha, alpha') x (beta, beta'), over any leading
-    axes: the correlation of each table; the Bell parameter S, the sum of
+    """(E, S, P_AND, max_dev, kept_pct) of postselected_tables arrays whose
+    last two axes are (alpha, alpha') x (beta, beta'), over any leading axes:
+    the correlation of each table; the Bell parameter S, the sum of
     CHSH_SIGN times E in SETTING_LABELS order; P_AND of and_gate_success;
-    (plus, max_dev) of no_signaling_report; and the average kept fraction
-    in percent."""
+    max_dev of no_signaling_report; and the average kept fraction in
+    percent."""
     e = _correlation(p_pp, p_pm)
     s = _bell_sum(e)
     p_and = and_gate_success(p_pp, p_pm)
-    plus, max_dev = no_signaling_report(p_pp, p_pm)
+    _, max_dev = no_signaling_report(p_pp, p_pm)
     kept_pct = 100.0 * sum(setting_columns(kept)) / 4.0
-    return e, s, p_and, plus, max_dev, kept_pct
+    return e, s, p_and, max_dev, kept_pct
 
 
 def and_gate_success(p_pp, p_pm):
@@ -327,11 +328,3 @@ def sweep_beta(state: GaussianTwoModeState, alpha, r, grid) -> np.ndarray:
         raise ValueError("beta grid must be non-empty")
     e = correlation_grid(state, np.asarray(alpha)[..., None], grid, np.asarray(r)[..., None])
     return np.stack(np.broadcast_arrays(grid, e), -1)
-
-
-def quantum_reference_curve(grid, phase: float = 0.0) -> list[tuple[float, float]]:
-    """Unit-amplitude sinusoid overlay (plotting reference, not a prediction)."""
-    grid = list(grid)
-    if not grid:
-        raise ValueError("beta grid must be non-empty")
-    return [(float(b), math.sin(b - phase)) for b in grid]

@@ -9,11 +9,13 @@ Monte Carlo runs).
 Every subcommand builds a document of raw values, and in CSV its files of
 rows, and returns ``_write``, the one exit path: nothing else opens an
 output file or writes to stdout.  JSON is the document plus
-``"schema_version": "1"``, written to ``out_path`` or stdout.  CSV writes
+``"schema_version": "2"``, written to ``out_path`` or stdout.  CSV writes
 each file's rows under a header of the row keys, a cell quoted only if it
 holds a comma, a double quote or a line break (RFC 4180); the file named ""
 goes to ``out_path`` or stdout, any other name into the ``out_path``
-directory (``sweep``'s file per curve and its reference curve).  In both,
+directory (``sweep``'s file per curve).  A subcommand that prints r
+prints it as configured, in ``r_unit``, which its JSON document names once
+at the top level and its CSV rows do not.  In both,
 the ``E_*`` correlation columns of ``chsh`` are printed at 3 decimals,
 other floats at ``precision`` significant digits with -0 as 0, and the
 rest as they are; one helper states the float formats.  JSON has the
@@ -44,7 +46,7 @@ from .frft import plan_lens_system
 from .optimize import maximize_S, tune_r
 from .state import GaussianTwoModeState
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -186,8 +188,7 @@ def _settings(cfg: RunConfig) -> chsh_mod.MeasurementSettings:
 def cmd_sweep(cfg: RunConfig) -> int:
     state = _state_from_config(cfg)
     grid = cfg.beta_grid()
-    r_dim = cfg.r_dimensionless()
-    pairs = [(alpha, r) for alpha in cfg.sweep_alphas for r in r_dim]
+    pairs = [(alpha, r) for alpha in cfg.sweep_alphas for r in cfg.r_values]
     names = [f"sweep_alpha{alpha:.4f}_r{r:.4f}.csv" for alpha, r in pairs]
     if cfg.out_format == "csv":
         for k, name in enumerate(names):
@@ -197,35 +198,26 @@ def cmd_sweep(cfg: RunConfig) -> int:
                     "sweep_alphas and r must differ at 4 decimals"
                 )
     # axes in output order, so the first failing curve raises
-    points = chsh_mod.sweep_beta(state, np.array(cfg.sweep_alphas)[:, None], np.array(r_dim), grid)
+    points = chsh_mod.sweep_beta(
+        state, np.array(cfg.sweep_alphas)[:, None], np.array(cfg.r_dimensionless()), grid
+    )
     points = points.reshape(len(pairs), len(grid), 2)  # (beta, E) rows
     curves = [{"alpha_rad": alpha, "r": r, "points": p} for (alpha, r), p in zip(pairs, points)]
-    doc, files = {"curves": curves}, {}
-    if cfg.reference_curve:
-        doc["reference"] = chsh_mod.quantum_reference_curve(grid, cfg.reference_phase)
+    files = {}
     if cfg.out_format == "csv":  # a JSON run builds no rows
         files = {
             name: [{"beta_rad": b, "E": e, "alpha_rad": c["alpha_rad"], "r": c["r"]}
                    for b, e in c["points"].tolist()]
             for c, name in zip(curves, names)
         }
-        if cfg.reference_curve:
-            files["reference_curve.csv"] = [
-                {"beta_rad": b, "E_reference": v} for b, v in doc["reference"]
-            ]
-    return _write(cfg, doc, files)
+    return _write(cfg, {"r_unit": cfg.r_unit, "curves": curves}, files)
 
 
 def cmd_chsh(cfg: RunConfig) -> int:
     state = _state_from_config(cfg)
-    e, s, p_and, plus, max_dev, kept_pct = chsh_mod.chsh_values(*chsh_mod.setting_tables(
+    e, s, p_and, max_dev, kept_pct = chsh_mod.chsh_values(*chsh_mod.setting_tables(
         state, _settings(cfg), np.array(cfg.r_dimensionless())[:, None, None]
     ))
-    # Alice's P(+) at (alpha_i, beta_j) is Bob's at (beta_j, alpha_i): the A
-    # columns run over i then j, plus[..., i, j] naming the label whose setting
-    # column is flat index 2i + j; the B columns run in SETTING_LABELS order
-    labels = chsh_mod.SETTING_LABELS
-    ij = np.argsort(chsh_mod.setting_columns(np.arange(4).reshape(2, 2)))
     columns = {
         "H_ave_pct": kept_pct,
         **dict(zip(_E_COLUMNS, chsh_mod.setting_columns(e))),
@@ -233,8 +225,6 @@ def cmd_chsh(cfg: RunConfig) -> int:
         "P_AND": p_and,
         "fidelity": np.array([chsh_mod.pr_fidelity(x) for x in s.tolist()]),
         "max_marginal_dev": max_dev,
-        **{"A_plus_" + labels[k]: x for k, x in zip(ij, plus.reshape(-1, 4).T)},
-        **{"B_plus_" + k: x for k, x in zip(labels, chsh_mod.setting_columns(plus))},
     }
     values = np.stack(list(columns.values()), axis=-1).tolist()
     rows = [{"r": r, **dict(zip(columns, row))} for r, row in zip(cfg.r_values, values)]
@@ -301,7 +291,7 @@ def cmd_optimize(cfg: RunConfig, reproduce: str) -> int:
         "alpha_prime_rad": st.alpha_prime,
         "beta_rad": st.beta,
         "beta_prime_rad": st.beta_prime,
-        "r": r,
+        "r": cfg.r_values[0],
         "S": result.objective,
         "fidelity": chsh_mod.pr_fidelity(result.objective),
         "iterations": result.iterations,
@@ -309,9 +299,11 @@ def cmd_optimize(cfg: RunConfig, reproduce: str) -> int:
         "reproduce": reproduce,
     }
     if cfg.target_fidelity > 0.0:
-        record["tuned_r"] = tune_r(state, _settings(cfg), cfg.target_fidelity, cfg.tune_r_max)
+        scale = cfg.r_scale()
+        tuned = tune_r(state, _settings(cfg), cfg.target_fidelity, cfg.tune_r_max / scale)
+        record["tuned_r"] = tuned * scale
         record["target_fidelity"] = cfg.target_fidelity
-    return _write(cfg, record, {"": [record]})
+    return _write(cfg, {"r_unit": cfg.r_unit, **record}, {"": [record]})
 
 
 _COMMANDS = {

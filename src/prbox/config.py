@@ -90,8 +90,6 @@ class RunConfig:
     sweep_beta_max: float = math.tau
     sweep_steps: int = 97
     sweep_alphas: tuple[float, ...] = (math.pi, math.pi / 2.0)
-    reference_curve: bool = False
-    reference_phase: float = 0.0
     # frft planning
     frft_target: float = 5.0 * math.pi / 4.0
     frft_inventory_cm: tuple[float, ...] = (25.0, 15.0)
@@ -101,7 +99,7 @@ class RunConfig:
     angle_grid_step: float = ANGLE_GRID_STEP
     refine_tol: float = REFINE_TOL
     target_fidelity: float = 0.0
-    tune_r_max: float = 3.0
+    tune_r_max: float = 3.0  # in r_unit, as r is
     # output
     out_format: str = "csv"
     out_path: str = ""
@@ -145,11 +143,13 @@ class RunConfig:
             return self.gamma, self.delta
         return self.delta, self.gamma
 
+    def r_scale(self) -> float:
+        """One dimensionless unit of r in r_unit: scale_s_mm in mm, else 1."""
+        return self.scale_s_mm if self.r_unit == "mm" else 1.0
+
     def r_dimensionless(self) -> tuple[float, ...]:
         """r values converted to dimensionless detector units."""
-        if self.r_unit == "mm":
-            return tuple(r / self.scale_s_mm for r in self.r_values)
-        return self.r_values
+        return tuple(r / self.r_scale() for r in self.r_values)
 
     def beta_grid(self) -> tuple[float, ...]:
         if self.sweep_steps == 1:

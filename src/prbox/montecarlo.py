@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chsh import CHSH_SIGN, DEGENERATE_CORR, _check_r, setting_columns, setting_pairs
-from .state import BivariateGaussian, GaussianTwoModeState, position_joint_density
+from .state import GaussianTwoModeState, position_joint_density
 
 CHUNK_SIZE = 250_000
 BLOCK_SIZE = 16_384
@@ -84,12 +84,14 @@ class ProbEstimate:
         return 2.0 * math.sqrt(max(p_same * (1.0 - p_same), 0.0) / self.n_kept)
 
 
-def _cholesky_factor(bg: BivariateGaussian) -> tuple[float, float, float]:
-    """Entries (L00, L10, L11) of the lower Cholesky factor of bg's covariance."""
-    rho = bg.corr
+def _cholesky_factor(block: tuple[float, float, float]) -> tuple[float, float, float]:
+    """Entries (L00, L10, L11) of the lower Cholesky factor of the covariance
+    of a (var1, var2, corr) block."""
+    var1, var2, rho = block
     if abs(rho) > DEGENERATE_CORR:
         raise ValueError(f"|corr|={abs(rho)} too close to 1 for sampling")
-    return bg.std1, bg.std2 * rho, bg.std2 * math.sqrt(1.0 - rho * rho)
+    std2 = math.sqrt(var2)
+    return math.sqrt(var1), std2 * rho, std2 * math.sqrt(1.0 - rho * rho)
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -147,8 +149,7 @@ def simulate_counts(
     _check_count("n", n)
     _check_count("workers", workers)
     _check_r(r)
-    bg = position_joint_density(state, alpha, beta)
-    chol = _cholesky_factor(bg)
+    chol = _cholesky_factor(position_joint_density(state, alpha, beta))
     jobs = [(seed, idx, m, chol, r) for idx, m in enumerate(_chunk_sizes(n))]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         partials = list(pool.map(_bin_chunk, jobs))

@@ -18,7 +18,6 @@ wavefunction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,30 +52,6 @@ class GaussianTwoModeState:
                 "quadratic form is not positive definite, so the pair "
                 "wavefunction is not normalizable (gamma > delta required)"
             )
-
-
-@dataclass(frozen=True)
-class BivariateGaussian:
-    """Zero-mean joint Gaussian of the two rotated transverse positions."""
-
-    var1: float
-    var2: float
-    corr: float
-
-    def __post_init__(self) -> None:
-        for name in ("var1", "var2"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not abs(self.corr) <= 1.0:
-            raise ValueError(f"|corr| must be <= 1, got {self.corr}")
-
-    @property
-    def std1(self) -> float:
-        return math.sqrt(self.var1)
-
-    @property
-    def std2(self) -> float:
-        return math.sqrt(self.var2)
 
 
 def _covariance_terms(state: GaussianTwoModeState) -> tuple[float, float, float]:
@@ -150,8 +125,8 @@ def rotated_block(state: GaussianTwoModeState, alpha, beta, gradient: bool = Fal
 
 def position_joint_density(
     state: GaussianTwoModeState, alpha: float, beta: float
-) -> BivariateGaussian:
-    """Joint Gaussian of the detected positions after rotations (alpha, beta):
-    rotated_block at scalar angles."""
-    v1, v2, rho = rotated_block(state, alpha, beta)
-    return BivariateGaussian(var1=float(v1), var2=float(v2), corr=float(rho))
+) -> tuple[float, float, float]:
+    """(var1, var2, corr) of the zero-mean joint Gaussian of the detected
+    positions after rotations (alpha, beta): rotated_block at scalar angles.
+    The variances are positive (a > 0 and a/d > 0) and corr lies in [-1, 1]."""
+    return tuple(map(float, rotated_block(state, alpha, beta)))

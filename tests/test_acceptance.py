@@ -111,7 +111,7 @@ def test_criterion_4_arcsine_law_consistency():
     for _ in range(50):
         state = random_state(rng)
         alpha, beta = rng.uniform(0, 2 * PI, size=2)
-        rho = position_joint_density(state, alpha, beta).corr
+        _, _, rho = position_joint_density(state, alpha, beta)
         e_sign = oracles.sign_expectation(state, alpha, beta)
         e_zero = float(correlation_grid(state, alpha, beta, 0.0))
         worst = max(
@@ -255,8 +255,7 @@ def test_criterion_9_closed_form_cross_check():
     worst = 0.0
     for beta in (0.0, PI / 4, PI / 2):
         for alpha, form in forms:
-            bg = position_joint_density(STATE, alpha, beta)
-            want = oracles.bivariate_pdf(bg.var1, bg.var2, bg.corr, x1, x2)
+            want = oracles.bivariate_pdf(*position_joint_density(STATE, alpha, beta), x1, x2)
             got = form(STATE.delta, STATE.gamma, beta, x1, x2)
             worst = max(worst, float(np.max(np.abs(got - want) / want)))
     report(

@@ -26,13 +26,12 @@ from prbox.chsh import (
     postselected_probs,
     pr_fidelity,
     quadrant_probability,
-    quantum_reference_curve,
     setting_pairs,
     setting_tables,
     sweep_beta,
 )
 from prbox.montecarlo import mc_bell_S, setting_estimates, simulate_counts
-from prbox.state import BivariateGaussian, GaussianTwoModeState, position_joint_density
+from prbox.state import GaussianTwoModeState, position_joint_density
 
 PI = math.pi
 STATE = GaussianTwoModeState(delta=0.75, gamma=1.25)
@@ -40,16 +39,17 @@ SEPARABLE = GaussianTwoModeState(delta=1.0, gamma=math.inf)
 NEAR_EPR = GaussianTwoModeState(delta=0.75, gamma=0.75001)
 
 
-def orthant(bg, sign1, sign2, r):
-    """Mass of bg over {sign1*x1 > r} x {sign2*x2 > r}: quadrant_probability
-    at the thresholds r / std and the signed correlation."""
-    h1, h2, rho = np.array([[r / bg.std1], [r / bg.std2], [sign1 * sign2 * bg.corr]])
+def orthant(block, sign1, sign2, r):
+    """Mass of a (var1, var2, corr) block over {sign1*x1 > r} x {sign2*x2 > r}:
+    quadrant_probability at the thresholds r / std and the signed correlation."""
+    var1, var2, corr = block
+    h1, h2, rho = np.array([[r / math.sqrt(var1)], [r / math.sqrt(var2)], [sign1 * sign2 * corr]])
     return float(quadrant_probability(h1, h2, rho)[0])
 
 
 class TestQuadrantProbability:
     def test_uncorrelated_r_zero_quadrants(self):
-        bg = BivariateGaussian(var1=1.3, var2=0.4, corr=0.0)
+        bg = (1.3, 0.4, 0.0)
         for s1 in (1, -1):
             for s2 in (1, -1):
                 assert orthant(bg, s1, s2, 0.0) == pytest.approx(
@@ -57,36 +57,37 @@ class TestQuadrantProbability:
                 )
 
     def test_perfectly_correlated(self):
-        bg = BivariateGaussian(var1=1.0, var2=1.0, corr=1.0)
+        bg = (1.0, 1.0, 1.0)
         assert orthant(bg, 1, 1, 0.0) == pytest.approx(0.5, abs=1e-12)
         assert orthant(bg, 1, -1, 0.0) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("rho", [-0.95, -0.5, 0.0, 0.3, 0.8, 0.999])
     def test_orthant_identity(self, rho):
-        bg = BivariateGaussian(var1=0.7, var2=2.1, corr=rho)
+        bg = (0.7, 2.1, rho)
         expected = 0.25 + math.asin(rho) / (2.0 * PI)
         assert orthant(bg, 1, 1, 0.0) == pytest.approx(expected, abs=1e-9)
 
     def test_against_monte_carlo(self):
-        bg = BivariateGaussian(var1=0.9, var2=1.7, corr=0.55)
+        bg = (0.9, 1.7, 0.55)
         analytic = orthant(bg, 1, 1, 0.0)
         est, se = oracles.mc_quadrant_probability(
-            bg.var1, bg.var2, bg.corr, 1, 1, 0.0, n=10_000_000, seed=20260823
+            *bg, 1, 1, 0.0, n=10_000_000, seed=20260823
         )
         assert abs(est - analytic) < 4.0 * se
 
 
-def assert_orthants_match_oracle(bg, r):
+def assert_orthants_match_oracle(block, r):
     """Both sign patterns of orthant within 1e-9 relative of
     the 40-digit oracle; a mass below the normal doubles must underflow."""
-    h1, h2 = r / bg.std1, r / bg.std2
+    var1, var2, corr = block
+    h1, h2 = r / math.sqrt(var1), r / math.sqrt(var2)
     for sign2 in (1, -1):
-        want = oracles.mp_upper_orthant(h1, h2, sign2 * bg.corr)
-        got = orthant(bg, 1, sign2, r)
+        want = oracles.mp_upper_orthant(h1, h2, sign2 * corr)
+        got = orthant(block, 1, sign2, r)
         if want < sys.float_info.min:
             assert got < sys.float_info.min
         else:
-            assert abs(got - want) <= 1e-9 * want, (h1, h2, sign2 * bg.corr)
+            assert abs(got - want) <= 1e-9 * want, (h1, h2, sign2 * corr)
 
 
 def tail_branch(monkeypatch, h1, h2, rho):
@@ -155,9 +156,9 @@ class TestOrthantAccuracy:
     def test_tail_rule_at_reference_settings(self, monkeypatch):
         # at r = 4 both orthants of all four setting pairs take the tail rule
         bgs = [position_joint_density(STATE, a, b) for a, b in setting_pairs(REFERENCE_SETTINGS)]
-        h1 = np.array([4.0 / bg.std1 for bg in bgs for _ in (1, -1)])
-        h2 = np.array([4.0 / bg.std2 for bg in bgs for _ in (1, -1)])
-        rho = np.array([sign * bg.corr for bg in bgs for sign in (1, -1)])
+        h1 = np.array([4.0 / math.sqrt(var1) for var1, _, _ in bgs for _ in (1, -1)])
+        h2 = np.array([4.0 / math.sqrt(var2) for _, var2, _ in bgs for _ in (1, -1)])
+        rho = np.array([sign * corr for _, _, corr in bgs for sign in (1, -1)])
         assert tail_branch(monkeypatch, h1, h2, rho).all()
         assert_tail_matches_oracle(h1, h2, rho, quadrant_probability(h1, h2, rho))
 
@@ -192,14 +193,14 @@ class TestPostselectedProbs:
             assert p == pytest.approx(0.25, abs=1e-10)
 
     def test_large_r_tail_dominance(self):
-        bg = position_joint_density(STATE, PI, 5 * PI / 4)
-        assert bg.corr > 0
-        r = 3.0 * max(bg.std1, bg.std2)
+        var1, var2, corr = position_joint_density(STATE, PI, 5 * PI / 4)
+        assert corr > 0
+        r = 3.0 * math.sqrt(max(var1, var2))
         p_pp, _, kept = postselected_probs(STATE, PI, 5 * PI / 4, r)
         assert p_pp + p_pp > 0.99
         # cross-check the kept mass against direct sampling
         est, se = oracles.mc_quadrant_probability(
-            bg.var1, bg.var2, bg.corr, 1, 1, r, n=10_000_000, seed=7
+            var1, var2, corr, 1, 1, r, n=10_000_000, seed=7
         )
         assert abs(est - p_pp * kept) < 4.0 * se
 
@@ -230,7 +231,7 @@ class TestPostselectedProbs:
 class TestCorrelationE:
     @pytest.mark.parametrize("rho", [-0.9, -0.2, 0.0, 0.35, 0.95])
     def test_arcsine_law_at_r_zero(self, rho):
-        bg = BivariateGaussian(var1=1.0, var2=1.0, corr=rho)
+        bg = (1.0, 1.0, rho)
         masses = {
             (s1, s2): orthant(bg, s1, s2, 0.0)
             for s1 in (1, -1)
@@ -334,7 +335,7 @@ class TestSweep:
     def test_r_zero_curve_bounded_by_arcsine_law(self):
         curve = sweep_beta(STATE, PI, 0.0, self.GRID)
         max_corr = max(
-            abs(position_joint_density(STATE, PI, b).corr) for b in self.GRID
+            abs(position_joint_density(STATE, PI, b)[2]) for b in self.GRID
         )
         bound = (2.0 / PI) * math.asin(max_corr) + 1e-9
         assert all(abs(e) <= bound for _, e in curve)
@@ -407,9 +408,9 @@ class TestCorrelationGrid:
         # rule, and at r = 4 every element takes the tail
         p_pp, p_pm, kept = chsh.postselected_tables(STATE, REF_ALPHA_COLUMN, REF_BETAS, r)
         for i, j in np.ndindex(2, 2):
-            bg = position_joint_density(STATE, REF_ALPHAS[i], REF_BETAS[j])
-            for p, corr in ((p_pp[i, j], bg.corr), (p_pm[i, j], -bg.corr)):
-                want = oracles.mp_upper_orthant(r / bg.std1, r / bg.std2, corr)
+            var1, var2, rho = position_joint_density(STATE, REF_ALPHAS[i], REF_BETAS[j])
+            for p, corr in ((p_pp[i, j], rho), (p_pm[i, j], -rho)):
+                want = oracles.mp_upper_orthant(r / math.sqrt(var1), r / math.sqrt(var2), corr)
                 assert abs(p * kept[i, j] - want) <= 1e-9 * want
 
     def test_sweep_matches_scalar_loop(self):
@@ -454,7 +455,7 @@ class TestCorrelationGrid:
     def test_chsh_values_equal_table_formulas(self, state, alphas, betas, r_list):
         # every rung equals the textbook formulas over four postselected_probs
         # tables, bit for bit, as chsh_values keeps their operation order
-        e, s, p_and, plus, max_dev, kept_pct = chsh_values(
+        e, s, p_and, max_dev, kept_pct = chsh_values(
             *chsh.postselected_tables(
                 state, np.array(alphas)[:, None], betas, np.array(r_list)[:, None, None]))
         (a, ap), (b, bp) = alphas, betas
@@ -474,7 +475,6 @@ class TestCorrelationGrid:
             assert p_and[n] == 0.25 * (
                 pp_ab + pp_ab + pp_apb + pp_apb + pp_abp + pp_abp + pm_apbp + pm_apbp
             )
-            assert np.array_equal(plus[n], alice) and np.array_equal(plus[n].T, bob)
             assert max_dev[n] == max(np.max(np.abs(alice - 0.5)), np.max(np.abs(bob - 0.5)))
             assert kept_pct[n] == 100.0 * sum(kept for _, _, kept in tables) / 4.0
 
@@ -712,20 +712,6 @@ class TestBellSGradient:
         assert (grad == 0.0).all()
 
 
-class TestReferenceCurve:
-    def test_unit_amplitude_and_phase(self):
-        grid = np.linspace(0.0, 2.0 * PI, 721)
-        curve = quantum_reference_curve(grid, phase=0.0)
-        values = np.array([v for _, v in curve])
-        assert np.max(np.abs(values)) <= 1.0
-        assert np.max(np.abs(values)) == pytest.approx(1.0, abs=1e-4)
-        assert curve[0][1] == pytest.approx(0.0, abs=1e-12)
-
-    def test_phase_shift(self):
-        curve = quantum_reference_curve([1.0], phase=1.0)
-        assert curve[0][1] == pytest.approx(0.0, abs=1e-12)
-
-
 class TestMonteCarloAgreement:
     def test_quadrant_probabilities_20_random_cases(self):
         rng = np.random.default_rng(42)
@@ -741,7 +727,7 @@ class TestMonteCarloAgreement:
             bg = position_joint_density(state, alpha, beta)
             analytic = orthant(bg, int(s1), int(s2), r)
             est, se = oracles.mc_quadrant_probability(
-                bg.var1, bg.var2, bg.corr, int(s1), int(s2), r, 10_000_000, 1000 + case
+                *bg, int(s1), int(s2), r, 10_000_000, 1000 + case
             )
             if abs(est - analytic) >= 4.0 * max(se, 1e-12):
                 failures += 1

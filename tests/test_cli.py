@@ -16,6 +16,7 @@ from prbox.chsh import (
     EmptyPostSelectionError,
     and_gate_success,
     bell_S,
+    bell_S_gradient,
     no_signaling_report,
     sweep_beta,
 )
@@ -23,17 +24,11 @@ from prbox.cli import main
 from prbox.config import ConfigError, load_config
 from prbox.frft import MAX_STAGE_ORDER, MIN_STAGE_ORDER, PlanNotFoundError
 from prbox.montecarlo import InsufficientCountsError
-from prbox.optimize import MAX_GRID_ANGLES, MIN_GRID_ANGLES
+from prbox.optimize import MAX_GRID_ANGLES, MIN_GRID_ANGLES, R_TOL
 from prbox.state import GaussianTwoModeState, NonNormalizableStateError
 
 PI = math.pi
 STATE = GaussianTwoModeState(delta=0.75, gamma=1.25)
-# CSV/JSON column labels of the marginals [i, j]: Alice's P(+) is no_signaling_report's
-# plus, and Bob's its transpose
-MARGINAL_LABELS = {
-    "A": np.array([["ab", "abp"], ["apb", "apbp"]]),
-    "B": np.array([["ab", "apb"], ["abp", "apbp"]]),
-}
 
 
 def run(tmp_path, *argv):
@@ -70,7 +65,7 @@ class TestPlanFrft:
         )
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["schema_version"] == "1"
+        assert doc["schema_version"] == "2"
         assert doc["stages"][0]["z_cm"] == pytest.approx(50.0)
 
     def test_zero_target_empty_plan(self, capsys):
@@ -147,7 +142,9 @@ class TestDegenerateConfig:
             ("optimize", "angle_grid_step = 0", "angle_grid_step"),
             ("optimize", "angle_grid_step = -0.1", "angle_grid_step"),
             ("optimize", "angle_grid_step = inf", "angle_grid_step"),
-            ("sweep", "reference_curve = on\nreference_phase = nan", "reference_phase"),
+            ("sweep", "sweep_beta_min = nan", "sweep_beta_min"),
+            ("sweep", "reference_curve = true", "reference_curve"),
+            ("sweep", "reference_phase = 0", "reference_phase"),
             ("sweep", "sweep_alphas = nan", "sweep_alphas"),
             ("sweep", "sweep_beta_max = inf", "sweep_beta_max"),
             ("chsh", "r = nan", "r_values"),
@@ -210,7 +207,7 @@ class TestChsh:
         cfg = write_config(tmp_path, "r = 1\n")
         assert main(["chsh", "--config", cfg, "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["schema_version"] == "1"
+        assert doc["schema_version"] == "2"
         assert len(doc["results"]) == 1
 
     @pytest.mark.parametrize("r", [4.0, 8.0])
@@ -229,25 +226,17 @@ class TestChsh:
         for row in rows:
             r = row["r"]
             p_pp, p_pm, _ = chsh.setting_tables(STATE, REFERENCE_SETTINGS, r)
-            plus, max_dev = no_signaling_report(p_pp, p_pm)
             assert row["S"] == bell_S(STATE, REFERENCE_SETTINGS, r)
             assert row["P_AND"] == and_gate_success(p_pp, p_pm)
-            assert row["max_marginal_dev"] == max_dev
-            for who, marginal in (("A", plus), ("B", plus.T)):
-                for (i, j), label in np.ndenumerate(MARGINAL_LABELS[who]):
-                    assert row[f"{who}_plus_{label}"] == marginal[i, j]
+            assert row["max_marginal_dev"] == no_signaling_report(p_pp, p_pm)[1]
 
-    def test_a_plus_columns_are_the_tables_at_their_setting_pairs(self, tmp_path, capsys):
-        # A_plus_<k> is Alice's P(+) at k's (alpha_i, beta_j), as setting_pairs
-        # names it, whatever order the columns are written in
-        cfg = write_config(tmp_path, "r = 0.4, 1.3\nprecision = 17\n")
-        assert main(["chsh", "--config", cfg, "--format", "json"]) == 0
-        rows = json.loads(capsys.readouterr().out)["results"]
-        pairs = dict(zip(chsh.SETTING_LABELS, chsh.setting_pairs(REFERENCE_SETTINGS)))
-        for row in rows:
-            for label, (alpha, beta) in pairs.items():
-                p_pp, p_pm, _ = chsh.postselected_tables(STATE, alpha, beta, row["r"])
-                assert row["A_plus_" + label] == float(p_pp + p_pm)
+    def test_header_prints_each_fact_once(self, tmp_path):
+        cfg = write_config(tmp_path, "r = 0.4\n")
+        out = tmp_path / "chsh.csv"
+        assert main(["chsh", "--config", cfg, "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[0] == (
+            "r,H_ave_pct,E_ab,E_apb,E_abp,E_apbp,S,P_AND,fidelity,max_marginal_dev"
+        )
 
     def test_first_failing_rung_is_named(self, tmp_path, capsys):
         # the kept fraction underflows at r = 20 and at r = 30
@@ -295,20 +284,22 @@ class TestSweep:
         assert len(curves) == 2 and curves[0] == curves[1]
 
     def test_fig1_style_run_produces_six_curves_plus_reference(self, tmp_path):
+        # the reference is the model's own r = 0 curve, one per alpha
         cfg = write_config(
             tmp_path,
             # width-swapped configuration entered as printed, then swapped
             "delta = 5/4\ngamma = 3/4\nswap_widths = true\n"
-            "r = 0.75, 1, 2\nsweep_alphas = pi, pi/2\nsweep_steps = 25\n"
-            "reference_curve = true\n",
+            "r = 0, 0.75, 1, 2\nsweep_alphas = pi, pi/2\nsweep_steps = 25\n",
         )
         out_dir = tmp_path / "curves"
         assert main(["sweep", "--config", cfg, "--out", str(out_dir)]) == 0
         files = sorted(os.listdir(out_dir))
-        assert len(files) == 7
-        assert "reference_curve.csv" in files
-        one = (out_dir / [f for f in files if f != "reference_curve.csv"][0]).read_text()
-        assert one.splitlines()[0] == "beta_rad,E,alpha_rad,r"
+        assert len(files) == 8
+        assert [f for f in files if f.endswith("_r0.0000.csv")] == [
+            "sweep_alpha1.5708_r0.0000.csv", "sweep_alpha3.1416_r0.0000.csv"
+        ]
+        for name in files:
+            assert (out_dir / name).read_text().splitlines()[0] == "beta_rad,E,alpha_rad,r"
 
     def test_single_step_single_row(self, tmp_path):
         cfg = write_config(tmp_path, "sweep_steps = 1\nsweep_alphas = pi\nr = 1\n")
@@ -378,7 +369,7 @@ class TestOptimize:
         code = main(["optimize", "--config", cfg, "--format", "json"])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["schema_version"] == "1"
+        assert doc["schema_version"] == "2"
         assert doc["reproduce"].startswith("prbox-sim optimize")
         assert -4.0 <= doc["S"] <= 4.0
         assert doc["fidelity"] == pytest.approx((doc["S"] + 4.0) / 8.0, abs=1e-5)
@@ -418,6 +409,57 @@ class TestOptimize:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "config error: optimize takes exactly one r, got 2 r_values\n"
+
+
+# r = 1 mm at 2 mm per dimensionless unit: a dimensionless r of 0.5
+MM_CONFIG = "r_unit = mm\nscale_s_mm = 2\nr = 1\nprecision = 17\n"
+OPTIMIZE_CONFIG = "angle_grid_step = pi/4\nrefine_tol = 1e-2\ntarget_fidelity = 0.8\n"
+
+
+def json_run(tmp_path, capsys, command, text):
+    cfg = write_config(tmp_path, text + "out_format = json\n", name=f"{command}.cfg")
+    assert main([command, "--config", cfg]) == 0, capsys.readouterr().err
+    return json.loads(capsys.readouterr().out)
+
+
+class TestRUnit:
+    def test_sweep_prints_r_in_mm(self, tmp_path, capsys):
+        curve = "sweep_alphas = pi\nsweep_steps = 5\n"
+        cfg = write_config(tmp_path, MM_CONFIG + curve)
+        out_dir = tmp_path / "curves"
+        assert main(["sweep", "--config", cfg, "--out", str(out_dir)]) == 0
+        assert os.listdir(out_dir) == ["sweep_alpha3.1416_r1.0000.csv"]
+        text = (out_dir / "sweep_alpha3.1416_r1.0000.csv").read_text()
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert {row["r"] for row in rows} == {"1"}
+        doc = json_run(tmp_path, capsys, "sweep", MM_CONFIG + curve)
+        assert doc["r_unit"] == "mm" and doc["curves"][0]["r"] == 1.0
+        # the points are the curve at the dimensionless r
+        plain = json_run(tmp_path, capsys, "sweep", "r = 0.5\nprecision = 17\n" + curve)
+        assert plain["r_unit"] == "dimensionless" and plain["curves"][0]["r"] == 0.5
+        assert doc["curves"][0]["points"] == plain["curves"][0]["points"]
+
+    def test_optimize_prints_r_and_tuned_r_in_mm(self, tmp_path, capsys):
+        doc = json_run(tmp_path, capsys, "optimize", MM_CONFIG + OPTIMIZE_CONFIG)
+        assert (doc["r"], doc["r_unit"]) == (1.0, "mm")
+        # the default tune_r_max, 3 mm, is a dimensionless 1.5
+        plain = json_run(tmp_path, capsys, "optimize", "r = 0.5\ntune_r_max = 1.5\n"
+                         "precision = 17\n" + OPTIMIZE_CONFIG)
+        assert doc["S"] == plain["S"]
+        assert doc["tuned_r"] == 2.0 * plain["tuned_r"]
+        # a chsh run at the printed tuned_r, in mm, reaches the target
+        # fidelity to within tune_r's tolerance in the dimensionless r
+        (row,) = json_run(tmp_path, capsys, "chsh",
+                          f"r_unit = mm\nscale_s_mm = 2\nr = {doc['tuned_r']!r}\n"
+                          "precision = 17\n")["results"]
+        slope = bell_S_gradient(STATE, REFERENCE_SETTINGS, doc["tuned_r"] / 2.0)[1][4] / 8.0
+        assert abs(row["fidelity"] - doc["target_fidelity"]) <= R_TOL * slope
+
+    def test_tune_r_max_is_read_in_mm(self, tmp_path, capsys):
+        # fidelity 0.8 needs a dimensionless r near 0.88, beyond 1 mm = 0.5
+        cfg = write_config(tmp_path, MM_CONFIG + OPTIMIZE_CONFIG + "tune_r_max = 1\n")
+        assert main(["optimize", "--config", cfg]) == 3
+        assert "unreachable below r_max=0.5:" in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -522,8 +564,8 @@ class TestMain:
         assert len(calls) == 1
         _, _, files = calls[0]
         names = [""] if out_format == "json" else list(files)
-        if command == "sweep" and out_format == "csv":  # reference_curve = true
-            assert len(names) == 5 and names[-1] == "reference_curve.csv"
+        if command == "sweep" and out_format == "csv":  # one file per curve
+            assert len(names) == 4
         expected = {os.path.join(out or ".", name) if name else out for name in names}
         left = {os.path.relpath(p, tmp_path) for p in tmp_path.rglob("*") if p.is_file()}
         assert left - {"run.cfg"} == {os.path.normpath(p) for p in expected - {None}}
@@ -571,7 +613,7 @@ PRECISIONS = [1, 6, 15, 16, 17]
 # One small config per JSON-writing command.
 DOCUMENT_CONFIGS = [
     ("chsh", "r = 0, 0.4, 1.3, 2.5, 3\n"),
-    ("sweep", "r = 0.75, 2\nsweep_alphas = pi, pi/2\nsweep_steps = 9\nreference_curve = true\n"),
+    ("sweep", "r = 0.75, 2\nsweep_alphas = pi, pi/2\nsweep_steps = 9\n"),
     ("mc", "r = 0.5, 1\nmc_n = 20000\nmc_seed = 3\n"),
     ("optimize",
      "r = 1\nangle_grid_step = pi/4\nrefine_tol = 1e-2\ntarget_fidelity = 0.9275\n"),

@@ -6,9 +6,12 @@ and ``--out out``, so the ``reproduce`` field of ``optimize`` is fixed.
 
 The expected files under ``tests/golden/`` are rewritten from the
 ``prbox`` on the import path by ``python tests/test_cli_golden.py``.
+README's output-field tables must list exactly the fields they print.
 """
 
+import json
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -19,14 +22,12 @@ import pytest
 from prbox.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 FORMATS = ("csv", "json")
 # name: (config text, subcommand and flags)
 CASES = {
     "chsh": ("r = 0, 1\n", ["chsh"]),
-    "sweep": (
-        "r = 1\nsweep_steps = 5\nsweep_alphas = pi, pi/2\nreference_curve = true\n",
-        ["sweep"],
-    ),
+    "sweep": ("r = 1\nsweep_steps = 5\nsweep_alphas = pi, pi/2\n", ["sweep"]),
     "mc": ("r = 0.5\nmc_n = 20000\nmc_seed = 7\n", ["mc"]),
     "plan_5pi4": ("", ["plan-frft", "--target", "5pi/4", "--inventory", "25,15"]),
     "plan_zero": ("", ["plan-frft", "--target", "0", "--inventory", "25,15"]),
@@ -68,6 +69,53 @@ def contents(path: Path) -> dict:
 def test_output_matches_golden(name, fmt, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert contents(run_case(name, fmt)) == contents(GOLDEN / f"{name}.{fmt}")
+
+
+def readme_fields() -> dict[str, set[str]]:
+    """The field names of README's output tables, by the subcommand their
+    heading names, or "" for the table that every JSON document shares."""
+    section = README.read_text().split("\n## Output fields\n")[1].split("\n## ")[0]
+    tables, command = {}, None
+    for line in section.splitlines():
+        if line.startswith("### "):
+            heading = re.fullmatch(r"### `prbox-sim (\S+)`", line)
+            command = heading[1] if heading else ""
+        elif line.startswith("| `") and command is not None:
+            cell = line.split(" | ")[0]
+            tables.setdefault(command, set()).update(re.findall(r"`([^`]+)`", cell))
+    return tables
+
+
+def json_keys(v) -> set[str]:
+    """Every key of a JSON value, at any depth."""
+    if isinstance(v, dict):
+        return set(v).union(*map(json_keys, v.values()))
+    if isinstance(v, list):
+        return set().union(*map(json_keys, v))
+    return set()
+
+
+def golden_fields(path: Path) -> set[str]:
+    """Every key of a JSON golden, or the header fields of a CSV golden's files."""
+    if path.suffix == ".json":
+        return json_keys(json.loads(path.read_text()))
+    files = sorted(path.iterdir()) if path.is_dir() else [path]
+    return {k for f in files for k in f.read_text().splitlines()[0].split(",")}
+
+
+def test_readme_lists_exactly_the_golden_fields():
+    tables = readme_fields()
+    shared = tables.pop("")
+    printed = {command: set() for command in tables}
+    for path in sorted(GOLDEN.iterdir()):
+        command = CASES[path.stem][1][0]
+        fields = golden_fields(path)
+        assert fields - shared - tables[command] == set(), path.name
+        if path.suffix == ".json":
+            assert shared <= fields, path.name
+        printed[command] |= fields
+    # and no table lists a field that no golden prints
+    assert {c: fields - printed[c] for c, fields in tables.items()} == {c: set() for c in tables}
 
 
 if __name__ == "__main__":

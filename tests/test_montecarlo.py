@@ -34,7 +34,7 @@ from prbox.montecarlo import (
     setting_estimates,
     simulate_counts,
 )
-from prbox.state import BivariateGaussian, GaussianTwoModeState, position_joint_density
+from prbox.state import GaussianTwoModeState, position_joint_density
 
 PI = math.pi
 STATE = GaussianTwoModeState(delta=0.75, gamma=1.25)
@@ -80,10 +80,10 @@ class TestSamplePairs:
     def test_refuses_exactly_past_the_degenerate_threshold(self, sign):
         # the analytic orthant takes its degenerate form from DEGENERATE_CORR
         # on; sampling still accepts that correlation and refuses the next one
-        _cholesky_factor(BivariateGaussian(1.0, 1.0, sign * DEGENERATE_CORR))
+        _cholesky_factor((1.0, 1.0, sign * DEGENERATE_CORR))
         past = sign * float(np.nextafter(DEGENERATE_CORR, 1.0))
         with pytest.raises(ValueError, match="too close to 1 for sampling"):
-            _cholesky_factor(BivariateGaussian(1.0, 1.0, past))
+            _cholesky_factor((1.0, 1.0, past))
 
 
 class TestSimulateCounts:
@@ -182,8 +182,8 @@ class TestExactReference:
 
     @pytest.fixture(scope="class")
     def pairs(self):
-        bg = position_joint_density(STATE, self.ALPHA, self.BETA)
-        return cache(lambda n: oracles.sample_pairs(bg.var1, bg.var2, bg.corr, n, self.SEED))
+        block = position_joint_density(STATE, self.ALPHA, self.BETA)
+        return cache(lambda n: oracles.sample_pairs(*block, n, self.SEED))
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("r", [0.0, 0.5, 2.0, 6.0])

@@ -63,8 +63,8 @@ def test_compare_outputs_names_the_json_outputs_of_a_changed_tree(tmp_path):
                     ignore=shutil.ignore_patterns("__pycache__"))
     cli = tmp_path / "prbox" / "cli.py"
     text = cli.read_text()
-    assert 'SCHEMA_VERSION = "1"' in text
-    cli.write_text(text.replace('SCHEMA_VERSION = "1"', 'SCHEMA_VERSION = "2"'))
+    assert 'SCHEMA_VERSION = "2"' in text
+    cli.write_text(text.replace('SCHEMA_VERSION = "2"', 'SCHEMA_VERSION = "3"'))
     proc = _compare_outputs(tmp_path)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert proc.stdout.splitlines() == [

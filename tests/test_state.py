@@ -6,12 +6,7 @@ from hypothesis import given, settings
 
 import oracles
 from strategies import angles, valid_states
-from prbox.state import (
-    BivariateGaussian,
-    GaussianTwoModeState,
-    NonNormalizableStateError,
-    position_joint_density,
-)
+from prbox.state import GaussianTwoModeState, NonNormalizableStateError, position_joint_density
 
 PI = math.pi
 STATE = GaussianTwoModeState(delta=0.75, gamma=1.25)
@@ -24,22 +19,23 @@ def oracle_sigma(state, alpha, beta):
     return oracles.rotate_4x4(sigma, alpha, beta)
 
 
-def cov(bg):
-    """Covariance of the block's two positions."""
-    return bg.corr * bg.std1 * bg.std2
+def cov(block):
+    """Covariance of the two positions of a (var1, var2, corr) block."""
+    var1, var2, corr = block
+    return corr * math.sqrt(var1) * math.sqrt(var2)
 
 
-def pdf(bg, x1, x2):
-    """The oracle's density of the block."""
-    return oracles.bivariate_pdf(bg.var1, bg.var2, bg.corr, x1, x2)
+def pdf(block, x1, x2):
+    """The oracle's density of a (var1, var2, corr) block."""
+    return oracles.bivariate_pdf(*block, x1, x2)
 
 
-def assert_block_matches(bg, sigma, rel=1e-12):
+def assert_block_matches(block, sigma, rel=1e-12):
     """The closed-form block against the (x1, x2) block of a 4x4 covariance."""
     scale = math.sqrt(sigma[0, 0] * sigma[2, 2])
-    assert bg.var1 == pytest.approx(sigma[0, 0], rel=rel, abs=0.0)
-    assert bg.var2 == pytest.approx(sigma[2, 2], rel=rel, abs=0.0)
-    assert cov(bg) == pytest.approx(sigma[0, 2], rel=0.0, abs=rel * scale)
+    assert block[0] == pytest.approx(sigma[0, 0], rel=rel, abs=0.0)
+    assert block[1] == pytest.approx(sigma[2, 2], rel=rel, abs=0.0)
+    assert cov(block) == pytest.approx(sigma[0, 2], rel=0.0, abs=rel * scale)
 
 
 class TestStateConstruction:
@@ -67,16 +63,16 @@ class TestQuadFormMatrix:
     def test_separable_identity(self):
         for alpha in (0.0, PI / 2.0):
             bg = position_joint_density(SEPARABLE, alpha, alpha)
-            assert (bg.var1, bg.var2, cov(bg)) == pytest.approx((0.5, 0.5, 0.0))
+            assert (*bg[:2], cov(bg)) == pytest.approx((0.5, 0.5, 0.0))
 
     def test_direct_substitution(self):
         a, b = 16.0 / 9.0, 16.0 / 25.0
         d = a * a - b * b
         x = position_joint_density(STATE, 0.0, 0.0)
-        assert (x.var1, x.var2) == pytest.approx((a / 2, a / 2), rel=1e-15)
+        assert x[:2] == pytest.approx((a / 2, a / 2), rel=1e-15)
         assert cov(x) == pytest.approx(b / 2, rel=1e-15)
         p = position_joint_density(STATE, PI / 2.0, PI / 2.0)
-        assert (p.var1, p.var2) == pytest.approx((a / d / 2, a / d / 2), rel=1e-14)
+        assert p[:2] == pytest.approx((a / d / 2, a / d / 2), rel=1e-14)
         assert cov(p) == pytest.approx(-b / d / 2, rel=1e-14)
 
     def test_epr_limit_singular(self):
@@ -91,24 +87,22 @@ class TestQuadFormMatrix:
 class TestCovarianceFromState:
     def test_separable_is_half_identity(self):
         for alpha, beta in [(0.0, 0.0), (0.3, 1.2), (PI, 5 * PI / 4)]:
-            bg = position_joint_density(SEPARABLE, alpha, beta)
-            assert bg.var1 == pytest.approx(0.5, abs=1e-15)
-            assert bg.var2 == pytest.approx(0.5, abs=1e-15)
+            var1, var2, _ = position_joint_density(SEPARABLE, alpha, beta)
+            assert var1 == pytest.approx(0.5, abs=1e-15)
+            assert var2 == pytest.approx(0.5, abs=1e-15)
 
     def test_momentum_block_against_wavefunction_moments(self):
         # brute-force second moments of |psi(q1,q2)|^2; a pi/2 rotation of
         # both modes maps x to p
         v1, v2, c = oracles.momentum_moments(STATE.delta, STATE.gamma)
         bg = position_joint_density(STATE, PI / 2.0, PI / 2.0)
-        assert bg.var1 == pytest.approx(v1, abs=1e-8)
-        assert bg.var2 == pytest.approx(v2, abs=1e-8)
+        assert bg[:2] == pytest.approx((v1, v2), abs=1e-8)
         assert cov(bg) == pytest.approx(c, abs=1e-8)
 
     def test_position_block_against_fourier_transform_moments(self):
         v1, v2, c = oracles.position_moments(STATE.delta, STATE.gamma)
         bg = position_joint_density(STATE, 0.0, 0.0)
-        assert bg.var1 == pytest.approx(v1, abs=1e-4)
-        assert bg.var2 == pytest.approx(v2, abs=1e-4)
+        assert bg[:2] == pytest.approx((v1, v2), abs=1e-4)
         assert cov(bg) == pytest.approx(c, abs=1e-4)
 
     @settings(max_examples=50, deadline=None)
@@ -133,9 +127,9 @@ class TestRotateCovariance:
 
     def test_quarter_rotation_swaps_quadratures(self):
         sigma = oracles.pair_covariance_4x4(STATE.delta, STATE.gamma)
-        bg = position_joint_density(STATE, PI / 2.0, 0.0)
-        assert bg.var1 == pytest.approx(sigma[1, 1], rel=1e-12)
-        assert bg.var2 == pytest.approx(sigma[2, 2], rel=1e-12)
+        var1, var2, _ = position_joint_density(STATE, PI / 2.0, 0.0)
+        assert var1 == pytest.approx(sigma[1, 1], rel=1e-12)
+        assert var2 == pytest.approx(sigma[2, 2], rel=1e-12)
 
     @settings(max_examples=50, deadline=None)
     @given(valid_states(), angles, angles, angles, angles)
@@ -149,10 +143,10 @@ class TestRotateCovariance:
     @settings(max_examples=50, deadline=None)
     @given(valid_states(), angles, angles)
     def test_heisenberg_after_rotation(self, state, alpha, beta):
-        x = position_joint_density(state, alpha, beta)
-        p = position_joint_density(state, alpha + PI / 2.0, beta + PI / 2.0)
-        assert x.var1 * p.var1 >= 0.25 * (1.0 - 1e-12)
-        assert x.var2 * p.var2 >= 0.25 * (1.0 - 1e-12)
+        x1, x2, _ = position_joint_density(state, alpha, beta)
+        p1, p2, _ = position_joint_density(state, alpha + PI / 2.0, beta + PI / 2.0)
+        assert x1 * p1 >= 0.25 * (1.0 - 1e-12)
+        assert x2 * p2 >= 0.25 * (1.0 - 1e-12)
 
 
 class TestPositionJointDensity:
@@ -161,7 +155,7 @@ class TestPositionJointDensity:
         # as far from the EPR limit as a state can be
         for state in (SEPARABLE, GaussianTwoModeState(5000.0, math.inf)):
             for alpha, beta in [(0.0, 0.0), (0.3, 1.2), (PI, 5 * PI / 4)]:
-                assert position_joint_density(state, alpha, beta).corr == 0.0
+                assert position_joint_density(state, alpha, beta)[2] == 0.0
 
     def test_unrotated_matches_covariance_blocks(self):
         sigma = oracles.pair_covariance_4x4(STATE.delta, STATE.gamma)
@@ -175,18 +169,18 @@ class TestPositionJointDensity:
 
     def test_near_epr_limit_still_has_a_position_block(self):
         state = GaussianTwoModeState(delta=0.75, gamma=0.75001)
-        bg = position_joint_density(state, PI, 5 * PI / 4)
+        _, var2, _ = position_joint_density(state, PI, 5 * PI / 4)
         a, b = 0.75**-2, 0.75001**-2
         d = (a - b) * (a + b)
-        assert bg.var2 == pytest.approx(0.25 * (a + a / d), rel=1e-9)
+        assert var2 == pytest.approx(0.25 * (a + a / d), rel=1e-9)
 
     @settings(max_examples=30, deadline=None)
     @given(valid_states(), angles, angles)
     def test_global_sign_flip_invariance(self, state, alpha, beta):
-        bg1 = position_joint_density(state, alpha, beta)
-        bg2 = position_joint_density(state, alpha + PI, beta + PI)
-        assert bg1.corr == pytest.approx(bg2.corr, abs=1e-12)
-        assert bg1.var1 == pytest.approx(bg2.var1, rel=1e-10)
+        var1, _, corr = position_joint_density(state, alpha, beta)
+        flipped_var1, _, flipped_corr = position_joint_density(state, alpha + PI, beta + PI)
+        assert corr == pytest.approx(flipped_corr, abs=1e-12)
+        assert var1 == pytest.approx(flipped_var1, rel=1e-10)
 
     @pytest.mark.parametrize(
         "alpha,beta", [(0.0, 0.0), (PI, 5 * PI / 4), (PI / 2.0, 0.7)]
@@ -236,8 +230,7 @@ class TestClosedForms:
     def test_imaging_beta_zero_configuration(self):
         # beta = 0 pairs two imaging-like marginals of variance 1/(2 delta^2)
         bg = position_joint_density(STATE, PI, 0.0)
-        assert bg.var1 == pytest.approx(0.5 / STATE.delta**2, rel=1e-12)
-        assert bg.var2 == pytest.approx(0.5 / STATE.delta**2, rel=1e-12)
+        assert bg[:2] == pytest.approx((0.5 / STATE.delta**2,) * 2, rel=1e-12)
         got = oracles.closed_form_R_pi(STATE.delta, STATE.gamma, 0.0, 0.7, -0.2)
         assert got == pytest.approx(float(pdf(bg, 0.7, -0.2)), rel=1e-9)
 
@@ -252,17 +245,3 @@ class TestClosedForms:
             total = np.trapezoid(np.trapezoid(vals, g, axis=1), g)
             assert total == pytest.approx(1.0, abs=1e-6)
 
-
-class TestBivariateGaussian:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BivariateGaussian(var1=-1.0, var2=1.0, corr=0.0)
-        with pytest.raises(ValueError):
-            BivariateGaussian(var1=1.0, var2=1.0, corr=1.5)
-
-    def test_pdf_peak(self):
-        bg = BivariateGaussian(var1=2.0, var2=0.5, corr=0.3)
-        det = 2.0 * 0.5 * (1 - 0.09)
-        assert float(pdf(bg, 0.0, 0.0)) == pytest.approx(
-            1.0 / (2 * PI * math.sqrt(det)), rel=1e-12
-        )
