@@ -240,7 +240,12 @@ def cmd_mc(cfg: RunConfig) -> int:
         estimates = mc_mod.setting_estimates(
             state, settings, r_dim, cfg.mc_n, cfg.mc_seed, cfg.mc_workers
         )
-        for label, (a, b), est in zip(chsh_mod.SETTING_LABELS, pairs, estimates):
+        for label, (a, b) in zip(chsh_mod.SETTING_LABELS, pairs):
+            try:
+                est = next(estimates)
+            except mc_mod.InsufficientCountsError as exc:
+                where = f"mc r={_cell('r', r_cfg, cfg.precision)} ({cfg.r_unit}), setting {label}"
+                raise mc_mod.InsufficientCountsError(f"{where}: {exc}") from None
             records.append({
                 "r": r_cfg,
                 "setting": label,
@@ -300,7 +305,11 @@ def cmd_optimize(cfg: RunConfig, reproduce: str) -> int:
     }
     if cfg.target_fidelity > 0.0:
         scale = cfg.r_scale()
-        tuned = tune_r(state, _settings(cfg), cfg.target_fidelity, cfg.tune_r_max / scale)
+        try:
+            tuned = tune_r(state, _settings(cfg), cfg.target_fidelity, cfg.tune_r_max / scale)
+        except ValueError as exc:  # tune_r works in the dimensionless r
+            r_max = _cell("r", cfg.tune_r_max, cfg.precision)
+            raise ValueError(f"optimize tune_r_max={r_max} ({cfg.r_unit}): {exc}") from None
         record["tuned_r"] = tuned * scale
         record["target_fidelity"] = cfg.target_fidelity
     return _write(cfg, {"r_unit": cfg.r_unit, **record}, {"": [record]})

@@ -4,10 +4,14 @@ post-selected probabilities with binomial errors.
 
 Sampling is chunked with per-chunk seeds derived deterministically from
 (seed, chunk index), so results are bit-identical for a given seed
-regardless of how many workers execute the chunks.  Each chunk is drawn and
-sign-binned block by block into reused buffers, so counts are bit-identical to
-binning the test oracle ``sample_pairs`` (tests/oracles.py) and memory does not
-scale with CHUNK_SIZE.
+regardless of how many workers execute the chunks.  The seed contract's
+stream rule is stated per block of BLOCK_SIZE pairs, so memory does not
+scale with CHUNK_SIZE: a block draws its first normals, then a second normal
+only for each pair whose first position falls outside the dark strip, as the
+pair is discarded otherwise.  That count depends on r, so the rungs of one
+seed diverge after each chunk's first block and do not bin the same pairs.
+Counts are bit-identical to binning the test oracle ``sample_pairs``
+(tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -111,25 +115,27 @@ def _check_count(name: str, value) -> None:
 
 def _bin_chunk(args) -> np.ndarray:
     """Counts (kept, kept & up1, kept & up2, kept & up1 & up2) of one chunk, up
-    meaning x > 0.  Binned block by block into reused buffers, bit-identical to
-    binning the chunk's rows of the oracle ``sample_pairs`` in tests/oracles.py
-    (successive ``out=`` draws continue one stream), in memory that does not
-    scale with CHUNK_SIZE."""
+    meaning x > 0.  Each block of k pairs draws k first normals z0, with
+    x1 = l00 z0, then one second normal z1 for each pair with |x1| > r, in
+    pair order, with x2 = l10 z0 + l11 z1; successive ``out=`` draws continue
+    one stream.  Bit-identical to binning the chunk's pairs of the oracle
+    ``sample_pairs`` in tests/oracles.py, in reused buffers of BLOCK_SIZE."""
     seed, idx, m, (l00, l10, l11), r = args
     rng = _chunk_rng(seed, idx)
-    z = np.empty((BLOCK_SIZE, 2))
-    floats = np.empty((3, BLOCK_SIZE))
+    z0_buf, z_buf, x2_buf, t_buf = np.empty((4, BLOCK_SIZE))
     flags = np.empty((4, BLOCK_SIZE), dtype=bool)
     c = np.zeros(4, dtype=np.int64)
     for k in _chunk_sizes(m, BLOCK_SIZE):
-        x1, x2, t = floats[:, :k]
-        kept, up1, up2, both = flags[:, :k]
-        z0, z1 = rng.standard_normal(out=z[:k]).T
-        np.multiply(l00, z0, out=x1)
-        np.add(np.multiply(l10, z0, out=x2), np.multiply(l11, z1, out=t), out=x2)
-        np.greater(np.abs(x1, out=t), r, out=kept)
-        np.logical_and(kept, np.greater(np.abs(x2, out=t), r, out=up1), out=kept)
-        np.logical_and(kept, np.greater(x1, 0.0, out=up1), out=up1)
+        z0, outside = z0_buf[:k], flags[0, :k]
+        np.abs(np.multiply(l00, rng.standard_normal(out=z0), out=t_buf[:k]), out=t_buf[:k])
+        s = np.count_nonzero(np.greater(t_buf[:k], r, out=outside))
+        z = z0 if s == k else np.compress(outside, z0, out=z_buf[:s])  # all outside, as at r = 0
+        x2, t = x2_buf[:s], t_buf[:s]
+        kept, up1, up2, both = flags[:, :s]  # kept overwrites outside once z is compacted
+        np.multiply(l11, rng.standard_normal(out=x2), out=x2)
+        np.add(np.multiply(l10, z, out=t), x2, out=x2)
+        np.greater(np.abs(x2, out=t), r, out=kept)
+        np.logical_and(kept, np.greater(z, 0.0, out=up1), out=up1)  # x1 has z's sign
         np.logical_and(kept, np.greater(x2, 0.0, out=up2), out=up2)
         np.logical_and(up1, up2, out=both)
         c += [np.count_nonzero(v) for v in (kept, up1, up2, both)]

@@ -159,7 +159,7 @@ def tune_r(
         return 0.0
     if target_fidelity > f_hi:
         raise ValueError(
-            f"target fidelity {target_fidelity} unreachable below r_max={r_max}: "
+            f"target fidelity {target_fidelity} unreachable below r_max: "
             f"maximum achievable is {f_hi:.6f}"
         )
     newton = math.nan

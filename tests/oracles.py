@@ -18,7 +18,7 @@ import mpmath
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from prbox.montecarlo import CHUNK_SIZE
+from prbox.montecarlo import BLOCK_SIZE, CHUNK_SIZE
 from prbox.state import rotated_block
 
 
@@ -132,18 +132,30 @@ def sign_expectation(state, alpha: float, beta: float) -> float:
     return (2.0 / math.pi) * math.asin(rho)
 
 
-def sample_pairs(var1: float, var2: float, corr: float, n: int, seed: int) -> np.ndarray:
-    """n pairs from the zero-mean bivariate normal as an (n, 2) array: chunk k
-    of CHUNK_SIZE rows is one (m, 2) draw of default_rng(SeedSequence((seed
-    mod 2^64, k))), mapped by the Cholesky factor, x2 = l10 z0 + l11 z1."""
+def sample_pairs(
+    var1: float, var2: float, corr: float, r: float, n: int, seed: int
+) -> np.ndarray:
+    """Of n pairs from the zero-mean bivariate normal, those whose first
+    position lies outside the dark strip |x| <= r, as an (m, 2) array in
+    draw order; the other n - m pairs never get a second position.
+
+    Chunk k of CHUNK_SIZE pairs draws from default_rng(SeedSequence((seed
+    mod 2^64, k))), one block of BLOCK_SIZE pairs after another: a block's
+    first normals z0 with x1 = l00 z0, then one second normal z1 per pair
+    with |x1| > r, in order, with x2 = l10 z0 + l11 z1."""
     std2 = math.sqrt(var2)
     l00, l10, l11 = math.sqrt(var1), std2 * corr, std2 * math.sqrt(1.0 - corr * corr)
-    chunks = []
+    pairs = []
     for k, start in enumerate(range(0, n, CHUNK_SIZE)):
         rng = np.random.default_rng(np.random.SeedSequence((seed % 2**64, k)))
-        z0, z1 = rng.standard_normal((min(CHUNK_SIZE, n - start), 2)).T
-        chunks.append(np.column_stack((l00 * z0, l10 * z0 + l11 * z1)))
-    return np.concatenate(chunks)
+        stop = min(start + CHUNK_SIZE, n)
+        for block in range(start, stop, BLOCK_SIZE):
+            z0 = rng.standard_normal(min(BLOCK_SIZE, stop - block))
+            x1 = l00 * z0
+            outside = np.abs(x1) > r
+            z1 = rng.standard_normal(int(np.count_nonzero(outside)))
+            pairs.append(np.column_stack((x1[outside], l10 * z0[outside] + l11 * z1)))
+    return np.concatenate(pairs)
 
 
 def _gauss_density_4d(inv: np.ndarray, norm: float, axes) -> np.ndarray:
@@ -241,3 +253,15 @@ def mp_upper_orthant(h: float, k: float, rho: float, dps: int = 40) -> float:
             lambda u: f(mh + scale * u) / f0, [0, 1, 4, 16, 64, 256, mpmath.inf]
         )
         return float(f0 * scale * tail)
+
+
+def postselected_probs_mp(delta: float, gamma: float, alpha: float, beta: float, r: float):
+    """(kept fraction, p_pp, p_pm, p_mp, p_mm) at dark-strip half-width r,
+    from the rotated 4x4 covariance and mp_upper_orthant: the two positions
+    are a zero-mean normal, so m_mm = m_pp and m_mp = m_pm."""
+    sigma = rotate_4x4(pair_covariance_4x4(delta, gamma), alpha, beta)
+    rho = sigma[0, 2] / math.sqrt(sigma[0, 0] * sigma[2, 2])
+    h, k = r / math.sqrt(sigma[0, 0]), r / math.sqrt(sigma[2, 2])
+    same, cross = mp_upper_orthant(h, k, rho), mp_upper_orthant(h, k, -rho)
+    kept = 2.0 * (same + cross)
+    return kept, same / kept, cross / kept, cross / kept, same / kept

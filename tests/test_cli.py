@@ -352,6 +352,19 @@ class TestMc:
             marg = float(rec["p_pp"]) + float(rec["p_pm"])
             assert abs(marg - 0.5) < 4.0 * se
 
+    @pytest.mark.parametrize("text, rung", [
+        ("r = 0.5, 2\n", "r=2 (dimensionless)"),
+        ("r_unit = mm\nscale_s_mm = 2\nr = 4\n", "r=4 (mm)"),
+    ])
+    def test_too_few_kept_events_exit_3_naming_rung_and_setting(self, tmp_path, capsys,
+                                                                  text, rung):
+        # the (alpha', beta) pair keeps about 1.3e-5 of the pairs at r = 2
+        cfg = write_config(tmp_path, text + "mc_n = 1000000\nmc_seed = 1\n")
+        assert main(["mc", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"numerical failure: mc {rung}, setting apb: only ")
+        assert err.endswith(" kept events; need at least 100\n")
+
     def test_seed_flag_changes_output(self, tmp_path):
         cfg = write_config(tmp_path, "r = 0.5\nmc_n = 100000\n")
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -459,7 +472,9 @@ class TestRUnit:
         # fidelity 0.8 needs a dimensionless r near 0.88, beyond 1 mm = 0.5
         cfg = write_config(tmp_path, MM_CONFIG + OPTIMIZE_CONFIG + "tune_r_max = 1\n")
         assert main(["optimize", "--config", cfg]) == 3
-        assert "unreachable below r_max=0.5:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: optimize tune_r_max=1 (mm): target fidelity 0.8 "
+                              "unreachable below r_max: maximum achievable is ")
 
 
 class TestExitCodes:

@@ -9,6 +9,7 @@ The expected files under ``tests/golden/`` are rewritten from the
 README's output-field tables must list exactly the fields they print.
 """
 
+import csv
 import json
 import os
 import re
@@ -19,7 +20,9 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from prbox.cli import main
+from prbox.config import parse_config_text
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
@@ -69,6 +72,25 @@ def contents(path: Path) -> dict:
 def test_output_matches_golden(name, fmt, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert contents(run_case(name, fmt)) == contents(GOLDEN / f"{name}.{fmt}")
+
+
+def test_mc_golden_matches_the_mp_oracle():
+    """Every p and kept_fraction of the mc goldens lies within 4 of its
+    printed standard errors of the mpmath orthant oracle at the record's
+    printed angles and r."""
+    delta, gamma = parse_config_text(CASES["mc"][0]).effective_widths()
+    with open(GOLDEN / "mc.csv", newline="") as fh:
+        records = list(csv.DictReader(fh))
+    records += json.loads((GOLDEN / "mc.json").read_text())["matrices"]
+    assert len(records) == 8
+    for rec in records:
+        kept, *p = oracles.postselected_probs_mp(
+            delta, gamma, *(float(rec[k]) for k in ("alpha_rad", "beta_rad", "r"))
+        )
+        checks = [("kept_fraction", "kept_se", kept)]
+        checks += [(f"p_{o}", f"se_{o}", p_o) for o, p_o in zip(("pp", "pm", "mp", "mm"), p)]
+        for key, se_key, want in checks:
+            assert abs(float(rec[key]) - want) < 4.0 * float(rec[se_key]), (rec["setting"], key)
 
 
 def readme_fields() -> dict[str, set[str]]:

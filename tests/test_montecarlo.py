@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import binomtest
 
 import oracles
 from prbox.chsh import (
@@ -47,27 +48,35 @@ class TestSamplePairs:
     """The oracle sampler that TestExactReference bins."""
 
     def test_deterministic_stream(self):
-        a, b = (oracles.sample_pairs(*BG, 100, seed=11) for _ in range(2))
+        a, b = (oracles.sample_pairs(*BG, 0.5, 100, seed=11) for _ in range(2))
         assert np.array_equal(a, b)
 
     def test_different_seed_differs(self):
-        a, b = (oracles.sample_pairs(*BG, 100, seed) for seed in (1, 2))
+        a, b = (oracles.sample_pairs(*BG, 0.5, 100, seed) for seed in (1, 2))
         assert not np.array_equal(a, b)
 
     def test_zero_mean(self):
         n = 400_000
-        x = oracles.sample_pairs(*BG, n, seed=3)
+        x = oracles.sample_pairs(*BG, 0.0, n, seed=3)
+        assert x.shape == (n, 2)
         for col in (0, 1):
             assert abs(float(np.mean(x[:, col]))) < 4.0 * math.sqrt(BG[col] / n)
 
     def test_sample_correlation(self):
         n = 400_000
-        x = oracles.sample_pairs(*BG, n, seed=4)
+        x = oracles.sample_pairs(*BG, 0.0, n, seed=4)
         rho_hat = float(np.corrcoef(x[:, 0], x[:, 1])[0, 1])
         # Fisher-z interval
         z = 0.5 * math.log((1 + rho_hat) / (1 - rho_hat))
         z0 = 0.5 * math.log((1 + BG[2]) / (1 - BG[2]))
         assert abs(z - z0) < 4.0 / math.sqrt(n - 3)
+
+    def test_draws_second_positions_only_outside_the_strip(self):
+        n, r = 400_000, 0.8
+        x = oracles.sample_pairs(*BG, r, n, seed=5)
+        assert np.all(np.abs(x[:, 0]) > r)
+        share = math.erfc(r / math.sqrt(2.0 * BG[0]))  # P(|x1| > r)
+        assert abs(len(x) / n - share) < 4.0 * math.sqrt(share * (1.0 - share) / n)
 
     def test_rejects_degenerate_correlation(self):
         # the package's sampler refuses, through simulate_counts: |corr| is
@@ -157,9 +166,31 @@ class TestSimulateCounts:
         assert all(a > b for a, b in zip(kfs, kfs[1:]))
 
 
-def _sign_binned(x: np.ndarray, r: float) -> dict:
-    """Counts of (n, 2) pairs binned by sign after discarding |x| <= r, in
-    plain numpy: the reference the blocked binning must equal exactly."""
+class TestMostPairsSkipTheSecondDraw:
+    """At r = 1.5 and 2 most first positions fall inside the dark strip, so
+    most pairs draw no second normal; the counts still follow the orthant
+    masses of the independent oracle, each within 4 standard errors.  At
+    r = 2 a cross-sign cell expects about 0.1 of its 13 kept events, where
+    the normal tail of 4 standard errors misstates the odds of one event,
+    so each count takes the exact binomial test at that two-sided level."""
+
+    @pytest.mark.parametrize("r", [1.5, 2.0])
+    def test_counts_match_the_mp_oracle(self, r):
+        n, level = 1_000_000, math.erfc(4.0 / math.sqrt(2.0))
+        for k, (a, b) in enumerate(setting_pairs(REFERENCE_SETTINGS)):
+            var1 = position_joint_density(STATE, a, b)[0]
+            assert math.erf(r / math.sqrt(2.0 * var1)) > 0.5  # P(|x1| <= r)
+            kept, *p = oracles.postselected_probs_mp(STATE.delta, STATE.gamma, a, b, r)
+            c = simulate_counts(STATE, a, b, r, n, derive_setting_seed(32, k))
+            assert binomtest(c.n_kept, n, kept).pvalue > level
+            for count, p_k in zip((c.n_pp, c.n_pm, c.n_mp, c.n_mm), p):
+                assert binomtest(count, c.n_kept, p_k).pvalue > level
+
+
+def _sign_binned(x: np.ndarray, r: float, n: int) -> dict:
+    """Counts of n pairs binned by sign after discarding |x| <= r, given the
+    (m, 2) pairs whose first position lies outside the strip, in plain numpy:
+    the reference the blocked binning must equal exactly."""
     kept = (np.abs(x[:, 0]) > r) & (np.abs(x[:, 1]) > r)
     up1, up2 = x[:, 0] > 0, x[:, 1] > 0
     return {
@@ -167,23 +198,24 @@ def _sign_binned(x: np.ndarray, r: float) -> dict:
         "n_pm": int(np.count_nonzero(kept & up1 & ~up2)),
         "n_mp": int(np.count_nonzero(kept & ~up1 & up2)),
         "n_mm": int(np.count_nonzero(kept & ~up1 & ~up2)),
-        "n_discarded": int(np.count_nonzero(~kept)),
+        "n_discarded": n - int(np.count_nonzero(kept)),
     }
 
 
 class TestExactReference:
     """simulate_counts equals sign-binning the oracle sample_pairs count for
     count, across block and chunk boundaries, dark strips from none to nearly
-    everything, and worker counts.  This also pins the per-chunk seeds, and
-    that successive ``out=`` draws of one generator continue the stream a
-    single draw gives."""
+    everything, and worker counts.  This also pins the per-chunk seeds, the
+    stream rule of each block (its first normals, then a second normal for
+    each first position outside the strip), and that successive ``out=``
+    draws of one generator continue the stream that plain draws give."""
 
     ALPHA, BETA, SEED = PI, 5 * PI / 4, 21
 
     @pytest.fixture(scope="class")
     def pairs(self):
         block = position_joint_density(STATE, self.ALPHA, self.BETA)
-        return cache(lambda n: oracles.sample_pairs(*block, n, self.SEED))
+        return cache(lambda n, r: oracles.sample_pairs(*block, r, n, self.SEED))
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("r", [0.0, 0.5, 2.0, 6.0])
@@ -192,7 +224,7 @@ class TestExactReference:
     )
     def test_counts_equal_binning_of_sample_pairs(self, pairs, n, r, workers):
         got = simulate_counts(STATE, self.ALPHA, self.BETA, r, n, self.SEED, workers)
-        want = _sign_binned(pairs(n), r)
+        want = _sign_binned(pairs(n, r), r, n)
         assert {key: getattr(got, key) for key in want} == want
         assert (got.n_total, got.seed) == (n, self.SEED)
 
