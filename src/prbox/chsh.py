@@ -19,13 +19,13 @@ marginal from 1/2 (no_signaling_report; by that same symmetry each
 marginal is 1/2, so none is returned) and the kept fraction are one array
 formula, chsh_values, over the tables of setting_tables, the kernel on the
 (alpha, alpha') x (beta, beta') grid of a MeasurementSettings at any number
-of r, with S and P_AND weighted by CHSH_SIGN; prbox-sim chsh and
-scripts/chsh_trend.py read from it, bell_S and bell_S_gradient only its E
-and its S sum.  The kernel forms its thresholds and signed correlations
-once at the full (2, *shape), and bell_S_gradient sums its exact
-derivatives dm, of shape (3, 2, *shape), into grad S.  No prbox-sim
-command runs postselected_probs, the table as floats at scalar inputs:
-the benchmark's traced pass wraps it to count distinct tables.
+of r, with S and P_AND weighted by CHSH_SIGN; prbox-sim chsh reads from
+it, bell_S and bell_S_gradient only its E and its S sum.  The kernel
+forms its thresholds and signed correlations once at the full
+(2, *shape), and bell_S_gradient sums its exact derivatives dm, of shape
+(3, 2, *shape), into grad S.  No prbox-sim command runs postselected_probs,
+the table as floats at scalar inputs: the benchmark's traced pass wraps it
+to count distinct tables.
 """
 
 from __future__ import annotations
@@ -80,14 +80,6 @@ class MeasurementSettings:
         for name, value in vars(self).items():
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-
-
-REFERENCE_SETTINGS = MeasurementSettings(
-    alpha=math.pi,
-    alpha_prime=math.pi / 2,
-    beta=5 * math.pi / 4,
-    beta_prime=3 * math.pi / 4,
-)
 
 
 def _tail_orthants(h1, h2, rho) -> np.ndarray:

@@ -235,11 +235,12 @@ def cmd_mc(cfg: RunConfig) -> int:
     state = _state_from_config(cfg)
     settings = _settings(cfg)
     pairs = chsh_mod.setting_pairs(settings)
-    records = []
+    records, bell = [], []
     for r_cfg, r_dim in zip(cfg.r_values, cfg.r_dimensionless()):
         estimates = mc_mod.setting_estimates(
             state, settings, r_dim, cfg.mc_n, cfg.mc_seed, cfg.mc_workers
         )
+        rung = []
         for label, (a, b) in zip(chsh_mod.SETTING_LABELS, pairs):
             try:
                 est = next(estimates)
@@ -257,7 +258,10 @@ def cmd_mc(cfg: RunConfig) -> int:
                 "seed": est.seed,
                 "n": cfg.mc_n,
             })
-    return _write(cfg, {"r_unit": cfg.r_unit, "matrices": records}, {"": records})
+            rung.append(est)
+        s, s_se = mc_mod.mc_bell_S(rung)
+        bell.append({"r": r_cfg, "S": s, "S_se": s_se})
+    return _write(cfg, {"r_unit": cfg.r_unit, "matrices": records, "bell": bell}, {"": records})
 
 
 def cmd_plan_frft(cfg: RunConfig) -> int:

@@ -192,16 +192,9 @@ def setting_estimates(state: GaussianTwoModeState, settings, r, n, seed, workers
         yield estimate_probabilities(simulate_counts(state, a, b, r, n, sub_seed, workers))
 
 
-def mc_bell_S(
-    state: GaussianTwoModeState,
-    settings,
-    r: float,
-    n: int,
-    seed: int,
-    workers: int = 1,
-) -> tuple[float, float]:
-    """Bell parameter estimate and standard error from four simulated tables at r."""
-    ests = list(setting_estimates(state, settings, r, n, seed, workers))
-    s = [float(sign) * est.correlation_E for sign, est in zip(setting_columns(CHSH_SIGN), ests)]
-    v = [est.correlation_E_se**2 for est in ests]  # left to right; sum() compensates from 3.12
+def mc_bell_S(estimates) -> tuple[float, float]:
+    """Bell parameter estimate and standard error from the four ProbEstimates
+    of one r, a sequence in setting_pairs order."""
+    s = [float(c) * e.correlation_E for c, e in zip(setting_columns(CHSH_SIGN), estimates)]
+    v = [e.correlation_E_se**2 for e in estimates]  # left to right; sum() compensates from 3.12
     return s[0] + s[1] + s[2] + s[3], math.sqrt(v[0] + v[1] + v[2] + v[3])

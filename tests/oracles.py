@@ -18,8 +18,17 @@ import mpmath
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from prbox.chsh import MeasurementSettings
 from prbox.montecarlo import BLOCK_SIZE, CHUNK_SIZE
 from prbox.state import rotated_block
+
+# The paper's measurement angles, which are also RunConfig's defaults.
+REFERENCE_SETTINGS = MeasurementSettings(
+    alpha=math.pi,
+    alpha_prime=math.pi / 2,
+    beta=5 * math.pi / 4,
+    beta_prime=3 * math.pi / 4,
+)
 
 
 def quad_form_terms(delta: float, gamma: float):

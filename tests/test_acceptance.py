@@ -7,8 +7,8 @@ import math
 import numpy as np
 
 import oracles
+from oracles import REFERENCE_SETTINGS
 from prbox.chsh import (
-    REFERENCE_SETTINGS,
     MeasurementSettings,
     and_gate_success,
     bell_S,

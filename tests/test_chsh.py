@@ -9,12 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import REFERENCE_SETTINGS
 from strategies import angles, dark_widths, valid_states
 from prbox import chsh
 from prbox.chsh import (
     DEGENERATE_CORR,
     ORTHANT_RTOL,
-    REFERENCE_SETTINGS,
     EmptyPostSelectionError,
     MeasurementSettings,
     and_gate_success,
@@ -30,7 +30,7 @@ from prbox.chsh import (
     setting_tables,
     sweep_beta,
 )
-from prbox.montecarlo import mc_bell_S, setting_estimates, simulate_counts
+from prbox.montecarlo import setting_estimates, simulate_counts
 from prbox.state import GaussianTwoModeState, position_joint_density
 
 PI = math.pi
@@ -599,7 +599,6 @@ BAD_R_ENTRY_POINTS = {
     "no_signaling_report": lambda r: no_signaling_report(
         *setting_tables(STATE, REFERENCE_SETTINGS, r)[:2]),
     "setting_estimates": lambda r: list(setting_estimates(STATE, REFERENCE_SETTINGS, r, 100, 1)),
-    "mc_bell_S": lambda r: mc_bell_S(STATE, REFERENCE_SETTINGS, r, 100, 1),
 }
 
 

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from oracles import REFERENCE_SETTINGS
 from prbox import chsh, cli
 from prbox.chsh import (
-    REFERENCE_SETTINGS,
     EmptyPostSelectionError,
     and_gate_success,
     bell_S,
@@ -23,7 +23,7 @@ from prbox.chsh import (
 from prbox.cli import main
 from prbox.config import ConfigError, load_config
 from prbox.frft import MAX_STAGE_ORDER, MIN_STAGE_ORDER, PlanNotFoundError
-from prbox.montecarlo import InsufficientCountsError
+from prbox.montecarlo import InsufficientCountsError, mc_bell_S, setting_estimates
 from prbox.optimize import MAX_GRID_ANGLES, MIN_GRID_ANGLES, R_TOL
 from prbox.state import GaussianTwoModeState, NonNormalizableStateError
 
@@ -364,6 +364,16 @@ class TestMc:
         err = capsys.readouterr().err
         assert err.startswith(f"numerical failure: mc {rung}, setting apb: only ")
         assert err.endswith(" kept events; need at least 100\n")
+
+    def test_bell_entries_equal_mc_bell_S_over_setting_estimates(self, tmp_path, capsys):
+        # precision 17 round-trips floats, so each entry must match exactly; r
+        # is printed in mm as configured and sampled at half that, dimensionless
+        doc = json_run(tmp_path, capsys, "mc", "r_unit = mm\nscale_s_mm = 2\nr = 1, 2\n"
+                       "mc_n = 50000\nmc_seed = 21\nprecision = 17\n")
+        assert [entry["r"] for entry in doc["bell"]] == [1.0, 2.0]
+        for entry in doc["bell"]:
+            ests = list(setting_estimates(STATE, REFERENCE_SETTINGS, entry["r"] / 2, 50_000, 21))
+            assert (entry["S"], entry["S_se"]) == mc_bell_S(ests)
 
     def test_seed_flag_changes_output(self, tmp_path):
         cfg = write_config(tmp_path, "r = 0.5\nmc_n = 100000\n")

@@ -75,22 +75,30 @@ def test_output_matches_golden(name, fmt, tmp_path, monkeypatch):
 
 
 def test_mc_golden_matches_the_mp_oracle():
-    """Every p and kept_fraction of the mc goldens lies within 4 of its
-    printed standard errors of the mpmath orthant oracle at the record's
-    printed angles and r."""
+    """Every p and kept_fraction of the mc goldens, and each S of the JSON
+    golden, lies within 4 of its printed standard errors of the mpmath
+    orthant oracle at the record's printed angles and r."""
     delta, gamma = parse_config_text(CASES["mc"][0]).effective_widths()
     with open(GOLDEN / "mc.csv", newline="") as fh:
         records = list(csv.DictReader(fh))
-    records += json.loads((GOLDEN / "mc.json").read_text())["matrices"]
+    doc = json.loads((GOLDEN / "mc.json").read_text())
+    records += doc["matrices"]
     assert len(records) == 8
+    oracle_E = {}
     for rec in records:
         kept, *p = oracles.postselected_probs_mp(
             delta, gamma, *(float(rec[k]) for k in ("alpha_rad", "beta_rad", "r"))
         )
+        oracle_E[float(rec["r"]), rec["setting"]] = p[0] - p[1] - p[2] + p[3]
         checks = [("kept_fraction", "kept_se", kept)]
         checks += [(f"p_{o}", f"se_{o}", p_o) for o, p_o in zip(("pp", "pm", "mp", "mm"), p)]
         for key, se_key, want in checks:
             assert abs(float(rec[key]) - want) < 4.0 * float(rec[se_key]), (rec["setting"], key)
+    assert len(doc["bell"]) == 1
+    for entry in doc["bell"]:
+        e = [oracle_E[entry["r"], label] for label in ("ab", "apb", "abp", "apbp")]
+        want = e[0] + e[1] + e[2] - e[3]
+        assert abs(entry["S"] - want) < 4.0 * entry["S_se"], (entry["r"], want)
 
 
 def readme_fields() -> dict[str, set[str]]:

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from scipy.stats import binomtest
 
 import oracles
+from oracles import REFERENCE_SETTINGS
 from prbox.chsh import (
     DEGENERATE_CORR,
-    REFERENCE_SETTINGS,
     MeasurementSettings,
     bell_S,
     postselected_probs,
@@ -315,7 +315,8 @@ class TestSettingEstimates:
 
 class TestMcBellS:
     def test_separable_consistent_with_zero(self):
-        s, se = mc_bell_S(SEPARABLE, REFERENCE_SETTINGS, 0.3, 200_000, seed=14)
+        ests = list(setting_estimates(SEPARABLE, REFERENCE_SETTINGS, 0.3, 200_000, seed=14))
+        s, se = mc_bell_S(ests)
         assert abs(s) < 4.0 * se
 
     def test_matches_analytic(self):
@@ -330,7 +331,8 @@ class TestMcBellS:
                 beta_prime=rng.uniform(0, 2 * PI),
             )
             r = rng.uniform(0.0, 1.0)
-            s_mc, se = mc_bell_S(state, settings, r, 1_000_000, seed=int(rng.integers(1 << 32)))
+            seed = int(rng.integers(1 << 32))
+            s_mc, se = mc_bell_S(list(setting_estimates(state, settings, r, 1_000_000, seed)))
             assert abs(s_mc - bell_S(state, settings, r)) < 4.0 * se
 
     def test_equals_the_sum_over_simulated_settings(self):
@@ -340,10 +342,12 @@ class TestMcBellS:
             est = estimate_probabilities(c)
             s_val += w * est.correlation_E
             var += est.correlation_E_se**2
-        assert mc_bell_S(STATE, REFERENCE_SETTINGS, 0.4, 50_000, seed=16) == (s_val, math.sqrt(var))
+        ests = list(setting_estimates(STATE, REFERENCE_SETTINGS, 0.4, 50_000, seed=16))
+        assert mc_bell_S(ests) == (s_val, math.sqrt(var))
 
     def test_tsirelson_violation_significant(self):
-        s_mc, se = mc_bell_S(STATE, REFERENCE_SETTINGS, 2.0, 10_000_000, seed=15)
+        ests = list(setting_estimates(STATE, REFERENCE_SETTINGS, 2.0, 10_000_000, seed=15))
+        s_mc, se = mc_bell_S(ests)
         assert s_mc - 2.0 * math.sqrt(2.0) > 5.0 * se
 
 

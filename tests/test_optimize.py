@@ -10,8 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import REFERENCE_SETTINGS
 import prbox.optimize
-from prbox.chsh import REFERENCE_SETTINGS, bell_S, pr_fidelity
+from prbox.chsh import bell_S, pr_fidelity
 from prbox.cli import main
 from prbox.optimize import (
     MAX_GRID_ANGLES,

@@ -79,16 +79,23 @@ def test_traced_pass_reads_both_import_times(monkeypatch):
 
 
 def test_every_public_name_in_src_is_used_outside_the_tests():
-    # a name counts as used where code (not a docstring) in src/ or scripts/
-    # loads it, or where spans.TRACED wraps it; test oracles live in tests/
+    # a function, class or module-level constant counts as used where code
+    # (not a docstring) in src/ or scripts/ loads it, or where spans.TRACED
+    # wraps it; a constant's own assignment stores it and is no use; test
+    # oracles and constants live in tests/
     defined, used = set(), {name for _, name in load_perfbench("spans").TRACED}
     for path in [*sorted((ROOT / "src" / "prbox").glob("*.py")),
                  *sorted((ROOT / "scripts").glob("*.py"))]:
         tree = ast.parse(path.read_text(), str(path))
         if path.parent.name == "prbox":
-            defined |= {f"{path.stem}.{node.name}" for node in tree.body
-                        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                        and not node.name.startswith("_")}
-        used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            names = [node.name for node in tree.body
+                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+            names += [target.id for node in tree.body if isinstance(node, ast.Assign)
+                      for target in ast.walk(node) if isinstance(target, ast.Name)
+                      and isinstance(target.ctx, ast.Store)]
+            defined |= {f"{path.stem}.{name}" for name in names if not name.startswith("_")}
+        loads = [node for node in ast.walk(tree)
+                 if isinstance(getattr(node, "ctx", None), ast.Load)]
+        used |= {node.id for node in loads if isinstance(node, ast.Name)}
+        used |= {node.attr for node in loads if isinstance(node, ast.Attribute)}
     assert sorted(n for n in defined if n.split(".")[1] not in used) == []
