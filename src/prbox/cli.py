@@ -176,6 +176,11 @@ def _write(
     return EXIT_OK
 
 
+def _rung(cfg: RunConfig, r: float) -> str:
+    """A configured r as an error message names it, with its unit."""
+    return f"r={_cell('r', r, cfg.precision)} ({cfg.r_unit})"
+
+
 def _state_from_config(cfg: RunConfig) -> GaussianTwoModeState:
     delta, gamma = cfg.effective_widths()
     return GaussianTwoModeState(delta=delta, gamma=gamma)
@@ -197,10 +202,14 @@ def cmd_sweep(cfg: RunConfig) -> int:
                     f"two sweep curves would both be written to {name}: "
                     "sweep_alphas and r must differ at 4 decimals"
                 )
-    # axes in output order, so the first failing curve raises
-    points = chsh_mod.sweep_beta(
-        state, np.array(cfg.sweep_alphas)[:, None], np.array(cfg.r_dimensionless()), grid
-    )
+    try:  # axes in output order, so the first failing curve raises
+        points = chsh_mod.sweep_beta(
+            state, np.array(cfg.sweep_alphas)[:, None], np.array(cfg.r_dimensionless()), grid
+        )
+    except ValueError as exc:  # exc states the dimensionless r; name the curve as configured
+        a, r = cfg.sweep_alphas[exc.index[0]], cfg.r_values[exc.index[1]]
+        where = f"sweep alpha={_cell('alpha_rad', a, cfg.precision)} rad, {_rung(cfg, r)}"
+        raise type(exc)(f"{where}: {exc}") from None
     points = points.reshape(len(pairs), len(grid), 2)  # (beta, E) rows
     curves = [{"alpha_rad": alpha, "r": r, "points": p} for (alpha, r), p in zip(pairs, points)]
     files = {}
@@ -215,9 +224,13 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 def cmd_chsh(cfg: RunConfig) -> int:
     state = _state_from_config(cfg)
-    e, s, p_and, max_dev, kept_pct = chsh_mod.chsh_values(*chsh_mod.setting_tables(
-        state, _settings(cfg), np.array(cfg.r_dimensionless())[:, None, None]
-    ))
+    try:
+        tables = chsh_mod.setting_tables(
+            state, _settings(cfg), np.array(cfg.r_dimensionless())[:, None, None]
+        )
+    except ValueError as exc:  # exc states the dimensionless r; name the rung as configured
+        raise type(exc)(f"chsh {_rung(cfg, cfg.r_values[exc.index[0]])}: {exc}") from None
+    e, s, p_and, max_dev, kept_pct = chsh_mod.chsh_values(*tables)
     columns = {
         "H_ave_pct": kept_pct,
         **dict(zip(_E_COLUMNS, chsh_mod.setting_columns(e))),
@@ -245,7 +258,7 @@ def cmd_mc(cfg: RunConfig) -> int:
             try:
                 est = next(estimates)
             except mc_mod.InsufficientCountsError as exc:
-                where = f"mc r={_cell('r', r_cfg, cfg.precision)} ({cfg.r_unit}), setting {label}"
+                where = f"mc {_rung(cfg, r_cfg)}, setting {label}"
                 raise mc_mod.InsufficientCountsError(f"{where}: {exc}") from None
             records.append({
                 "r": r_cfg,

@@ -6,12 +6,12 @@ Sampling is chunked with per-chunk seeds derived deterministically from
 (seed, chunk index), so results are bit-identical for a given seed
 regardless of how many workers execute the chunks.  The seed contract's
 stream rule is stated per block of BLOCK_SIZE pairs, so memory does not
-scale with CHUNK_SIZE: a block draws its first normals, then a second normal
-only for each pair whose first position falls outside the dark strip, as the
-pair is discarded otherwise.  That count depends on r, so the rungs of one
-seed diverge after each chunk's first block and do not bin the same pairs.
-Counts are bit-identical to binning the test oracle ``sample_pairs``
-(tests/oracles.py).
+scale with CHUNK_SIZE.  A pair whose first position falls inside the dark
+strip is discarded, so only the outside pairs draw a second normal, and
+where the strip discards most pairs, only they draw a first normal, from
+its law outside the strip.  The stream depends on r, so the rungs of one
+seed do not bin the same pairs.  Counts are bit-identical to binning the
+test oracle ``sample_pairs`` (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from .chsh import CHSH_SIGN, DEGENERATE_CORR, _check_r, setting_columns, setting_pairs
 from .state import GaussianTwoModeState, position_joint_density
@@ -28,6 +29,10 @@ from .state import GaussianTwoModeState, position_joint_density
 CHUNK_SIZE = 250_000
 BLOCK_SIZE = 16_384
 MIN_KEPT_COUNT = 100
+# Outside share 2q = 2 Phi(-r / sd(x1)) below which a chunk draws only its
+# outside first positions, by inverse CDF: that costs about three normal draws
+# a value, so above the share where both rules cost the same it is slower.
+TAIL_SWITCH = 0.4
 _SEED_MASK = (1 << 64) - 1
 
 
@@ -115,21 +120,33 @@ def _check_count(name: str, value) -> None:
 
 def _bin_chunk(args) -> np.ndarray:
     """Counts (kept, kept & up1, kept & up2, kept & up1 & up2) of one chunk, up
-    meaning x > 0.  Each block of k pairs draws k first normals z0, with
-    x1 = l00 z0, then one second normal z1 for each pair with |x1| > r, in
-    pair order, with x2 = l10 z0 + l11 z1; successive ``out=`` draws continue
-    one stream.  Bit-identical to binning the chunk's pairs of the oracle
-    ``sample_pairs`` in tests/oracles.py, in reused buffers of BLOCK_SIZE."""
+    meaning x > 0; x1 = l00 z0 lies outside the strip with probability 2q.
+    Where 2q >= TAIL_SWITCH, each block of k pairs draws k first normals z0
+    and keeps those with |x1| > r; below it, the chunk draws its outside count
+    s ~ Binomial(m, 2q), then each block of k of them k uniforms u, with z0 =
+    ndtri(q (1 - frac(2u))), negated where u >= 1/2.  Then one second normal
+    z1 per outside pair, in pair order, with x2 = l10 z0 + l11 z1; successive
+    ``out=`` draws continue one stream.  Bit-identical to binning the chunk's
+    pairs of the oracle ``sample_pairs`` in tests/oracles.py, in reused
+    buffers of BLOCK_SIZE."""
     seed, idx, m, (l00, l10, l11), r = args
     rng = _chunk_rng(seed, idx)
     z0_buf, z_buf, x2_buf, t_buf = np.empty((4, BLOCK_SIZE))
     flags = np.empty((4, BLOCK_SIZE), dtype=bool)
     c = np.zeros(4, dtype=np.int64)
-    for k in _chunk_sizes(m, BLOCK_SIZE):
+    q = float(ndtr(-r / l00))
+    tail = 2.0 * q < TAIL_SWITCH
+    for k in _chunk_sizes(rng.binomial(m, 2.0 * q) if tail else m, BLOCK_SIZE):
         z0, outside = z0_buf[:k], flags[0, :k]
-        np.abs(np.multiply(l00, rng.standard_normal(out=z0), out=t_buf[:k]), out=t_buf[:k])
-        s = np.count_nonzero(np.greater(t_buf[:k], r, out=outside))
-        z = z0 if s == k else np.compress(outside, z0, out=z_buf[:s])  # all outside, as at r = 0
+        if tail:  # every pair of the block is outside
+            frac, half = np.modf(np.multiply(rng.random(out=z0), 2.0, out=z0), out=(z0, t_buf[:k]))
+            ndtri(np.multiply(np.subtract(1.0, frac, out=z0), q, out=z0), out=z0)
+            np.minimum(z0, -np.nextafter(r / l00, math.inf), out=z0)  # ndtri(q) may hit the edge
+            s, z = k, np.copysign(z0, np.subtract(half, 0.5, out=half), out=z0)
+        else:
+            np.abs(np.multiply(l00, rng.standard_normal(out=z0), out=t_buf[:k]), out=t_buf[:k])
+            s = np.count_nonzero(np.greater(t_buf[:k], r, out=outside))
+            z = z0 if s == k else np.compress(outside, z0, out=z_buf[:s])  # s == k at r = 0
         x2, t = x2_buf[:s], t_buf[:s]
         kept, up1, up2, both = flags[:, :s]  # kept overwrites outside once z is compacted
         np.multiply(l11, rng.standard_normal(out=x2), out=x2)

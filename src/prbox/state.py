@@ -78,7 +78,8 @@ def _covariance_terms(state: GaussianTwoModeState) -> tuple[float, float, float]
 def _require(*checks) -> None:
     """Raise for the first element, in C order of the broadcast shape, where
     a check (ok, error, message, *values) fails, with the first check that
-    fails there: error(message formatted with the values at that element)."""
+    fails there: error(message formatted with the values at that element),
+    whose ``index`` is that element's index in the broadcast shape."""
     # one all-true test per check; count_nonzero is cheaper than ok.all()
     if all(np.count_nonzero(ok) == ok.size for ok, *_ in checks):
         return
@@ -86,7 +87,9 @@ def _require(*checks) -> None:
     oks = np.array([np.broadcast_to(ok, shape).ravel() for ok, *_ in checks])
     at = np.argmin(oks.all(axis=0))
     _, error, message, *values = checks[np.argmin(oks[:, at])]
-    raise error(message.format(*(float(np.broadcast_to(v, shape).flat[at]) for v in values)))
+    exc = error(message.format(*(float(np.broadcast_to(v, shape).flat[at]) for v in values)))
+    exc.index = np.unravel_index(at, shape)
+    raise exc
 
 
 def rotated_block(state: GaussianTwoModeState, alpha, beta, gradient: bool = False):

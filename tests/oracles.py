@@ -17,9 +17,10 @@ import math
 import mpmath
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.special import ndtr, ndtri
 
 from prbox.chsh import MeasurementSettings
-from prbox.montecarlo import BLOCK_SIZE, CHUNK_SIZE
+from prbox.montecarlo import BLOCK_SIZE, CHUNK_SIZE, TAIL_SWITCH
 from prbox.state import rotated_block
 
 # The paper's measurement angles, which are also RunConfig's defaults.
@@ -149,22 +150,42 @@ def sample_pairs(
     draw order; the other n - m pairs never get a second position.
 
     Chunk k of CHUNK_SIZE pairs draws from default_rng(SeedSequence((seed
-    mod 2^64, k))), one block of BLOCK_SIZE pairs after another: a block's
-    first normals z0 with x1 = l00 z0, then one second normal z1 per pair
-    with |x1| > r, in order, with x2 = l10 z0 + l11 z1."""
+    mod 2^64, k))).  With x1 = l00 z0, x2 = l10 z0 + l11 z1 and q =
+    Phi(-r / l00), so that 2q is the outside share of x1:
+    - where 2q >= TAIL_SWITCH, one block of BLOCK_SIZE pairs after another
+      draws its first normals z0, then one second normal z1 per pair with
+      |x1| > r, in order;
+    - below it, the chunk draws its outside count s ~ Binomial(m, 2q), then
+      one block of BLOCK_SIZE of those s after another draws its uniforms u
+      and its second normals z1.  A u below 1/2 gives z0 = ndtri(q (1 - 2u))
+      and any other u gives z0 = -ndtri(q (2 - 2u)), each moved just past
+      -t or t where ndtri rounds onto the strip's edge, t = r / l00."""
     std2 = math.sqrt(var2)
     l00, l10, l11 = math.sqrt(var1), std2 * corr, std2 * math.sqrt(1.0 - corr * corr)
+    t = r / l00
+    q = float(ndtr(-t))
     pairs = []
     for k, start in enumerate(range(0, n, CHUNK_SIZE)):
         rng = np.random.default_rng(np.random.SeedSequence((seed % 2**64, k)))
-        stop = min(start + CHUNK_SIZE, n)
-        for block in range(start, stop, BLOCK_SIZE):
-            z0 = rng.standard_normal(min(BLOCK_SIZE, stop - block))
-            x1 = l00 * z0
-            outside = np.abs(x1) > r
-            z1 = rng.standard_normal(int(np.count_nonzero(outside)))
-            pairs.append(np.column_stack((x1[outside], l10 * z0[outside] + l11 * z1)))
-    return np.concatenate(pairs)
+        m = min(CHUNK_SIZE, n - start)
+        if 2.0 * q < TAIL_SWITCH:
+            s = rng.binomial(m, 2.0 * q)
+            for block in range(0, s, BLOCK_SIZE):
+                u = rng.random(min(BLOCK_SIZE, s - block))
+                lower = u < 0.5
+                z0 = ndtri(q * np.where(lower, 1.0 - 2.0 * u, 2.0 - 2.0 * u))
+                z0 = np.minimum(z0, -np.nextafter(t, math.inf))
+                z0 = np.where(lower, z0, -z0)
+                z1 = rng.standard_normal(len(u))
+                pairs.append(np.column_stack((l00 * z0, l10 * z0 + l11 * z1)))
+        else:
+            for block in range(0, m, BLOCK_SIZE):
+                z0 = rng.standard_normal(min(BLOCK_SIZE, m - block))
+                x1 = l00 * z0
+                outside = np.abs(x1) > r
+                z1 = rng.standard_normal(int(np.count_nonzero(outside)))
+                pairs.append(np.column_stack((x1[outside], l10 * z0[outside] + l11 * z1)))
+    return np.concatenate(pairs) if pairs else np.empty((0, 2))
 
 
 def _gauss_density_4d(inv: np.ndarray, norm: float, axes) -> np.ndarray:

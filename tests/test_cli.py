@@ -245,7 +245,7 @@ class TestChsh:
         cfg = write_config(tmp_path, "r = 1, 20, 30\n")
         assert main(["chsh", "--config", cfg]) == 3
         captured = capsys.readouterr()
-        assert captured.err == f"numerical failure: {rung.value}\n"
+        assert captured.err == f"numerical failure: chsh r=20 (dimensionless): {rung.value}\n"
         assert "r=20.0 " in captured.err and captured.out == ""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -275,7 +275,9 @@ class TestSweep:
             sweep_beta(STATE, PI, 20.0, grid)
         cfg = write_config(tmp_path, "sweep_alphas = pi, pi/2\nr = 18, 20\nsweep_steps = 5\n")
         assert main(["sweep", "--config", cfg, "--format", "json"]) == 3
-        assert capsys.readouterr().err == f"numerical failure: {curve.value}\n"
+        assert capsys.readouterr().err == (
+            f"numerical failure: sweep alpha=3.14159 rad, r=20 (dimensionless): {curve.value}\n"
+        )
 
     def test_duplicate_curves_allowed_in_json(self, tmp_path, capsys):
         cfg = write_config(tmp_path, DUPLICATE_ALPHAS)
@@ -478,6 +480,21 @@ class TestRUnit:
         slope = bell_S_gradient(STATE, REFERENCE_SETTINGS, doc["tuned_r"] / 2.0)[1][4] / 8.0
         assert abs(row["fidelity"] - doc["target_fidelity"]) <= R_TOL * slope
 
+    def test_chsh_error_names_the_rung_in_mm(self, tmp_path, capsys):
+        # 40 mm is a dimensionless 20, where the kept fraction underflows
+        cfg = write_config(tmp_path, MM_CONFIG + "r = 1, 40\n")
+        assert main(["chsh", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: chsh r=40 (mm): kept fraction ")
+
+    def test_sweep_error_names_the_curve_in_mm(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, MM_CONFIG + "r = 40\nsweep_alphas = pi/2, pi\n"
+                           "sweep_steps = 5\n")
+        assert main(["sweep", "--config", cfg, "--format", "json"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: sweep alpha=1.5707963267948966 rad, "
+                              "r=40 (mm): kept fraction ")
+
     def test_tune_r_max_is_read_in_mm(self, tmp_path, capsys):
         # fidelity 0.8 needs a dimensionless r near 0.88, beyond 1 mm = 0.5
         cfg = write_config(tmp_path, MM_CONFIG + OPTIMIZE_CONFIG + "tune_r_max = 1\n")
@@ -543,19 +560,25 @@ class TestMain:
     ])
     def test_one_kernel_call_per_invocation(self, tmp_path, capsys, monkeypatch, command, config):
         # the run exits as a loop of scalar calls over its rows or curves, in
-        # output order, would: 0, or 3 with the first error that loop raises
+        # output order, would: 0, or 3 with the first error that loop raises,
+        # named by its row or curve
         cfg = write_config(tmp_path, config)
         run_cfg = load_config(cfg)
         rows = {
-            "chsh": lambda: [bell_S(STATE, REFERENCE_SETTINGS, r) for r in run_cfg.r_values],
-            "sweep": lambda: [sweep_beta(STATE, alpha, r, run_cfg.beta_grid())
-                              for alpha in run_cfg.sweep_alphas for r in run_cfg.r_values],
+            "chsh": [(f"chsh r={r:.6g} (dimensionless)",
+                      lambda r=r: bell_S(STATE, REFERENCE_SETTINGS, r))
+                     for r in run_cfg.r_values],
+            "sweep": [(f"sweep alpha={alpha:.6g} rad, r={r:.6g} (dimensionless)",
+                       lambda alpha=alpha, r=r: sweep_beta(STATE, alpha, r, run_cfg.beta_grid()))
+                      for alpha in run_cfg.sweep_alphas for r in run_cfg.r_values],
         }
-        try:
-            rows[command]()
-            expected = (0, "")
-        except ValueError as exc:
-            expected = (3, f"numerical failure: {exc}\n")
+        expected = (0, "")
+        for name, row in rows[command]:
+            try:
+                row()
+            except ValueError as exc:
+                expected = (3, f"numerical failure: {name}: {exc}\n")
+                break
         kernel, calls = chsh.postselected_tables, []
 
         def counting(*args, **kwargs):

@@ -2,6 +2,7 @@ import importlib
 import json
 import math
 import tracemalloc
+from collections import Counter
 from functools import cache
 from pathlib import Path
 
@@ -9,9 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr, ndtri
 from scipy.stats import binomtest
 
 import oracles
+import prbox.montecarlo as montecarlo
 from oracles import REFERENCE_SETTINGS
 from prbox.chsh import (
     DEGENERATE_CORR,
@@ -25,9 +28,11 @@ from prbox.montecarlo import (
     BLOCK_SIZE,
     CHUNK_SIZE,
     MIN_KEPT_COUNT,
+    TAIL_SWITCH,
     CountTable,
     InsufficientCountsError,
     ProbEstimate,
+    _bin_chunk,
     _cholesky_factor,
     derive_setting_seed,
     estimate_probabilities,
@@ -72,11 +77,12 @@ class TestSamplePairs:
         assert abs(z - z0) < 4.0 / math.sqrt(n - 3)
 
     def test_draws_second_positions_only_outside_the_strip(self):
-        n, r = 400_000, 0.8
-        x = oracles.sample_pairs(*BG, r, n, seed=5)
-        assert np.all(np.abs(x[:, 0]) > r)
-        share = math.erfc(r / math.sqrt(2.0 * BG[0]))  # P(|x1| > r)
-        assert abs(len(x) / n - share) < 4.0 * math.sqrt(share * (1.0 - share) / n)
+        n = 400_000
+        for r in (0.8, 1.6):  # outside shares 0.47 and 0.14, one on each side of TAIL_SWITCH
+            x = oracles.sample_pairs(*BG, r, n, seed=5)
+            assert np.all(np.abs(x[:, 0]) > r)
+            share = math.erfc(r / math.sqrt(2.0 * BG[0]))  # P(|x1| > r)
+            assert abs(len(x) / n - share) < 4.0 * math.sqrt(share * (1.0 - share) / n)
 
     def test_rejects_degenerate_correlation(self):
         # the package's sampler refuses, through simulate_counts: |corr| is
@@ -168,23 +174,48 @@ class TestSimulateCounts:
 
 class TestMostPairsSkipTheSecondDraw:
     """At r = 1.5 and 2 most first positions fall inside the dark strip, so
-    most pairs draw no second normal; the counts still follow the orthant
-    masses of the independent oracle, each within 4 standard errors.  At
-    r = 2 a cross-sign cell expects about 0.1 of its 13 kept events, where
-    the normal tail of 4 standard errors misstates the odds of one event,
-    so each count takes the exact binomial test at that two-sided level."""
+    most pairs draw no second normal, and below TAIL_SWITCH no first normal
+    either; the counts still follow the orthant masses of the independent
+    oracle.  At r = 2 a cross-sign cell expects about 0.1 of its 13 kept
+    events, where the normal tail of 4 standard errors misstates the odds of
+    one event, so each count takes the exact binomial test at that
+    two-sided level."""
+
+    LEVEL = math.erfc(4.0 / math.sqrt(2.0))
+
+    def assert_counts_match_the_mp_oracle(self, c, alpha, beta, r):
+        kept, *p = oracles.postselected_probs_mp(STATE.delta, STATE.gamma, alpha, beta, r)
+        assert binomtest(c.n_kept, c.n_total, kept).pvalue > self.LEVEL
+        for count, p_k in zip((c.n_pp, c.n_pm, c.n_mp, c.n_mm), p):
+            assert c.n_kept == 0 or binomtest(count, c.n_kept, p_k).pvalue > self.LEVEL
 
     @pytest.mark.parametrize("r", [1.5, 2.0])
     def test_counts_match_the_mp_oracle(self, r):
-        n, level = 1_000_000, math.erfc(4.0 / math.sqrt(2.0))
         for k, (a, b) in enumerate(setting_pairs(REFERENCE_SETTINGS)):
             var1 = position_joint_density(STATE, a, b)[0]
             assert math.erf(r / math.sqrt(2.0 * var1)) > 0.5  # P(|x1| <= r)
-            kept, *p = oracles.postselected_probs_mp(STATE.delta, STATE.gamma, a, b, r)
-            c = simulate_counts(STATE, a, b, r, n, derive_setting_seed(32, k))
-            assert binomtest(c.n_kept, n, kept).pvalue > level
-            for count, p_k in zip((c.n_pp, c.n_pm, c.n_mp, c.n_mm), p):
-                assert binomtest(count, c.n_kept, p_k).pvalue > level
+            c = simulate_counts(STATE, a, b, r, 1_000_000, derive_setting_seed(32, k))
+            self.assert_counts_match_the_mp_oracle(c, a, b, r)
+
+    @pytest.mark.parametrize("side", [0.9, 1.1])
+    def test_counts_match_the_mp_oracle_beside_the_switch(self, side):
+        # (alpha, beta) at the r where its outside share 2q is 10% below
+        # TAIL_SWITCH, where the tail rule draws, or 10% above it
+        a, b = REFERENCE_SETTINGS.alpha, REFERENCE_SETTINGS.beta
+        l00 = math.sqrt(position_joint_density(STATE, a, b)[0])
+        r = -l00 * float(ndtri(side * TAIL_SWITCH / 2.0))
+        assert (2.0 * ndtr(-r / l00) < TAIL_SWITCH) == (side < 1.0)
+        c = simulate_counts(STATE, a, b, r, 1_000_000, seed=33)
+        self.assert_counts_match_the_mp_oracle(c, a, b, r)
+
+    def test_counts_at_r_3_match_the_mp_oracle(self):
+        # 10^8 pairs a setting: at most about 1.5e5 outside (alpha, beta) pairs
+        # draw a tail normal each, where the rejection rule would draw 2 x 10^8
+        # normals.  (alpha', beta) keeps about 0.03 events, too few for
+        # estimate_probabilities, so the counts are tested
+        for k, (a, b) in enumerate(setting_pairs(REFERENCE_SETTINGS)):
+            c = simulate_counts(STATE, a, b, 3.0, 10**8, derive_setting_seed(34, k))
+            self.assert_counts_match_the_mp_oracle(c, a, b, 3.0)
 
 
 def _sign_binned(x: np.ndarray, r: float, n: int) -> dict:
@@ -205,20 +236,31 @@ def _sign_binned(x: np.ndarray, r: float, n: int) -> dict:
 class TestExactReference:
     """simulate_counts equals sign-binning the oracle sample_pairs count for
     count, across block and chunk boundaries, dark strips from none to nearly
-    everything, and worker counts.  This also pins the per-chunk seeds, the
-    stream rule of each block (its first normals, then a second normal for
-    each first position outside the strip), and that successive ``out=``
-    draws of one generator continue the stream that plain draws give."""
+    everything, and worker counts.  This also pins the per-chunk seeds, both
+    stream rules (every first normal, or the binomial outside count and its
+    inverse-CDF first normals; then a second normal for each first position
+    outside the strip), the switch between them, and that successive
+    ``out=`` draws of one generator continue the stream that plain draws
+    give."""
 
     ALPHA, BETA, SEED = PI, 5 * PI / 4, 21
+    # outside shares 1, 0.60, 0.44, 0.36, 0.034 and 2e-10: the first three
+    # take the rejection rule and the rest the tail rule, with 0.73 and 0.86
+    # the two sides of TAIL_SWITCH
+    R_VALUES = (0.0, 0.5, 0.73, 0.86, 2.0, 6.0)
 
     @pytest.fixture(scope="class")
     def pairs(self):
         block = position_joint_density(STATE, self.ALPHA, self.BETA)
         return cache(lambda n, r: oracles.sample_pairs(*block, r, n, self.SEED))
 
+    def test_r_values_take_both_rules(self):
+        l00 = math.sqrt(position_joint_density(STATE, self.ALPHA, self.BETA)[0])
+        tail = [2.0 * ndtr(-r / l00) < TAIL_SWITCH for r in self.R_VALUES]
+        assert tail == [False, False, False, True, True, True]
+
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("r", [0.0, 0.5, 2.0, 6.0])
+    @pytest.mark.parametrize("r", R_VALUES)
     @pytest.mark.parametrize(
         "n", [1, BLOCK_SIZE - 1, BLOCK_SIZE + 1, CHUNK_SIZE + 12_345, 777_777]
     )
@@ -227,6 +269,81 @@ class TestExactReference:
         want = _sign_binned(pairs(n, r), r, n)
         assert {key: getattr(got, key) for key in want} == want
         assert (got.n_total, got.seed) == (n, self.SEED)
+
+
+class _CountingRng:
+    """A chunk's generator that counts the values each method draws.  With a
+    stub, random fills its output with the stub instead of drawing; the
+    chunk maps uniforms onto first normals in that buffer, so the next draw
+    records them in z0."""
+
+    def __init__(self, rng, stub=None):
+        self.rng, self.stub, self.drawn, self.s = rng, stub, Counter(), None
+        self.u, self.z0 = None, []
+
+    def binomial(self, m, p):
+        self.drawn["binomial"] += 1
+        self.s = self.rng.binomial(m, p)
+        return self.s
+
+    def random(self, out):
+        self.drawn["random"] += out.size
+        self.u = out
+        if self.stub is None:
+            return self.rng.random(out=out)
+        out[:] = self.stub
+        return out
+
+    def standard_normal(self, out):
+        if self.u is not None:
+            self.z0.append(self.u.copy())
+            self.u = None
+        self.drawn["standard_normal"] += out.size
+        return self.rng.standard_normal(out=out)
+
+
+class TestDrawsPerChunk:
+    """Exact draw counts of one chunk of M pairs, through a counting proxy of
+    its generator: the tail rule draws one binomial count s, then s uniforms
+    and s second normals; the rejection rule draws M first normals and one
+    second normal for each of the s pairs outside the strip."""
+
+    M, SEED = 100_000, 3
+    BLOCK = position_joint_density(STATE, PI, 5 * PI / 4)  # outside share 0.60 at r = 0.5
+
+    def chunk(self, monkeypatch, r, stub=None):
+        make, rngs = montecarlo._chunk_rng, []
+        monkeypatch.setattr(
+            montecarlo, "_chunk_rng",
+            lambda seed, idx: rngs.append(_CountingRng(make(seed, idx), stub)) or rngs[-1],
+        )
+        counts = _bin_chunk((self.SEED, 0, self.M, _cholesky_factor(self.BLOCK), r))
+        (rng,) = rngs
+        return rng, counts
+
+    def test_tail_rule_draws_only_outside_pairs(self, monkeypatch):
+        rng, (kept, *_) = self.chunk(monkeypatch, 2.0)
+        assert 0 < kept <= rng.s < self.M // 10
+        assert rng.drawn == {"binomial": 1, "random": rng.s, "standard_normal": rng.s}
+
+    def test_rejection_rule_draws_every_first_normal(self, monkeypatch):
+        rng, _ = self.chunk(monkeypatch, 0.5)
+        s = len(oracles.sample_pairs(*self.BLOCK, 0.5, self.M, self.SEED))
+        assert 0 < s < self.M
+        assert rng.drawn == {"standard_normal": self.M + s}
+
+    @pytest.mark.parametrize("u, up", [(0.0, False), (0.5, True)])
+    def test_boundary_uniforms_give_finite_draws_outside(self, monkeypatch, u, up):
+        # every uniform stubbed to one that maps onto the probability q at
+        # the strip's edge h = r / l00 = 1, where ndtri(Phi(-1)) rounds onto
+        # or inside -1: each z0 must still be finite and outside the strip
+        h = 1.0
+        assert ndtri(ndtr(-h)) >= -h
+        rng, (kept, up1, _, _) = self.chunk(monkeypatch, h * math.sqrt(self.BLOCK[0]), stub=u)
+        z0 = np.concatenate(rng.z0)
+        assert len(z0) == rng.s > 0
+        assert np.all(np.isfinite(z0)) and np.all(np.abs(z0) > h) and np.all((z0 > 0) == up)
+        assert kept > 0 and up1 == (kept if up else 0)  # x1 = l00 z0 has z0's sign
 
 
 @st.composite
