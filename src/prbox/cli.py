@@ -181,6 +181,17 @@ def _rung(cfg: RunConfig, r: float) -> str:
     return f"r={_cell('r', r, cfg.precision)} ({cfg.r_unit})"
 
 
+def _named(label, kernel, *args):
+    """kernel(*args), re-raising an error of state._require, which carries its
+    failing element's index, prefixed with label(index); others pass as is."""
+    try:
+        return kernel(*args)
+    except ValueError as exc:  # exc states the dimensionless r
+        if not hasattr(exc, "index"):  # e.g. a state with no covariance
+            raise
+        raise type(exc)(f"{label(exc.index)}: {exc}") from None
+
+
 def _state_from_config(cfg: RunConfig) -> GaussianTwoModeState:
     delta, gamma = cfg.effective_widths()
     return GaussianTwoModeState(delta=delta, gamma=gamma)
@@ -202,14 +213,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
                     f"two sweep curves would both be written to {name}: "
                     "sweep_alphas and r must differ at 4 decimals"
                 )
-    try:  # axes in output order, so the first failing curve raises
-        points = chsh_mod.sweep_beta(
-            state, np.array(cfg.sweep_alphas)[:, None], np.array(cfg.r_dimensionless()), grid
-        )
-    except ValueError as exc:  # exc states the dimensionless r; name the curve as configured
-        a, r = cfg.sweep_alphas[exc.index[0]], cfg.r_values[exc.index[1]]
-        where = f"sweep alpha={_cell('alpha_rad', a, cfg.precision)} rad, {_rung(cfg, r)}"
-        raise type(exc)(f"{where}: {exc}") from None
+    def curve(index):  # axes (alpha, r) in output order, so the first failing curve raises
+        alpha = _cell("alpha_rad", cfg.sweep_alphas[index[0]], cfg.precision)
+        return f"sweep alpha={alpha} rad, {_rung(cfg, cfg.r_values[index[1]])}"
+
+    points = _named(curve, chsh_mod.sweep_beta, state, np.array(cfg.sweep_alphas)[:, None],
+                    np.array(cfg.r_dimensionless()), grid)
     points = points.reshape(len(pairs), len(grid), 2)  # (beta, E) rows
     curves = [{"alpha_rad": alpha, "r": r, "points": p} for (alpha, r), p in zip(pairs, points)]
     files = {}
@@ -224,13 +233,11 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 def cmd_chsh(cfg: RunConfig) -> int:
     state = _state_from_config(cfg)
-    try:
-        tables = chsh_mod.setting_tables(
-            state, _settings(cfg), np.array(cfg.r_dimensionless())[:, None, None]
-        )
-    except ValueError as exc:  # exc states the dimensionless r; name the rung as configured
-        raise type(exc)(f"chsh {_rung(cfg, cfg.r_values[exc.index[0]])}: {exc}") from None
-    e, s, p_and, max_dev, kept_pct = chsh_mod.chsh_values(*tables)
+    e, s, p_and, max_dev, kept_pct = chsh_mod.chsh_values(*_named(
+        lambda index: f"chsh {_rung(cfg, cfg.r_values[index[0]])}",  # r on axis 0
+        chsh_mod.setting_tables, state, _settings(cfg),
+        np.array(cfg.r_dimensionless())[:, None, None],
+    ))
     columns = {
         "H_ave_pct": kept_pct,
         **dict(zip(_E_COLUMNS, chsh_mod.setting_columns(e))),

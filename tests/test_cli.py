@@ -515,6 +515,20 @@ class TestExitCodes:
         assert main(["chsh", "--config", cfg]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["chsh", "sweep"])
+    @pytest.mark.parametrize("gamma, message", [
+        pytest.param("1", "gamma=1.0 <= delta=1.0: no covariance matrix exists", id="epr"),
+        pytest.param("1.000000000000001", "state too close to the EPR limit", id="near_epr"),
+    ])
+    def test_state_without_covariance_is_3_unprefixed(self, tmp_path, capsys, command,
+                                                       gamma, message):
+        # the state passes construction, and its error names no rung or curve
+        cfg = write_config(tmp_path, f"delta = 1\ngamma = {gamma}\nr = 0, 1\nsweep_steps = 5\n")
+        assert main([command, "--config", cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"numerical failure: {message}")
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "error",
         [NonNormalizableStateError, EmptyPostSelectionError,
