@@ -6,14 +6,13 @@ of the same meaning, in the same notation.  Output is CSV or JSON at a
 configured precision, deterministic given the config (plus the seed for
 Monte Carlo runs).
 
-Every subcommand builds a document of raw values, and in CSV its files of
-rows, and returns ``_write``, the one exit path: nothing else opens an
-output file or writes to stdout.  JSON is the document plus
-``"schema_version": "2"``, written to ``out_path`` or stdout.  CSV writes
-each file's rows under a header of the row keys, a cell quoted only if it
-holds a comma, a double quote or a line break (RFC 4180); the file named ""
-goes to ``out_path`` or stdout, any other name into the ``out_path``
-directory (``sweep``'s file per curve).  A subcommand that prints r
+Every subcommand builds a document of raw values, and in CSV its rows,
+and returns ``_write``, the one exit path: nothing else opens an output
+file or writes to stdout, and a run writes one output, to ``out_path`` or
+stdout.  JSON is the document plus ``"schema_version": "2"``.  CSV is one
+table, the rows under a header of the row keys (``sweep``'s curves one
+after another), a cell quoted only if it holds a comma, a double quote or
+a line break (RFC 4180).  A subcommand that prints r
 prints it as configured, in ``r_unit``, which its JSON document names once
 at the top level and its CSV rows do not.  In both,
 the ``E_*`` correlation columns of ``chsh`` are printed at 3 decimals,
@@ -31,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import re
 import shlex
 import sys
@@ -153,26 +151,17 @@ def _csv_text(rows: list[dict], precision: int, header: list[str] | None = None)
     return "\n".join(lines) + "\n"
 
 
-def _write(
-    cfg: RunConfig, doc: dict, files: dict[str, list[dict]], header: list[str] | None = None
-) -> int:
-    """Write doc as JSON to cfg.out_path, or to stdout; or each name: rows
-    entry of files as CSV, the name "" to cfg.out_path or stdout and any
-    other name to that file in the cfg.out_path directory (default ".")."""
+def _write(cfg: RunConfig, doc: dict, rows: list[dict], header: list[str] | None = None) -> int:
+    """Write doc as JSON, or rows as CSV, to cfg.out_path or to stdout."""
     if cfg.out_format == "json":
-        texts = {"": _json_text({"schema_version": SCHEMA_VERSION, **doc}, cfg.precision) + "\n"}
+        text = _json_text({"schema_version": SCHEMA_VERSION, **doc}, cfg.precision) + "\n"
     else:
-        texts = {name: _csv_text(rows, cfg.precision, header) for name, rows in files.items()}
-    out_dir = cfg.out_path or "."
-    if any(texts):
-        os.makedirs(out_dir, exist_ok=True)
-    for name, text in texts.items():
-        path = os.path.join(out_dir, name) if name else cfg.out_path
-        if path:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        text = _csv_text(rows, cfg.precision, header)
+    if cfg.out_path:
+        with open(cfg.out_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -205,14 +194,6 @@ def cmd_sweep(cfg: RunConfig) -> int:
     state = _state_from_config(cfg)
     grid = cfg.beta_grid()
     pairs = [(alpha, r) for alpha in cfg.sweep_alphas for r in cfg.r_values]
-    names = [f"sweep_alpha{alpha:.4f}_r{r:.4f}.csv" for alpha, r in pairs]
-    if cfg.out_format == "csv":
-        for k, name in enumerate(names):
-            if name in names[:k]:
-                raise ConfigError(
-                    f"two sweep curves would both be written to {name}: "
-                    "sweep_alphas and r must differ at 4 decimals"
-                )
     def curve(index):  # axes (alpha, r) in output order, so the first failing curve raises
         alpha = _cell("alpha_rad", cfg.sweep_alphas[index[0]], cfg.precision)
         return f"sweep alpha={alpha} rad, {_rung(cfg, cfg.r_values[index[1]])}"
@@ -221,14 +202,11 @@ def cmd_sweep(cfg: RunConfig) -> int:
                     np.array(cfg.r_dimensionless()), grid)
     points = points.reshape(len(pairs), len(grid), 2)  # (beta, E) rows
     curves = [{"alpha_rad": alpha, "r": r, "points": p} for (alpha, r), p in zip(pairs, points)]
-    files = {}
+    rows = []
     if cfg.out_format == "csv":  # a JSON run builds no rows
-        files = {
-            name: [{"beta_rad": b, "E": e, "alpha_rad": c["alpha_rad"], "r": c["r"]}
-                   for b, e in c["points"].tolist()]
-            for c, name in zip(curves, names)
-        }
-    return _write(cfg, {"r_unit": cfg.r_unit, "curves": curves}, files)
+        rows = [{"beta_rad": b, "E": e, "alpha_rad": c["alpha_rad"], "r": c["r"]}
+                for c in curves for b, e in c["points"].tolist()]
+    return _write(cfg, {"r_unit": cfg.r_unit, "curves": curves}, rows)
 
 
 def cmd_chsh(cfg: RunConfig) -> int:
@@ -248,7 +226,7 @@ def cmd_chsh(cfg: RunConfig) -> int:
     }
     values = np.stack(list(columns.values()), axis=-1).tolist()
     rows = [{"r": r, **dict(zip(columns, row))} for r, row in zip(cfg.r_values, values)]
-    return _write(cfg, {"r_unit": cfg.r_unit, "results": rows}, {"": rows})
+    return _write(cfg, {"r_unit": cfg.r_unit, "results": rows}, rows)
 
 
 def cmd_mc(cfg: RunConfig) -> int:
@@ -281,7 +259,7 @@ def cmd_mc(cfg: RunConfig) -> int:
             rung.append(est)
         s, s_se = mc_mod.mc_bell_S(rung)
         bell.append({"r": r_cfg, "S": s, "S_se": s_se})
-    return _write(cfg, {"r_unit": cfg.r_unit, "matrices": records, "bell": bell}, {"": records})
+    return _write(cfg, {"r_unit": cfg.r_unit, "matrices": records, "bell": bell}, records)
 
 
 def cmd_plan_frft(cfg: RunConfig) -> int:
@@ -300,7 +278,7 @@ def cmd_plan_frft(cfg: RunConfig) -> int:
         "total_z_cm": plan.total_z_cm,
         "stages": stages,
     }
-    return _write(cfg, doc, {"": stages}, header=["angle_rad", "f_cm", "z_cm"])
+    return _write(cfg, doc, stages, header=["angle_rad", "f_cm", "z_cm"])
 
 
 def cmd_optimize(cfg: RunConfig, reproduce: str) -> int:
@@ -336,7 +314,7 @@ def cmd_optimize(cfg: RunConfig, reproduce: str) -> int:
             raise ValueError(f"optimize tune_r_max={r_max} ({cfg.r_unit}): {exc}") from None
         record["tuned_r"] = tuned * scale
         record["target_fidelity"] = cfg.target_fidelity
-    return _write(cfg, {"r_unit": cfg.r_unit, **record}, {"": [record]})
+    return _write(cfg, {"r_unit": cfg.r_unit, **record}, [record])
 
 
 _COMMANDS = {
@@ -360,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
         # a word such as -3pi/4 is a flag's value, not an option
         sp._negative_number_matcher = re.compile(r"-\.?\d|-pi")
         sp.add_argument("--config", default=None, help="key=value config file")
-        sp.add_argument("--out", dest="out_path", help="output path (sweep csv: directory)")
+        sp.add_argument("--out", dest="out_path", help="output file (default: stdout)")
         sp.add_argument("--format", dest="out_format", help="csv or json")
         sp.add_argument("--seed", dest="mc_seed", help="Monte Carlo seed")
         sp.add_argument(

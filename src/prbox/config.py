@@ -118,6 +118,15 @@ class RunConfig:
         for name in _AT_LEAST_ONE:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # and so is each number the kernels take; a monotone grid is finite at its ends
+        beta_ends = (self._beta(0), self._beta(self.sweep_steps - 1))
+        for what, values in (
+            ("r_values / scale_s_mm", self.r_dimensionless()),
+            ("tune_r_max / scale_s_mm", (self.tune_r_max / self.r_scale(),)),
+            ("the ends of the beta grid from sweep_beta_min to sweep_beta_max", beta_ends),
+        ):
+            if not all(map(math.isfinite, values)):
+                raise ConfigError(f"{what} must be finite, got {values}")
         if not self.frft_inventory_cm or min(self.frft_inventory_cm) <= 0.0:
             raise ConfigError(
                 "frft_inventory_cm must be a non-empty list of positive focal "
@@ -152,10 +161,13 @@ class RunConfig:
         return tuple(r / self.r_scale() for r in self.r_values)
 
     def beta_grid(self) -> tuple[float, ...]:
+        return tuple(map(self._beta, range(self.sweep_steps)))
+
+    def _beta(self, i: int) -> float:
         if self.sweep_steps == 1:
-            return (self.sweep_beta_min,)
+            return self.sweep_beta_min
         step = (self.sweep_beta_max - self.sweep_beta_min) / (self.sweep_steps - 1)
-        return tuple(self.sweep_beta_min + i * step for i in range(self.sweep_steps))
+        return self.sweep_beta_min + i * step
 
 
 # Keys by the annotation of their RunConfig field, as written in the class

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -133,6 +134,9 @@ class TestPlanFrft:
         assert key in capsys.readouterr().err
 
 
+TINY_MM = "r_unit = mm\nscale_s_mm = 1e-10\n"
+
+
 class TestDegenerateConfig:
     @pytest.mark.parametrize(
         "command,config,key",
@@ -153,6 +157,14 @@ class TestDegenerateConfig:
             ("optimize", "target_fidelity = 0.8\ntune_r_max = -1", "tune_r_max"),
             ("optimize", "target_fidelity = 1.5", "target_fidelity"),
             ("optimize", "target_fidelity = -0.2", "target_fidelity"),
+            # finite as configured, but 1e300 mm at 1e-10 mm per dimensionless
+            # unit overflows to inf, and so does the step of this beta grid
+            ("chsh", f"{TINY_MM}r = 1, 1e300", "r_values"),
+            ("sweep", f"{TINY_MM}r = 1, 1e300\nsweep_alphas = pi\nsweep_steps = 5", "r_values"),
+            ("mc", f"{TINY_MM}r = 1, 1e300\nmc_n = 1000", "r_values"),
+            ("optimize", f"{TINY_MM}r = 1\ntarget_fidelity = 0.8\ntune_r_max = 1e300",
+             "tune_r_max"),
+            ("sweep", "sweep_beta_min = -1e308\nsweep_beta_max = 1e308", "sweep_beta_min"),
         ],
     )
     def test_exits_2_naming_the_key(self, tmp_path, capsys, command, config, key):
@@ -255,17 +267,12 @@ class TestChsh:
         assert "r=1e+200 " in capsys.readouterr().err
 
 
-DUPLICATE_ALPHAS = "sweep_alphas = pi, pi\nr = 1\nsweep_steps = 5\n"
+def csv_rows(path) -> list[dict]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 class TestSweep:
-    def test_colliding_csv_names_rejected(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, DUPLICATE_ALPHAS)
-        out_dir = tmp_path / "curves"
-        assert main(["sweep", "--config", cfg, "--out", str(out_dir)]) == 2
-        assert "sweep_alpha3.1416_r1.0000.csv" in capsys.readouterr().err
-        assert not out_dir.exists()
-
     def test_first_failing_curve_in_output_order_is_named(self, tmp_path, capsys):
         # at beta = pi/2 the kept fraction underflows from r = 18 for alpha =
         # pi/2 and from r = 20 for alpha = pi; curves run alpha-major, so
@@ -279,11 +286,21 @@ class TestSweep:
             f"numerical failure: sweep alpha=3.14159 rad, r=20 (dimensionless): {curve.value}\n"
         )
 
-    def test_duplicate_curves_allowed_in_json(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, DUPLICATE_ALPHAS)
+    def test_csv_table_holds_the_json_curves(self, tmp_path, capsys):
+        # a repeated alpha repeats its curves, in both formats
+        cfg = write_config(tmp_path, "sweep_alphas = pi, pi/2, pi\nr = 0.5, 1\nsweep_steps = 5\n")
+        out = tmp_path / "curves.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
         assert main(["sweep", "--config", cfg, "--format", "json"]) == 0
         curves = json.loads(capsys.readouterr().out)["curves"]
-        assert len(curves) == 2 and curves[0] == curves[1]
+        groups = [
+            (key, [[float(row["beta_rad"]), float(row["E"])] for row in rows])
+            for key, rows in itertools.groupby(
+                csv_rows(out), lambda row: (float(row["alpha_rad"]), float(row["r"]))
+            )
+        ]
+        assert groups == [((c["alpha_rad"], c["r"]), c["points"]) for c in curves]
+        assert len(curves) == 6 and curves[:2] == curves[4:]
 
     def test_fig1_style_run_produces_six_curves_plus_reference(self, tmp_path):
         # the reference is the model's own r = 0 curve, one per alpha
@@ -293,41 +310,31 @@ class TestSweep:
             "delta = 5/4\ngamma = 3/4\nswap_widths = true\n"
             "r = 0, 0.75, 1, 2\nsweep_alphas = pi, pi/2\nsweep_steps = 25\n",
         )
-        out_dir = tmp_path / "curves"
-        assert main(["sweep", "--config", cfg, "--out", str(out_dir)]) == 0
-        files = sorted(os.listdir(out_dir))
-        assert len(files) == 8
-        assert [f for f in files if f.endswith("_r0.0000.csv")] == [
-            "sweep_alpha1.5708_r0.0000.csv", "sweep_alpha3.1416_r0.0000.csv"
-        ]
-        for name in files:
-            assert (out_dir / name).read_text().splitlines()[0] == "beta_rad,E,alpha_rad,r"
+        out = tmp_path / "curves.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[0] == "beta_rad,E,alpha_rad,r"
+        curves = {(row["alpha_rad"], row["r"]) for row in csv_rows(out)}
+        assert len(curves) == 8
+        assert sorted(c for c in curves if c[1] == "0") == [("1.5708", "0"), ("3.14159", "0")]
 
     def test_single_step_single_row(self, tmp_path):
         cfg = write_config(tmp_path, "sweep_steps = 1\nsweep_alphas = pi\nr = 1\n")
-        out_dir = tmp_path / "one"
-        assert main(["sweep", "--config", cfg, "--out", str(out_dir)]) == 0
-        files = os.listdir(out_dir)
-        assert len(files) == 1
-        content = (out_dir / files[0]).read_text().strip().splitlines()
-        assert len(content) == 2
+        out = tmp_path / "one.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert len(out.read_text().strip().splitlines()) == 2
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path, "sweep_steps = 9\nsweep_alphas = pi\nr = 1\n")
-        d1, d2 = tmp_path / "a", tmp_path / "b"
-        assert main(["sweep", "--config", cfg, "--out", str(d1)]) == 0
-        assert main(["sweep", "--config", cfg, "--out", str(d2)]) == 0
-        f1 = sorted(os.listdir(d1))
-        assert f1 == sorted(os.listdir(d2))
-        for name in f1:
-            assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(a)]) == 0
+        assert main(["sweep", "--config", cfg, "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
     def test_reemission_idempotent(self, tmp_path):
         cfg = write_config(tmp_path, "sweep_steps = 17\nsweep_alphas = pi\nr = 0.5\n")
-        out_dir = tmp_path / "idem"
-        assert main(["sweep", "--config", cfg, "--out", str(out_dir)]) == 0
-        name = os.listdir(out_dir)[0]
-        lines = (out_dir / name).read_text().strip().splitlines()
+        out = tmp_path / "idem.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        lines = out.read_text().strip().splitlines()
         for line in lines[1:]:
             for cell in line.split(","):
                 assert f"{float(cell):.6g}" == cell
@@ -451,12 +458,9 @@ class TestRUnit:
     def test_sweep_prints_r_in_mm(self, tmp_path, capsys):
         curve = "sweep_alphas = pi\nsweep_steps = 5\n"
         cfg = write_config(tmp_path, MM_CONFIG + curve)
-        out_dir = tmp_path / "curves"
-        assert main(["sweep", "--config", cfg, "--out", str(out_dir)]) == 0
-        assert os.listdir(out_dir) == ["sweep_alpha3.1416_r1.0000.csv"]
-        text = (out_dir / "sweep_alpha3.1416_r1.0000.csv").read_text()
-        rows = list(csv.DictReader(io.StringIO(text)))
-        assert {row["r"] for row in rows} == {"1"}
+        out = tmp_path / "curves.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert {row["r"] for row in csv_rows(out)} == {"1"}
         doc = json_run(tmp_path, capsys, "sweep", MM_CONFIG + curve)
         assert doc["r_unit"] == "mm" and doc["curves"][0]["r"] == 1.0
         # the points are the curve at the dimensionless r
@@ -560,6 +564,12 @@ class TestExitCodes:
         missing = str(tmp_path / "no" / "such" / "dir" / "x.csv")
         assert main(["chsh", "--config", cfg, "--out", missing]) == 4
 
+    @pytest.mark.parametrize("command", ["chsh", "sweep"])
+    def test_out_naming_a_directory_is_4(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, "r = 0\nsweep_steps = 5\n")
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 4
+        assert capsys.readouterr().err.startswith("I/O error: ")
+
     def test_missing_config_file_is_4(self, capsys):
         assert main(["chsh", "--config", "/nonexistent.cfg"]) == 4
 
@@ -611,7 +621,7 @@ class TestMain:
         self, tmp_path, capsys, monkeypatch, command, out_format, out
     ):
         # _write is the one exit path: one call per run, and the run leaves
-        # exactly the files it names, and stdout only for the name ""
+        # the one file --out names and no stdout, or without it stdout only
         cfg = write_config(tmp_path, dict(DOCUMENT_CONFIGS)[command], name="run.cfg")
         write, calls = cli._write, []
 
@@ -624,14 +634,9 @@ class TestMain:
         argv = [command, "--config", "run.cfg", "--format", out_format]
         assert main(argv + (["--out", out] if out else [])) == 0
         assert len(calls) == 1
-        _, _, files = calls[0]
-        names = [""] if out_format == "json" else list(files)
-        if command == "sweep" and out_format == "csv":  # one file per curve
-            assert len(names) == 4
-        expected = {os.path.join(out or ".", name) if name else out for name in names}
-        left = {os.path.relpath(p, tmp_path) for p in tmp_path.rglob("*") if p.is_file()}
-        assert left - {"run.cfg"} == {os.path.normpath(p) for p in expected - {None}}
-        assert bool(capsys.readouterr().out) == (None in expected)
+        left = {os.path.relpath(p, tmp_path) for p in tmp_path.rglob("*")}
+        assert left - {"run.cfg"} == ({out} if out else set())
+        assert bool(capsys.readouterr().out) == (out is None)
 
     def test_cached_parser_carries_no_state_between_calls(self, capsys, monkeypatch):
         # the first call's flags are the defaults; the fourth's are not, so a

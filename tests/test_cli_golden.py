@@ -2,7 +2,6 @@
 
 Each case runs in an empty directory with a relative ``--config run.cfg``
 and ``--out out``, so the ``reproduce`` field of ``optimize`` is fixed.
-``out`` is a file, or for ``sweep`` CSV a directory of curve files.
 
 The expected files under ``tests/golden/`` are rewritten from the
 ``prbox`` on the import path by ``python tests/test_cli_golden.py``.
@@ -61,17 +60,11 @@ def run_case(name: str, fmt: str) -> Path:
     return Path("out")
 
 
-def contents(path: Path) -> dict:
-    if path.is_dir():
-        return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
-    return {"": path.read_bytes()}
-
-
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("name", CASES)
 def test_output_matches_golden(name, fmt, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert contents(run_case(name, fmt)) == contents(GOLDEN / f"{name}.{fmt}")
+    assert run_case(name, fmt).read_bytes() == (GOLDEN / f"{name}.{fmt}").read_bytes()
 
 
 def test_mc_golden_matches_the_mp_oracle():
@@ -126,11 +119,10 @@ def json_keys(v) -> set[str]:
 
 
 def golden_fields(path: Path) -> set[str]:
-    """Every key of a JSON golden, or the header fields of a CSV golden's files."""
+    """Every key of a JSON golden, or the header fields of a CSV golden."""
     if path.suffix == ".json":
         return json_keys(json.loads(path.read_text()))
-    files = sorted(path.iterdir()) if path.is_dir() else [path]
-    return {k for f in files for k in f.read_text().splitlines()[0].split(",")}
+    return set(path.read_text().splitlines()[0].split(","))
 
 
 def test_readme_lists_exactly_the_golden_fields():
@@ -155,9 +147,6 @@ if __name__ == "__main__":
             target = GOLDEN / f"{name}.{fmt}"
             with tempfile.TemporaryDirectory() as work:
                 os.chdir(work)
-                out = run_case(name, fmt).resolve()
-                if target.is_dir():
-                    shutil.rmtree(target)
-                (shutil.copytree if out.is_dir() else shutil.copyfile)(out, target)
+                shutil.copyfile(run_case(name, fmt), target)
                 os.chdir(GOLDEN)
             print(f"wrote {target}", file=sys.stderr)
