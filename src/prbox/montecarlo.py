@@ -9,9 +9,10 @@ stream rule is stated per block of BLOCK_SIZE pairs, so memory does not
 scale with CHUNK_SIZE.  A pair whose first position falls inside the dark
 strip is discarded, so only the outside pairs draw a second normal, and
 where the strip discards most pairs, only they draw a first normal, from
-its law outside the strip.  The stream depends on r, so the rungs of one
-seed do not bin the same pairs.  Counts are bit-identical to binning the
-test oracle ``sample_pairs`` (tests/oracles.py).
+its law outside the strip by exponential rejection (Robert 1995, Stat.
+Comput. 5, 121).  The stream depends on r, so the rungs of one seed do not
+bin the same pairs.  Counts are bit-identical to binning the test oracle
+``sample_pairs`` (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -21,18 +22,19 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
-from .chsh import CHSH_SIGN, DEGENERATE_CORR, _check_r, setting_columns, setting_pairs
+from .chsh import _SQRT_2PI, CHSH_SIGN, DEGENERATE_CORR, _check_r, setting_columns, setting_pairs
 from .state import GaussianTwoModeState, position_joint_density
 
 CHUNK_SIZE = 250_000
 BLOCK_SIZE = 16_384
 MIN_KEPT_COUNT = 100
 # Outside share 2q = 2 Phi(-r / sd(x1)) below which a chunk draws only its
-# outside first positions, by inverse CDF: that costs about three normal draws
-# a value, so above the share where both rules cost the same it is slower.
-TAIL_SWITCH = 0.4
+# outside first positions, by exponential rejection: that costs two to three
+# exponential draws a value, so above the share where both rules cost the
+# same (measured between 0.7 and 0.8) it is slower.
+TAIL_SWITCH = 0.7
 _SEED_MASK = (1 << 64) - 1
 
 
@@ -108,9 +110,9 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def _chunk_sizes(n: int, size: int = CHUNK_SIZE) -> list[int]:
-    full, rem = divmod(n, size)
-    return [size] * full + ([rem] if rem else [])
+def _chunk_sizes(n: int) -> list[int]:
+    full, rem = divmod(n, CHUNK_SIZE)
+    return [CHUNK_SIZE] * full + ([rem] if rem else [])
 
 
 def _check_count(name: str, value) -> None:
@@ -118,40 +120,79 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
+def _tail_rate(t: float, q: float) -> tuple[float, float]:
+    """Robert's (1995, Stat. Comput. 5, 121) optimal exponential rate lam for
+    N(0, 1) truncated to z > t, with q = Phi(-t) > 0, and its acceptance
+    A(t) = sqrt(2 pi) lam q exp(lam t - lam^2 / 2), summed in logs because
+    the exponential alone overflows from t = 37.7, where q reaches 1e-309."""
+    lam = (t + math.hypot(t, 2.0)) / 2.0
+    return lam, math.exp(math.log(_SQRT_2PI * lam * q) + lam * (t - 0.5 * lam))
+
+
+def _tail_round(rng: np.random.Generator, t: float, lam: float, left: int, buf, ok) -> np.ndarray:
+    """One round of exponential rejection for N(0, 1) truncated to |z| > t:
+    of n = len(ok) proposals x = t + E / lam, the first `left` with E' >=
+    (x - lam)^2 / 2, in draw order, as a view of buf[0], each moved just past
+    t where rounding put it on t; of those k, the first k_plus ~ Binomial(k,
+    1/2) keep their sign and the rest are negated.  E and E' are standard
+    exponentials drawn into buf[1] and buf[2], a (4, n) array; buf[3] is
+    scratch."""
+    z, x, e2, d = buf
+    rng.standard_exponential(out=x)
+    rng.standard_exponential(out=e2)
+    np.add(np.multiply(x, 1.0 / lam, out=x), t, out=x)
+    np.subtract(x, lam, out=d)
+    np.multiply(np.multiply(d, d, out=d), 0.5, out=d)
+    accepted = np.count_nonzero(np.less_equal(d, e2, out=ok))
+    k = min(accepted, left)
+    x = np.compress(ok, x, out=e2[:accepted])[:k]
+    z = np.maximum(x, math.nextafter(t, math.inf), out=z[:k])
+    plus = rng.binomial(k, 0.5)
+    np.negative(z[plus:], out=z[plus:])
+    return z
+
+
 def _bin_chunk(args) -> np.ndarray:
     """Counts (kept, kept & up1, kept & up2, kept & up1 & up2) of one chunk, up
     meaning x > 0; x1 = l00 z0 lies outside the strip with probability 2q.
     Where 2q >= TAIL_SWITCH, each block of k pairs draws k first normals z0
-    and keeps those with |x1| > r; below it, the chunk draws its outside count
-    s ~ Binomial(m, 2q), then each block of k of them k uniforms u, with z0 =
-    ndtri(q (1 - frac(2u))), negated where u >= 1/2.  Then one second normal
-    z1 per outside pair, in pair order, with x2 = l10 z0 + l11 z1; successive
-    ``out=`` draws continue one stream.  Bit-identical to binning the chunk's
-    pairs of the oracle ``sample_pairs`` in tests/oracles.py, in reused
-    buffers of BLOCK_SIZE."""
+    and keeps those with |x1| > r.  Below it, the chunk draws its outside
+    count s ~ Binomial(m, 2q); then, while some are left, one _tail_round of
+    min(BLOCK_SIZE, ceil(left / A(t))) proposals gives the next outside z0,
+    t = r / l00.  Then one second normal z1 per outside pair, in pair order,
+    with x2 = l10 z0 + l11 z1; successive ``out=`` draws continue one
+    stream.  Bit-identical to binning the chunk's pairs of the oracle
+    ``sample_pairs`` in tests/oracles.py, in reused buffers of BLOCK_SIZE."""
     seed, idx, m, (l00, l10, l11), r = args
     rng = _chunk_rng(seed, idx)
-    z0_buf, z_buf, x2_buf, t_buf = np.empty((4, BLOCK_SIZE))
+    buf = np.empty((4, BLOCK_SIZE))
+    z0_buf, z_buf, x2_buf, t_buf = buf
     flags = np.empty((4, BLOCK_SIZE), dtype=bool)
     c = np.zeros(4, dtype=np.int64)
-    q = float(ndtr(-r / l00))
+    t = r / l00
+    q = float(ndtr(-t))
     tail = 2.0 * q < TAIL_SWITCH
-    for k in _chunk_sizes(rng.binomial(m, 2.0 * q) if tail else m, BLOCK_SIZE):
-        z0, outside = z0_buf[:k], flags[0, :k]
-        if tail:  # every pair of the block is outside
-            frac, half = np.modf(np.multiply(rng.random(out=z0), 2.0, out=z0), out=(z0, t_buf[:k]))
-            ndtri(np.multiply(np.subtract(1.0, frac, out=z0), q, out=z0), out=z0)
-            np.minimum(z0, -np.nextafter(r / l00, math.inf), out=z0)  # ndtri(q) may hit the edge
-            s, z = k, np.copysign(z0, np.subtract(half, 0.5, out=half), out=z0)
+    left = rng.binomial(m, 2.0 * q) if tail else m
+    if tail and left:  # then q > 0, as _tail_rate needs
+        lam, rate = _tail_rate(t, q)
+    while left:
+        if tail:  # every pair of the round is outside
+            n = min(BLOCK_SIZE, math.ceil(left / rate))
+            z = _tail_round(rng, t, lam, left, buf[:, :n], flags[0, :n])
+            s = len(z)
+            left -= s
         else:
+            k = min(BLOCK_SIZE, left)
+            left -= k
+            z0, outside = z0_buf[:k], flags[0, :k]
             np.abs(np.multiply(l00, rng.standard_normal(out=z0), out=t_buf[:k]), out=t_buf[:k])
             s = np.count_nonzero(np.greater(t_buf[:k], r, out=outside))
             z = z0 if s == k else np.compress(outside, z0, out=z_buf[:s])  # s == k at r = 0
-        x2, t = x2_buf[:s], t_buf[:s]
+        x2, tmp = x2_buf[:s], t_buf[:s]
         kept, up1, up2, both = flags[:, :s]  # kept overwrites outside once z is compacted
         np.multiply(l11, rng.standard_normal(out=x2), out=x2)
-        np.add(np.multiply(l10, z, out=t), x2, out=x2)
-        np.greater(np.abs(x2, out=t), r, out=kept)
+        np.add(np.multiply(l10, z, out=tmp), x2, out=x2)
+        np.greater(np.abs(x2, out=tmp), r, out=kept)
         np.logical_and(kept, np.greater(z, 0.0, out=up1), out=up1)  # x1 has z's sign
         np.logical_and(kept, np.greater(x2, 0.0, out=up2), out=up2)
         np.logical_and(up1, up2, out=both)

@@ -2,16 +2,18 @@ import importlib
 import json
 import math
 import tracemalloc
+import warnings
 from collections import Counter
 from functools import cache
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
-from scipy.stats import binomtest
+from scipy.stats import binomtest, kstest
 
 import oracles
 import prbox.montecarlo as montecarlo
@@ -34,6 +36,8 @@ from prbox.montecarlo import (
     ProbEstimate,
     _bin_chunk,
     _cholesky_factor,
+    _tail_rate,
+    _tail_round,
     derive_setting_seed,
     estimate_probabilities,
     mc_bell_S,
@@ -78,7 +82,7 @@ class TestSamplePairs:
 
     def test_draws_second_positions_only_outside_the_strip(self):
         n = 400_000
-        for r in (0.8, 1.6):  # outside shares 0.47 and 0.14, one on each side of TAIL_SWITCH
+        for r in (0.3, 1.6):  # outside shares 0.78 and 0.14, one on each side of TAIL_SWITCH
             x = oracles.sample_pairs(*BG, r, n, seed=5)
             assert np.all(np.abs(x[:, 0]) > r)
             share = math.erfc(r / math.sqrt(2.0 * BG[0]))  # P(|x1| > r)
@@ -175,7 +179,8 @@ class TestSimulateCounts:
 class TestMostPairsSkipTheSecondDraw:
     """At r = 1.5 and 2 most first positions fall inside the dark strip, so
     most pairs draw no second normal, and below TAIL_SWITCH no first normal
-    either; the counts still follow the orthant masses of the independent
+    either: only the outside ones are drawn, from the tail by exponential
+    rejection; the counts still follow the orthant masses of the independent
     oracle.  At r = 2 a cross-sign cell expects about 0.1 of its 13 kept
     events, where the normal tail of 4 standard errors misstates the odds of
     one event, so each count takes the exact binomial test at that
@@ -210,12 +215,27 @@ class TestMostPairsSkipTheSecondDraw:
 
     def test_counts_at_r_3_match_the_mp_oracle(self):
         # 10^8 pairs a setting: at most about 1.5e5 outside (alpha, beta) pairs
-        # draw a tail normal each, where the rejection rule would draw 2 x 10^8
-        # normals.  (alpha', beta) keeps about 0.03 events, too few for
-        # estimate_probabilities, so the counts are tested
+        # draw about two exponentials and a second normal each, where the plain
+        # rule would draw 10^8 first normals.  (alpha', beta) keeps about 0.03
+        # events, too few for estimate_probabilities, so the counts are tested
         for k, (a, b) in enumerate(setting_pairs(REFERENCE_SETTINGS)):
             c = simulate_counts(STATE, a, b, 3.0, 10**8, derive_setting_seed(34, k))
             self.assert_counts_match_the_mp_oracle(c, a, b, 3.0)
+
+    @pytest.mark.parametrize("t", [37.0, 38.0, 40.0, math.inf])
+    def test_far_out_strips_discard_every_pair_without_overflow(self, t):
+        # t = r / l00; 1e200 stands in for t = inf.  The outside share 2q is
+        # about 1e-299 at t = 37 and rounds to 0 from t = 37.7, where
+        # exp(lam t - lam^2 / 2) of the tail rule's acceptance overflows.  The
+        # mp oracle's kept fraction is at most that share, so a kept event
+        # would fail its binomial test: every pair must be discarded
+        a, b = REFERENCE_SETTINGS.alpha, REFERENCE_SETTINGS.beta
+        l00 = math.sqrt(position_joint_density(STATE, a, b)[0])
+        r = 1e200 if math.isinf(t) else t * l00
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = simulate_counts(STATE, a, b, r, 1_000_000, seed=35, workers=2)
+        assert c == CountTable(0, 0, 0, 0, 1_000_000, seed=35, n_total=1_000_000)
 
 
 def _sign_binned(x: np.ndarray, r: float, n: int) -> dict:
@@ -238,16 +258,16 @@ class TestExactReference:
     count, across block and chunk boundaries, dark strips from none to nearly
     everything, and worker counts.  This also pins the per-chunk seeds, both
     stream rules (every first normal, or the binomial outside count and its
-    inverse-CDF first normals; then a second normal for each first position
-    outside the strip), the switch between them, and that successive
-    ``out=`` draws of one generator continue the stream that plain draws
-    give."""
+    first normals by rounds of exponential rejection, with their sign split;
+    then a second normal for each first position outside the strip), the
+    switch between them, the rounds' sizes, and that successive ``out=``
+    draws of one generator continue the stream that plain draws give."""
 
     ALPHA, BETA, SEED = PI, 5 * PI / 4, 21
-    # outside shares 1, 0.60, 0.44, 0.36, 0.034 and 2e-10: the first three
-    # take the rejection rule and the rest the tail rule, with 0.73 and 0.86
-    # the two sides of TAIL_SWITCH
-    R_VALUES = (0.0, 0.5, 0.73, 0.86, 2.0, 6.0)
+    # outside shares 1, 0.73, 0.67, 0.60, 0.44, 0.36, 0.034 and 2e-10: the
+    # first two take the plain rule and the rest the tail rule, with 0.33 and
+    # 0.4 the two sides of TAIL_SWITCH
+    R_VALUES = (0.0, 0.33, 0.4, 0.5, 0.73, 0.86, 2.0, 6.0)
 
     @pytest.fixture(scope="class")
     def pairs(self):
@@ -257,7 +277,7 @@ class TestExactReference:
     def test_r_values_take_both_rules(self):
         l00 = math.sqrt(position_joint_density(STATE, self.ALPHA, self.BETA)[0])
         tail = [2.0 * ndtr(-r / l00) < TAIL_SWITCH for r in self.R_VALUES]
-        assert tail == [False, False, False, True, True, True]
+        assert tail == [False, False, True, True, True, True, True, True]
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("r", R_VALUES)
@@ -272,78 +292,126 @@ class TestExactReference:
 
 
 class _CountingRng:
-    """A chunk's generator that counts the values each method draws.  With a
-    stub, random fills its output with the stub instead of drawing; the
-    chunk maps uniforms onto first normals in that buffer, so the next draw
-    records them in z0."""
+    """A chunk's generator that logs each draw as (method, size), and a
+    binomial draw as (method, trials, result).  With a stub, the first of
+    each round's two exponential draws, the proposals E, is filled with the
+    stub instead of drawn."""
 
     def __init__(self, rng, stub=None):
-        self.rng, self.stub, self.drawn, self.s = rng, stub, Counter(), None
-        self.u, self.z0 = None, []
+        self.rng, self.stub, self.log = rng, stub, []
 
-    def binomial(self, m, p):
-        self.drawn["binomial"] += 1
-        self.s = self.rng.binomial(m, p)
-        return self.s
+    def binomial(self, n, p):
+        self.log.append(("binomial", n, self.rng.binomial(n, p)))
+        return self.log[-1][2]
 
-    def random(self, out):
-        self.drawn["random"] += out.size
-        self.u = out
-        if self.stub is None:
-            return self.rng.random(out=out)
-        out[:] = self.stub
-        return out
+    def standard_exponential(self, out):
+        proposals = self.stub is not None and self.drawn["standard_exponential"] % 2 == 0
+        self.log.append(("standard_exponential", out.size))
+        if proposals:
+            out[:] = self.stub
+            return out
+        return self.rng.standard_exponential(out=out)
 
     def standard_normal(self, out):
-        if self.u is not None:
-            self.z0.append(self.u.copy())
-            self.u = None
-        self.drawn["standard_normal"] += out.size
+        self.log.append(("standard_normal", out.size))
         return self.rng.standard_normal(out=out)
+
+    @property
+    def drawn(self) -> Counter:
+        """Number of calls per method."""
+        return Counter(method for method, *_ in self.log)
 
 
 class TestDrawsPerChunk:
-    """Exact draw counts of one chunk of M pairs, through a counting proxy of
-    its generator: the tail rule draws one binomial count s, then s uniforms
-    and s second normals; the rejection rule draws M first normals and one
-    second normal for each of the s pairs outside the strip."""
+    """Exact draws of one chunk of M pairs, through a logging proxy of its
+    generator.  The tail rule draws one binomial count s, then per round n
+    proposals, each of two exponentials E and E', one binomial sign split of
+    the k it takes, and k second normals, with the k summing to s; the plain
+    rule draws M first normals and one second normal for each of the s pairs
+    outside the strip."""
 
     M, SEED = 100_000, 3
-    BLOCK = position_joint_density(STATE, PI, 5 * PI / 4)  # outside share 0.60 at r = 0.5
+    BLOCK = position_joint_density(STATE, PI, 5 * PI / 4)  # outside share 0.75 at r = 0.3
 
     def chunk(self, monkeypatch, r, stub=None):
-        make, rngs = montecarlo._chunk_rng, []
+        make, rngs, rounds = montecarlo._chunk_rng, [], []
         monkeypatch.setattr(
             montecarlo, "_chunk_rng",
             lambda seed, idx: rngs.append(_CountingRng(make(seed, idx), stub)) or rngs[-1],
         )
+        tail_round = montecarlo._tail_round
+        monkeypatch.setattr(
+            montecarlo, "_tail_round",
+            lambda *args: rounds.append((z0 := tail_round(*args)).copy()) or z0,
+        )
         counts = _bin_chunk((self.SEED, 0, self.M, _cholesky_factor(self.BLOCK), r))
         (rng,) = rngs
-        return rng, counts
+        return rng, rounds, counts
 
     def test_tail_rule_draws_only_outside_pairs(self, monkeypatch):
-        rng, (kept, *_) = self.chunk(monkeypatch, 2.0)
-        assert 0 < kept <= rng.s < self.M // 10
-        assert rng.drawn == {"binomial": 1, "random": rng.s, "standard_normal": rng.s}
+        rng, rounds, (kept, *_) = self.chunk(monkeypatch, 2.0)
+        (method, m, s), *log = rng.log
+        assert (method, m) == ("binomial", self.M) and 0 < kept <= s < self.M // 10
+        groups = [log[i : i + 4] for i in range(0, len(log), 4)]
+        assert len(groups) == len(rounds) > 1 and sum(map(len, rounds)) == s
+        for z0, (e, e_accept, split, z1) in zip(rounds, groups):
+            k, n = len(z0), e[1]
+            assert e == e_accept == ("standard_exponential", n) and k <= n <= BLOCK_SIZE
+            assert split[:2] == ("binomial", k) and z1 == ("standard_normal", k)
 
-    def test_rejection_rule_draws_every_first_normal(self, monkeypatch):
-        rng, _ = self.chunk(monkeypatch, 0.5)
-        s = len(oracles.sample_pairs(*self.BLOCK, 0.5, self.M, self.SEED))
-        assert 0 < s < self.M
-        assert rng.drawn == {"standard_normal": self.M + s}
+    def test_plain_rule_draws_every_first_normal(self, monkeypatch):
+        rng, rounds, _ = self.chunk(monkeypatch, 0.3)
+        s = len(oracles.sample_pairs(*self.BLOCK, 0.3, self.M, self.SEED))
+        assert 0 < s < self.M and not rounds
+        assert {method for method, _ in rng.log} == {"standard_normal"}
+        assert sum(size for _, size in rng.log) == self.M + s
 
-    @pytest.mark.parametrize("u, up", [(0.0, False), (0.5, True)])
-    def test_boundary_uniforms_give_finite_draws_outside(self, monkeypatch, u, up):
-        # every uniform stubbed to one that maps onto the probability q at
-        # the strip's edge h = r / l00 = 1, where ndtri(Phi(-1)) rounds onto
-        # or inside -1: each z0 must still be finite and outside the strip
-        h = 1.0
-        assert ndtri(ndtr(-h)) >= -h
-        rng, (kept, up1, _, _) = self.chunk(monkeypatch, h * math.sqrt(self.BLOCK[0]), stub=u)
-        z0 = np.concatenate(rng.z0)
-        assert len(z0) == rng.s > 0
-        assert np.all(np.isfinite(z0)) and np.all(np.abs(z0) > h) and np.all((z0 > 0) == up)
-        assert kept > 0 and up1 == (kept if up else 0)  # x1 = l00 z0 has z0's sign
+    def test_proposals_on_the_edge_give_finite_draws_outside(self, monkeypatch):
+        # every proposal E stubbed to 0.0 lands on the strip's edge t = r /
+        # l00 = 1: each z0 must still be finite and outside the strip, the
+        # first k_plus of a round positive and the rest negative
+        t = 1.0
+        r = t * math.sqrt(self.BLOCK[0])
+        rng, rounds, (kept, up1, _, _) = self.chunk(monkeypatch, r, stub=0.0)
+        splits = [plus for method, _, *plus in rng.log[1:] if method == "binomial"]
+        assert len(splits) == len(rounds) > 0
+        for z0, (plus,) in zip(rounds, splits):
+            assert np.all(np.isfinite(z0)) and np.all(np.abs(z0) > t)
+            assert np.all(z0[:plus] > 0) and np.all(z0[plus:] < 0)
+        assert 0 < up1 < kept
+
+
+class TestTailRound:
+    """One round of the tail rule's exponential rejection alone, with every
+    proposal it accepts returned: its values follow N(0, 1) truncated to
+    |z| > t, and it accepts at Robert's rate A(t)."""
+
+    N = 60_000
+    LEVEL = TestMostPairsSkipTheSecondDraw.LEVEL
+
+    @staticmethod
+    def acceptance_mp(t: float) -> float:
+        """A(t) = sqrt(2 pi) lam Phi(-t) exp(lam t - lam^2 / 2) with the optimal
+        rate lam = (t + sqrt(t^2 + 4)) / 2, in 30-digit mpmath."""
+        with mpmath.workdps(30):
+            lam = (t + mpmath.sqrt(t * t + 4)) / 2
+            scale = mpmath.sqrt(2 * mpmath.pi) * lam * mpmath.ncdf(-t)
+            return float(scale * mpmath.exp(lam * t - lam**2 / 2))
+
+    @pytest.mark.parametrize("t", [0.52, 0.8, 2.0, 8.0])
+    def test_accepted_values_follow_the_truncated_normal_at_rate_A(self, t):
+        lam, _ = _tail_rate(t, float(ndtr(-t)))
+        rng = np.random.default_rng(36)
+        z = _tail_round(rng, t, lam, self.N, np.empty((4, self.N)), np.empty(self.N, dtype=bool))
+        assert kstest(np.abs(z), lambda v: 1.0 - ndtr(-v) / ndtr(-t)).pvalue > self.LEVEL
+        assert binomtest(len(z), self.N, self.acceptance_mp(t)).pvalue > self.LEVEL
+        assert binomtest(np.count_nonzero(z > 0), len(z), 0.5).pvalue > self.LEVEL
+
+    @pytest.mark.parametrize("t", [0.0, 0.52, 8.0, 37.6])
+    def test_rate_equals_A(self, t):
+        # 37.6 is near the last t where Phi(-t) is not 0 in double precision
+        q = float(ndtr(-t))
+        assert q > 0.0 and _tail_rate(t, q)[1] == pytest.approx(self.acceptance_mp(t), rel=1e-12)
 
 
 @st.composite
