@@ -295,13 +295,16 @@ class _CountingRng:
     """A chunk's generator that logs each draw as (method, size), and a
     binomial draw as (method, trials, result).  With a stub, the first of
     each round's two exponential draws, the proposals E, is filled with the
-    stub instead of drawn."""
+    stub instead of drawn.  With up set, every sign split after the first
+    binomial draw, the outside count, gives all k plus signs (up True) or
+    none (up False) instead of drawing."""
 
-    def __init__(self, rng, stub=None):
-        self.rng, self.stub, self.log = rng, stub, []
+    def __init__(self, rng, stub=None, up=None):
+        self.rng, self.stub, self.up, self.log = rng, stub, up, []
 
     def binomial(self, n, p):
-        self.log.append(("binomial", n, self.rng.binomial(n, p)))
+        split = self.up is not None and bool(self.log)
+        self.log.append(("binomial", n, (n if self.up else 0) if split else self.rng.binomial(n, p)))
         return self.log[-1][2]
 
     def standard_exponential(self, out):
@@ -333,11 +336,11 @@ class TestDrawsPerChunk:
     M, SEED = 100_000, 3
     BLOCK = position_joint_density(STATE, PI, 5 * PI / 4)  # outside share 0.75 at r = 0.3
 
-    def chunk(self, monkeypatch, r, stub=None):
+    def chunk(self, monkeypatch, r, stub=None, up=None):
         make, rngs, rounds = montecarlo._chunk_rng, [], []
         monkeypatch.setattr(
             montecarlo, "_chunk_rng",
-            lambda seed, idx: rngs.append(_CountingRng(make(seed, idx), stub)) or rngs[-1],
+            lambda seed, idx: rngs.append(_CountingRng(make(seed, idx), stub, up)) or rngs[-1],
         )
         tail_round = montecarlo._tail_round
         monkeypatch.setattr(
@@ -379,6 +382,19 @@ class TestDrawsPerChunk:
             assert np.all(np.isfinite(z0)) and np.all(np.abs(z0) > t)
             assert np.all(z0[:plus] > 0) and np.all(z0[plus:] < 0)
         assert 0 < up1 < kept
+
+    @pytest.mark.parametrize("u, up", [(0.0, False), (0.5, True)])
+    def test_boundary_uniforms_give_finite_draws_outside(self, monkeypatch, u, up):
+        # every proposal E stubbed to u, on the strip's edge t = r / l00 = 1
+        # (u = 0) or just past it, and every sign split forced to one end of
+        # Binomial(k, 1/2): each z0 must be finite, outside the strip and of
+        # the forced sign, which x1 = l00 z0 shares
+        t = 1.0
+        rng, rounds, (kept, up1, _, _) = self.chunk(monkeypatch, t * math.sqrt(self.BLOCK[0]), u, up)
+        z0 = np.concatenate(rounds)
+        assert len(z0) == rng.log[0][2] > 0
+        assert np.all(np.isfinite(z0)) and np.all(np.abs(z0) > t) and np.all((z0 > 0) == up)
+        assert kept > 0 and up1 == (kept if up else 0)
 
 
 class TestTailRound:
