@@ -5,13 +5,13 @@ post-selected probabilities with binomial errors.
 Sampling is chunked with per-chunk seeds derived deterministically from
 (seed, chunk index), so results are bit-identical for a given seed
 regardless of how many workers execute the chunks.  The seed contract's
-stream rule is stated per block of BLOCK_SIZE pairs, so memory does not
-scale with CHUNK_SIZE.  A pair whose first position falls inside the dark
-strip is discarded, so only the outside pairs draw a second normal, and
-where the strip discards most pairs, only they draw a first normal, from
-its law outside the strip by exponential rejection (Robert 1995, Stat.
-Comput. 5, 121).  The stream depends on r, so the rungs of one seed do not
-bin the same pairs.  Counts are bit-identical to binning the test oracle
+stream rule is stated per round of at most BLOCK_SIZE draws, so memory
+does not scale with CHUNK_SIZE.  A pair whose first position falls inside the dark
+strip is discarded, so a chunk draws only its outside pairs: their number,
+their first normals from their law outside the strip by exponential
+rejection (Robert 1995, Stat. Comput. 5, 121), and their second normals.
+The stream depends on r, so the rungs of one seed do not bin the same
+pairs.  Counts are bit-identical to binning the test oracle
 ``sample_pairs`` (tests/oracles.py).
 """
 
@@ -30,11 +30,6 @@ from .state import GaussianTwoModeState, position_joint_density
 CHUNK_SIZE = 250_000
 BLOCK_SIZE = 16_384
 MIN_KEPT_COUNT = 100
-# Outside share 2q = 2 Phi(-r / sd(x1)) below which a chunk draws only its
-# outside first positions, by exponential rejection: that costs two to three
-# exponential draws a value, so above the share where both rules cost the
-# same (measured between 0.7 and 0.8) it is slower.
-TAIL_SWITCH = 0.7
 _SEED_MASK = (1 << 64) - 1
 
 
@@ -155,41 +150,30 @@ def _tail_round(rng: np.random.Generator, t: float, lam: float, left: int, buf, 
 def _bin_chunk(args) -> np.ndarray:
     """Counts (kept, kept & up1, kept & up2, kept & up1 & up2) of one chunk, up
     meaning x > 0; x1 = l00 z0 lies outside the strip with probability 2q.
-    Where 2q >= TAIL_SWITCH, each block of k pairs draws k first normals z0
-    and keeps those with |x1| > r.  Below it, the chunk draws its outside
-    count s ~ Binomial(m, 2q); then, while some are left, one _tail_round of
-    min(BLOCK_SIZE, ceil(left / A(t))) proposals gives the next outside z0,
-    t = r / l00.  Then one second normal z1 per outside pair, in pair order,
-    with x2 = l10 z0 + l11 z1; successive ``out=`` draws continue one
-    stream.  Bit-identical to binning the chunk's pairs of the oracle
-    ``sample_pairs`` in tests/oracles.py, in reused buffers of BLOCK_SIZE."""
+    The chunk draws its outside count s ~ Binomial(m, 2q) (s = m at r = 0);
+    then, while some are left, one _tail_round of min(BLOCK_SIZE, ceil(left
+    / A(t))) proposals gives the next outside z0, t = r / l00, and one
+    second normal z1 per value, in order, with x2 = l10 z0 + l11 z1;
+    successive ``out=`` draws continue one stream.  Bit-identical to binning
+    the chunk's pairs of the oracle ``sample_pairs`` in tests/oracles.py, in
+    reused buffers of BLOCK_SIZE."""
     seed, idx, m, (l00, l10, l11), r = args
     rng = _chunk_rng(seed, idx)
     buf = np.empty((4, BLOCK_SIZE))
-    z0_buf, z_buf, x2_buf, t_buf = buf
     flags = np.empty((4, BLOCK_SIZE), dtype=bool)
     c = np.zeros(4, dtype=np.int64)
     t = r / l00
     q = float(ndtr(-t))
-    tail = 2.0 * q < TAIL_SWITCH
-    left = rng.binomial(m, 2.0 * q) if tail else m
-    if tail and left:  # then q > 0, as _tail_rate needs
+    left = rng.binomial(m, 2.0 * q)
+    if left:  # then q > 0, as _tail_rate needs
         lam, rate = _tail_rate(t, q)
     while left:
-        if tail:  # every pair of the round is outside
-            n = min(BLOCK_SIZE, math.ceil(left / rate))
-            z = _tail_round(rng, t, lam, left, buf[:, :n], flags[0, :n])
-            s = len(z)
-            left -= s
-        else:
-            k = min(BLOCK_SIZE, left)
-            left -= k
-            z0, outside = z0_buf[:k], flags[0, :k]
-            np.abs(np.multiply(l00, rng.standard_normal(out=z0), out=t_buf[:k]), out=t_buf[:k])
-            s = np.count_nonzero(np.greater(t_buf[:k], r, out=outside))
-            z = z0 if s == k else np.compress(outside, z0, out=z_buf[:s])  # s == k at r = 0
-        x2, tmp = x2_buf[:s], t_buf[:s]
-        kept, up1, up2, both = flags[:, :s]  # kept overwrites outside once z is compacted
+        n = min(BLOCK_SIZE, math.ceil(left / rate))
+        z = _tail_round(rng, t, lam, left, buf[:, :n], flags[0, :n])
+        s = len(z)
+        left -= s
+        x2, tmp = buf[2:, :s]
+        kept, up1, up2, both = flags[:, :s]  # kept overwrites the acceptance flags
         np.multiply(l11, rng.standard_normal(out=x2), out=x2)
         np.add(np.multiply(l10, z, out=tmp), x2, out=x2)
         np.greater(np.abs(x2, out=tmp), r, out=kept)

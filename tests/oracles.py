@@ -20,7 +20,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtr
 
 from prbox.chsh import MeasurementSettings
-from prbox.montecarlo import BLOCK_SIZE, CHUNK_SIZE, TAIL_SWITCH
+from prbox.montecarlo import BLOCK_SIZE, CHUNK_SIZE
 from prbox.state import rotated_block
 
 # The paper's measurement angles, which are also RunConfig's defaults.
@@ -149,21 +149,17 @@ def sample_pairs(
     position lies outside the dark strip |x| <= r, as an (m, 2) array in
     draw order; the other n - m pairs never get a second position.
 
-    Chunk k of CHUNK_SIZE pairs draws from default_rng(SeedSequence((seed
-    mod 2^64, k))).  With x1 = l00 z0, x2 = l10 z0 + l11 z1, t = r / l00 and
-    q = Phi(-t), so that 2q is the outside share of x1:
-    - where 2q >= TAIL_SWITCH, one block of BLOCK_SIZE pairs after another
-      draws its first normals z0, then one second normal z1 per pair with
-      |x1| > r, in order;
-    - below it, the chunk draws its outside count s ~ Binomial(m, 2q).  Then,
-      while some of the s are left, a round draws min(BLOCK_SIZE, ceil(left /
-      A)) exponentials E, then as many E', and takes |z0| = t + E / lam from
-      the first `left` proposals with E' >= (|z0| - lam)^2 / 2, or just past t
-      where that rounds to t (Robert 1995, with lam = (t + sqrt(t^2 + 4)) / 2
-      and A = sqrt(2 pi) lam q exp(lam t - lam^2 / 2) its acceptance).  Of
-      the k it takes, a Binomial(k, 1/2) count from the front keep their
-      sign and the rest are negated; then the round draws its k second
-      normals z1."""
+    Chunk k, of m <= CHUNK_SIZE pairs, draws from default_rng(SeedSequence((
+    seed mod 2^64, k))).  With x1 = l00 z0, x2 = l10 z0 + l11 z1, t = r / l00 and
+    q = Phi(-t), so that 2q is the outside share of x1, the chunk draws its
+    outside count s ~ Binomial(m, 2q), which is m at r = 0.  Then, while some
+    of the s are left, a round draws min(BLOCK_SIZE, ceil(left / A))
+    exponentials E, then as many E', and takes |z0| = t + E / lam from the
+    first `left` proposals with E' >= (|z0| - lam)^2 / 2, or just past t
+    where that rounds to t (Robert 1995, with lam = (t + sqrt(t^2 + 4)) / 2
+    and A = sqrt(2 pi) lam q exp(lam t - lam^2 / 2) its acceptance).  Of the
+    k it takes, a Binomial(k, 1/2) count from the front keep their sign and
+    the rest are negated; then the round draws its k second normals z1."""
     std2 = math.sqrt(var2)
     l00, l10, l11 = math.sqrt(var1), std2 * corr, std2 * math.sqrt(1.0 - corr * corr)
     t = r / l00
@@ -171,30 +167,21 @@ def sample_pairs(
     pairs = []
     for k, start in enumerate(range(0, n, CHUNK_SIZE)):
         rng = np.random.default_rng(np.random.SeedSequence((seed % 2**64, k)))
-        m = min(CHUNK_SIZE, n - start)
-        if 2.0 * q < TAIL_SWITCH:
-            left = rng.binomial(m, 2.0 * q)
-            if left:
-                lam = (t + math.hypot(t, 2.0)) / 2.0
-                rate = math.sqrt(2.0 * math.pi) * lam * q * math.exp(lam * t - lam * lam / 2.0)
-            while left > 0:
-                size = min(BLOCK_SIZE, math.ceil(left / rate))
-                e, e_accept = rng.standard_exponential(size), rng.standard_exponential(size)
-                z0 = t + e * (1.0 / lam)
-                z0 = z0[e_accept >= (z0 - lam) ** 2 / 2.0][:left]
-                z0 = np.where(z0 > t, z0, np.nextafter(t, math.inf))
-                plus = rng.binomial(len(z0), 0.5)
-                z0[plus:] = -z0[plus:]
-                z1 = rng.standard_normal(len(z0))
-                pairs.append(np.column_stack((l00 * z0, l10 * z0 + l11 * z1)))
-                left -= len(z0)
-        else:
-            for block in range(0, m, BLOCK_SIZE):
-                z0 = rng.standard_normal(min(BLOCK_SIZE, m - block))
-                x1 = l00 * z0
-                outside = np.abs(x1) > r
-                z1 = rng.standard_normal(int(np.count_nonzero(outside)))
-                pairs.append(np.column_stack((x1[outside], l10 * z0[outside] + l11 * z1)))
+        left = rng.binomial(min(CHUNK_SIZE, n - start), 2.0 * q)
+        if left:
+            lam = (t + math.hypot(t, 2.0)) / 2.0
+            rate = math.sqrt(2.0 * math.pi) * lam * q * math.exp(lam * t - lam * lam / 2.0)
+        while left > 0:
+            size = min(BLOCK_SIZE, math.ceil(left / rate))
+            e, e_accept = rng.standard_exponential(size), rng.standard_exponential(size)
+            z0 = t + e * (1.0 / lam)
+            z0 = z0[e_accept >= (z0 - lam) ** 2 / 2.0][:left]
+            z0 = np.where(z0 > t, z0, np.nextafter(t, math.inf))
+            plus = rng.binomial(len(z0), 0.5)
+            z0[plus:] = -z0[plus:]
+            z1 = rng.standard_normal(len(z0))
+            pairs.append(np.column_stack((l00 * z0, l10 * z0 + l11 * z1)))
+            left -= len(z0)
     return np.concatenate(pairs) if pairs else np.empty((0, 2))
 
 

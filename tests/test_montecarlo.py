@@ -30,7 +30,6 @@ from prbox.montecarlo import (
     BLOCK_SIZE,
     CHUNK_SIZE,
     MIN_KEPT_COUNT,
-    TAIL_SWITCH,
     CountTable,
     InsufficientCountsError,
     ProbEstimate,
@@ -82,7 +81,7 @@ class TestSamplePairs:
 
     def test_draws_second_positions_only_outside_the_strip(self):
         n = 400_000
-        for r in (0.3, 1.6):  # outside shares 0.78 and 0.14, one on each side of TAIL_SWITCH
+        for r in (0.3, 1.6):  # outside shares 0.78 and 0.14
             x = oracles.sample_pairs(*BG, r, n, seed=5)
             assert np.all(np.abs(x[:, 0]) > r)
             share = math.erfc(r / math.sqrt(2.0 * BG[0]))  # P(|x1| > r)
@@ -178,10 +177,10 @@ class TestSimulateCounts:
 
 class TestMostPairsSkipTheSecondDraw:
     """At r = 1.5 and 2 most first positions fall inside the dark strip, so
-    most pairs draw no second normal, and below TAIL_SWITCH no first normal
-    either: only the outside ones are drawn, from the tail by exponential
-    rejection; the counts still follow the orthant masses of the independent
-    oracle.  At r = 2 a cross-sign cell expects about 0.1 of its 13 kept
+    most pairs draw neither normal: only the outside ones are drawn, the
+    first from the tail by exponential rejection; the counts still follow
+    the orthant masses of the independent oracle, as they do where most or
+    all first positions fall outside.  At r = 2 a cross-sign cell expects about 0.1 of its 13 kept
     events, where the normal tail of 4 standard errors misstates the odds of
     one event, so each count takes the exact binomial test at that
     two-sided level."""
@@ -202,21 +201,22 @@ class TestMostPairsSkipTheSecondDraw:
             c = simulate_counts(STATE, a, b, r, 1_000_000, derive_setting_seed(32, k))
             self.assert_counts_match_the_mp_oracle(c, a, b, r)
 
-    @pytest.mark.parametrize("side", [0.9, 1.1])
-    def test_counts_match_the_mp_oracle_beside_the_switch(self, side):
-        # (alpha, beta) at the r where its outside share 2q is 10% below
-        # TAIL_SWITCH, where the tail rule draws, or 10% above it
+    @pytest.mark.parametrize("share", [0.77, 1.0])
+    def test_counts_match_the_mp_oracle_at_high_outside_shares(self, share):
+        # (alpha, beta) at the r where its outside share 2q is 0.77, where
+        # the rejection rounds accept about 0.9 of their proposals, or 1 (r =
+        # 0), where every pair is outside and they accept 0.76
         a, b = REFERENCE_SETTINGS.alpha, REFERENCE_SETTINGS.beta
         l00 = math.sqrt(position_joint_density(STATE, a, b)[0])
-        r = -l00 * float(ndtri(side * TAIL_SWITCH / 2.0))
-        assert (2.0 * ndtr(-r / l00) < TAIL_SWITCH) == (side < 1.0)
+        r = l00 * float(ndtri(1.0 - share / 2.0))
+        assert 2.0 * ndtr(-r / l00) == pytest.approx(share) and (r == 0.0) == (share == 1.0)
         c = simulate_counts(STATE, a, b, r, 1_000_000, seed=33)
         self.assert_counts_match_the_mp_oracle(c, a, b, r)
 
     def test_counts_at_r_3_match_the_mp_oracle(self):
         # 10^8 pairs a setting: at most about 1.5e5 outside (alpha, beta) pairs
-        # draw about two exponentials and a second normal each, where the plain
-        # rule would draw 10^8 first normals.  (alpha', beta) keeps about 0.03
+        # draw about two exponentials and a second normal each, where drawing
+        # every first normal would take 10^8.  (alpha', beta) keeps about 0.03
         # events, too few for estimate_probabilities, so the counts are tested
         for k, (a, b) in enumerate(setting_pairs(REFERENCE_SETTINGS)):
             c = simulate_counts(STATE, a, b, 3.0, 10**8, derive_setting_seed(34, k))
@@ -226,9 +226,9 @@ class TestMostPairsSkipTheSecondDraw:
     def test_far_out_strips_discard_every_pair_without_overflow(self, t):
         # t = r / l00; 1e200 stands in for t = inf.  The outside share 2q is
         # about 1e-299 at t = 37 and rounds to 0 from t = 37.7, where
-        # exp(lam t - lam^2 / 2) of the tail rule's acceptance overflows.  The
-        # mp oracle's kept fraction is at most that share, so a kept event
-        # would fail its binomial test: every pair must be discarded
+        # exp(lam t - lam^2 / 2) of the rejection's acceptance overflows.
+        # The mp oracle's kept fraction is at most that share, so a kept
+        # event would fail its binomial test: every pair must be discarded
         a, b = REFERENCE_SETTINGS.alpha, REFERENCE_SETTINGS.beta
         l00 = math.sqrt(position_joint_density(STATE, a, b)[0])
         r = 1e200 if math.isinf(t) else t * l00
@@ -256,28 +256,21 @@ def _sign_binned(x: np.ndarray, r: float, n: int) -> dict:
 class TestExactReference:
     """simulate_counts equals sign-binning the oracle sample_pairs count for
     count, across block and chunk boundaries, dark strips from none to nearly
-    everything, and worker counts.  This also pins the per-chunk seeds, both
-    stream rules (every first normal, or the binomial outside count and its
-    first normals by rounds of exponential rejection, with their sign split;
-    then a second normal for each first position outside the strip), the
-    switch between them, the rounds' sizes, and that successive ``out=``
-    draws of one generator continue the stream that plain draws give."""
+    everything, and worker counts.  This also pins the per-chunk seeds, the
+    stream rule (the binomial outside count and its first normals by rounds
+    of exponential rejection, with their sign split, then a second normal
+    for each), the rounds' sizes, and that successive ``out=`` draws of one
+    generator continue the stream that plain draws give."""
 
     ALPHA, BETA, SEED = PI, 5 * PI / 4, 21
-    # outside shares 1, 0.73, 0.67, 0.60, 0.44, 0.36, 0.034 and 2e-10: the
-    # first two take the plain rule and the rest the tail rule, with 0.33 and
-    # 0.4 the two sides of TAIL_SWITCH
+    # outside shares 1 (every pair outside, so s = m), 0.73, 0.67, 0.60,
+    # 0.44, 0.36, 0.034 and 2e-10
     R_VALUES = (0.0, 0.33, 0.4, 0.5, 0.73, 0.86, 2.0, 6.0)
 
     @pytest.fixture(scope="class")
     def pairs(self):
         block = position_joint_density(STATE, self.ALPHA, self.BETA)
         return cache(lambda n, r: oracles.sample_pairs(*block, r, n, self.SEED))
-
-    def test_r_values_take_both_rules(self):
-        l00 = math.sqrt(position_joint_density(STATE, self.ALPHA, self.BETA)[0])
-        tail = [2.0 * ndtr(-r / l00) < TAIL_SWITCH for r in self.R_VALUES]
-        assert tail == [False, False, True, True, True, True, True, True]
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("r", R_VALUES)
@@ -327,11 +320,9 @@ class _CountingRng:
 
 class TestDrawsPerChunk:
     """Exact draws of one chunk of M pairs, through a logging proxy of its
-    generator.  The tail rule draws one binomial count s, then per round n
+    generator.  The chunk draws one binomial count s, then per round n
     proposals, each of two exponentials E and E', one binomial sign split of
-    the k it takes, and k second normals, with the k summing to s; the plain
-    rule draws M first normals and one second normal for each of the s pairs
-    outside the strip."""
+    the k it takes, and k second normals, with the k summing to s."""
 
     M, SEED = 100_000, 3
     BLOCK = position_joint_density(STATE, PI, 5 * PI / 4)  # outside share 0.75 at r = 0.3
@@ -352,22 +343,19 @@ class TestDrawsPerChunk:
         return rng, rounds, counts
 
     def test_tail_rule_draws_only_outside_pairs(self, monkeypatch):
-        rng, rounds, (kept, *_) = self.chunk(monkeypatch, 2.0)
-        (method, m, s), *log = rng.log
-        assert (method, m) == ("binomial", self.M) and 0 < kept <= s < self.M // 10
-        groups = [log[i : i + 4] for i in range(0, len(log), 4)]
-        assert len(groups) == len(rounds) > 1 and sum(map(len, rounds)) == s
-        for z0, (e, e_accept, split, z1) in zip(rounds, groups):
-            k, n = len(z0), e[1]
-            assert e == e_accept == ("standard_exponential", n) and k <= n <= BLOCK_SIZE
-            assert split[:2] == ("binomial", k) and z1 == ("standard_normal", k)
-
-    def test_plain_rule_draws_every_first_normal(self, monkeypatch):
-        rng, rounds, _ = self.chunk(monkeypatch, 0.3)
-        s = len(oracles.sample_pairs(*self.BLOCK, 0.3, self.M, self.SEED))
-        assert 0 < s < self.M and not rounds
-        assert {method for method, _ in rng.log} == {"standard_normal"}
-        assert sum(size for _, size in rng.log) == self.M + s
+        for r in (0.0, 0.3, 2.0):  # outside shares 1 (so s = M), 0.75 and 0.034
+            with monkeypatch.context() as patch:
+                rng, rounds, (kept, *_) = self.chunk(patch, r)
+            (method, m, s), *log = rng.log
+            share = 2.0 * ndtr(-r / math.sqrt(self.BLOCK[0]))
+            assert (method, m) == ("binomial", self.M) and 0 < kept <= s
+            assert abs(s - share * self.M) <= 4.0 * math.sqrt(self.M * share * (1.0 - share))
+            groups = [log[i : i + 4] for i in range(0, len(log), 4)]
+            assert len(groups) == len(rounds) > 1 and sum(map(len, rounds)) == s
+            for z0, (e, e_accept, split, z1) in zip(rounds, groups):
+                k, n = len(z0), e[1]
+                assert e == e_accept == ("standard_exponential", n) and k <= n <= BLOCK_SIZE
+                assert split[:2] == ("binomial", k) and z1 == ("standard_normal", k)
 
     def test_proposals_on_the_edge_give_finite_draws_outside(self, monkeypatch):
         # every proposal E stubbed to 0.0 lands on the strip's edge t = r /
@@ -398,7 +386,7 @@ class TestDrawsPerChunk:
 
 
 class TestTailRound:
-    """One round of the tail rule's exponential rejection alone, with every
+    """One round of the exponential rejection alone, with every
     proposal it accepts returned: its values follow N(0, 1) truncated to
     |z| > t, and it accepts at Robert's rate A(t)."""
 
@@ -414,7 +402,7 @@ class TestTailRound:
             scale = mpmath.sqrt(2 * mpmath.pi) * lam * mpmath.ncdf(-t)
             return float(scale * mpmath.exp(lam * t - lam**2 / 2))
 
-    @pytest.mark.parametrize("t", [0.52, 0.8, 2.0, 8.0])
+    @pytest.mark.parametrize("t", [0.0, 0.2, 0.52, 0.8, 2.0, 8.0])
     def test_accepted_values_follow_the_truncated_normal_at_rate_A(self, t):
         lam, _ = _tail_rate(t, float(ndtr(-t)))
         rng = np.random.default_rng(36)
