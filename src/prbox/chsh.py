@@ -1,6 +1,6 @@
 """Post-selected binned correlations: dark-region quadrant probabilities,
-correlation functions, Bell parameter, PR-box fidelity and the non-local
-AND-gate success probability.
+correlation functions, Bell parameter and the non-local AND-gate success
+probability, which is the PR-box fidelity.
 
 Detection outcomes are the signs of the two rotated positions; events with
 either position inside the dark strip |x| <= r are discarded, and the four
@@ -14,13 +14,14 @@ as numpy arrays do, and a failure raises for the first failing element in
 C order.  Callers lay out their axes in output order, so prbox-sim chsh
 over its r rungs and prbox-sim sweep over its curves (sweep_beta) each
 make one call, which raises what a loop over its rows would raise first.
-E, S, the AND-gate success (and_gate_success), the largest deviation of a
-marginal from 1/2 (no_signaling_report; by that same symmetry each
-marginal is 1/2, so none is returned) and the kept fraction are one array
-formula, chsh_values, over the tables of setting_tables, the kernel on the
-(alpha, alpha') x (beta, beta') grid of a MeasurementSettings at any number
-of r, with S and P_AND weighted by CHSH_SIGN; prbox-sim chsh reads from
-it, bell_S and bell_S_gradient only its E and its S sum.  The kernel
+E, S, the largest deviation of a marginal from 1/2 (no_signaling_report;
+by that same symmetry each marginal is 1/2, so none is returned) and the
+kept fraction are one array formula, chsh_values, over the tables of
+setting_tables, the kernel on the (alpha, alpha') x (beta, beta') grid of a
+MeasurementSettings at any number of r, with S weighted by CHSH_SIGN;
+prbox-sim chsh reads from it, bell_S and bell_S_gradient only its E and its
+S sum.  The AND-gate success P_AND and the PR-box fidelity are one number,
+(4 + S)/8, which and_gate_success alone computes from S.  The kernel
 forms its thresholds and signed correlations once at the full
 (2, *shape), and bell_S_gradient sums its exact derivatives dm, of shape
 (3, 2, *shape), into grad S.  No prbox-sim command runs postselected_probs,
@@ -241,28 +242,27 @@ def _bell_sum(e):
 
 
 def chsh_values(p_pp, p_pm, kept):
-    """(E, S, P_AND, max_dev, kept_pct) of postselected_tables arrays whose
-    last two axes are (alpha, alpha') x (beta, beta'), over any leading axes:
-    the correlation of each table; the Bell parameter S, the sum of
-    CHSH_SIGN times E in SETTING_LABELS order; P_AND of and_gate_success;
-    max_dev of no_signaling_report; and the average kept fraction in
-    percent."""
+    """(E, S, max_dev, kept_pct) of postselected_tables arrays whose last
+    two axes are (alpha, alpha') x (beta, beta'), over any leading axes: the
+    correlation of each table; the Bell parameter S, the sum of CHSH_SIGN
+    times E in SETTING_LABELS order; max_dev of no_signaling_report; and the
+    average kept fraction in percent.  P_AND is and_gate_success of S."""
     e = _correlation(p_pp, p_pm)
     s = _bell_sum(e)
-    p_and = and_gate_success(p_pp, p_pm)
     _, max_dev = no_signaling_report(p_pp, p_pm)
     kept_pct = 100.0 * sum(setting_columns(kept)) / 4.0
-    return e, s, p_and, max_dev, kept_pct
+    return e, s, max_dev, kept_pct
 
 
-def and_gate_success(p_pp, p_pm):
-    """Success probability of the post-selected non-local AND gate over
-    tables whose last two axes are (alpha, alpha') x (beta, beta'): the
-    average over the tables of the same-sign probability where CHSH_SIGN is
-    +1 and the cross-sign one where it is -1, summed from table entries so
-    that P_AND = (4 + S)/8 stays a check."""
-    w_ab, w_apb, w_abp, w_apbp = setting_columns(np.where(CHSH_SIGN > 0.0, p_pp, p_pm))
-    return 0.25 * (w_ab + w_ab + w_apb + w_apb + w_abp + w_abp + w_apbp + w_apbp)
+def and_gate_success(s: float) -> float:
+    """Success probability of the post-selected non-local AND gate at a Bell
+    parameter S, which is also the PR-box fidelity: (4 + S)/8.  A table wins
+    with its same-sign outcomes where CHSH_SIGN is +1 and its cross-sign
+    ones where it is -1, with probability (1 + CHSH_SIGN E)/2, so the
+    average over the four inputs is (4 + S)/8 exactly."""
+    if abs(s) > 4.0 + 1e-12:
+        raise ValueError(f"|S|={abs(s)} exceeds the algebraic maximum 4")
+    return (4.0 + s) / 8.0
 
 
 def no_signaling_report(p_pp, p_pm):
@@ -301,13 +301,6 @@ def bell_S_gradient(
     s_a, s_b, s_r = CHSH_SIGN * (2.0 * (dm[:, 0] * (1.0 - e) - dm[:, 1] * (1.0 + e)))
     grad = [*s_a.sum(axis=1), *s_b.sum(axis=0), s_r.sum()]
     return float(_bell_sum(e)), np.array(grad)
-
-
-def pr_fidelity(s: float) -> float:
-    """PR-box success probability implied by a Bell parameter S."""
-    if abs(s) > 4.0 + 1e-12:
-        raise ValueError(f"|S|={abs(s)} exceeds the algebraic maximum 4")
-    return (s + 4.0) / 8.0
 
 
 def sweep_beta(state: GaussianTwoModeState, alpha, r, grid) -> np.ndarray:

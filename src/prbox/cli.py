@@ -211,17 +211,18 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 def cmd_chsh(cfg: RunConfig) -> int:
     state = _state_from_config(cfg)
-    e, s, p_and, max_dev, kept_pct = chsh_mod.chsh_values(*_named(
+    e, s, max_dev, kept_pct = chsh_mod.chsh_values(*_named(
         lambda index: f"chsh {_rung(cfg, cfg.r_values[index[0]])}",  # r on axis 0
         chsh_mod.setting_tables, state, _settings(cfg),
         np.array(cfg.r_dimensionless())[:, None, None],
     ))
+    p_and = np.array([chsh_mod.and_gate_success(x) for x in s.tolist()])
     columns = {
         "H_ave_pct": kept_pct,
         **dict(zip(_E_COLUMNS, chsh_mod.setting_columns(e))),
         "S": s,
         "P_AND": p_and,
-        "fidelity": np.array([chsh_mod.pr_fidelity(x) for x in s.tolist()]),
+        "fidelity": p_and,
         "max_marginal_dev": max_dev,
     }
     values = np.stack(list(columns.values()), axis=-1).tolist()
@@ -300,7 +301,7 @@ def cmd_optimize(cfg: RunConfig, reproduce: str) -> int:
         "beta_prime_rad": st.beta_prime,
         "r": cfg.r_values[0],
         "S": result.objective,
-        "fidelity": chsh_mod.pr_fidelity(result.objective),
+        "fidelity": chsh_mod.and_gate_success(result.objective),
         "iterations": result.iterations,
         "converged": result.converged,
         "reproduce": reproduce,

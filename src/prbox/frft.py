@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-Z_TOL_CM = 0.05
 # realizable single-stage order range (open: sin(theta) > 0 needed)
 MAX_STAGE_ORDER = math.pi - 1e-9
 MIN_STAGE_ORDER = 1e-9
@@ -42,19 +41,14 @@ def compose_orders(orders) -> float:
 
 @dataclass(frozen=True)
 class FrftStage:
-    """One symmetric-lens FRFT stage."""
+    """One symmetric-lens FRFT stage, its distance z_cm = frft_distance."""
 
     order: float
     focal_cm: float
-    z_cm: float
+    z_cm: float = field(init=False)
 
     def __post_init__(self) -> None:
-        expected = frft_distance(self.order, self.focal_cm)
-        if abs(self.z_cm - expected) > Z_TOL_CM:
-            raise ValueError(
-                f"z={self.z_cm}cm inconsistent with 2f sin^2(theta/2)="
-                f"{expected:.3f}cm for order={self.order}, f={self.focal_cm}"
-            )
+        object.__setattr__(self, "z_cm", frft_distance(self.order, self.focal_cm))
 
 
 @dataclass(frozen=True)
@@ -125,10 +119,7 @@ def plan_lens_system(
             continue
         best = None
         for focals in sorted(set(itertools.permutations(inventory, k))):
-            stages = tuple(
-                FrftStage(order=o, focal_cm=f, z_cm=frft_distance(o, f))
-                for o, f in zip(orders, focals)
-            )
+            stages = tuple(FrftStage(order=o, focal_cm=f) for o, f in zip(orders, focals))
             plan = FrftPlan(stages=stages, target_order=target, angle_tol=angle_tol)
             if best is None or plan.total_z_cm < best.total_z_cm - 1e-12:
                 best = plan

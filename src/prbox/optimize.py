@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chsh import CHSH_SIGN, MeasurementSettings, bell_S, bell_S_gradient, pr_fidelity
+from .chsh import CHSH_SIGN, MeasurementSettings, and_gate_success, bell_S, bell_S_gradient
 from .chsh import correlation_grid
 from .state import GaussianTwoModeState
 
@@ -138,10 +138,10 @@ def tune_r(
     r_max: float,
 ) -> float:
     """Safeguarded Newton search, to within R_TOL, for the dark-region
-    half-width reaching a target fidelity at the settings' angles: a Newton
-    step on the exact slope dF/dr where it stays inside the bracket,
-    bisection where it does not.  The bracket's ends need no slope, so they
-    are plain bell_S values.
+    half-width reaching a target fidelity F(r) = and_gate_success(S(r)) at
+    the settings' angles: a Newton step on the exact slope dF/dr = (dS/dr)/8
+    where it stays inside the bracket, bisection where it does not.  The
+    bracket's ends need no slope, so they are plain bell_S values.
 
     Fidelity is assumed monotone in r only on the bracket, and the
     assumption is checked at every step.
@@ -154,7 +154,7 @@ def tune_r(
         raise ValueError(f"r_max must be finite, got {r_max}")
 
     lo, hi = 0.0, r_max
-    f_lo, f_hi = (pr_fidelity(bell_S(state, settings, x)) for x in (lo, hi))
+    f_lo, f_hi = (and_gate_success(bell_S(state, settings, x)) for x in (lo, hi))
     if target_fidelity <= f_lo:
         return 0.0
     if target_fidelity > f_hi:
@@ -167,7 +167,7 @@ def tune_r(
     while hi - lo > R_TOL and lo < 0.5 * (lo + hi) < hi:
         x = newton if lo < newton < hi else 0.5 * (lo + hi)
         s, grad = bell_S_gradient(state, settings, x)
-        f_x, slope = pr_fidelity(s), grad[4] / 8.0
+        f_x, slope = and_gate_success(s), grad[4] / 8.0
         if not (f_lo - 1e-9 <= f_x <= f_hi + 1e-9):
             raise ValueError(
                 f"fidelity not monotone on bracket [{lo}, {hi}]: "

@@ -282,13 +282,27 @@ def mp_upper_orthant(h: float, k: float, rho: float, dps: int = 40) -> float:
         return float(f0 * scale * tail)
 
 
-def postselected_probs_mp(delta: float, gamma: float, alpha: float, beta: float, r: float):
+def postselected_probs_mp(
+    delta: float, gamma: float, alpha: float, beta: float, r: float, dps: int = 40
+):
     """(kept fraction, p_pp, p_pm, p_mp, p_mm) at dark-strip half-width r,
-    from the rotated 4x4 covariance and mp_upper_orthant: the two positions
-    are a zero-mean normal, so m_mm = m_pp and m_mp = m_pm."""
+    from the rotated 4x4 covariance and mp_upper_orthant at dps digits: the
+    two positions are a zero-mean normal, so m_mm = m_pp and m_mp = m_pm."""
     sigma = rotate_4x4(pair_covariance_4x4(delta, gamma), alpha, beta)
     rho = sigma[0, 2] / math.sqrt(sigma[0, 0] * sigma[2, 2])
     h, k = r / math.sqrt(sigma[0, 0]), r / math.sqrt(sigma[2, 2])
-    same, cross = mp_upper_orthant(h, k, rho), mp_upper_orthant(h, k, -rho)
+    same, cross = mp_upper_orthant(h, k, rho, dps), mp_upper_orthant(h, k, -rho, dps)
     kept = 2.0 * (same + cross)
     return kept, same / kept, cross / kept, cross / kept, same / kept
+
+
+def and_gate_from_tables(p_pp, p_pm):
+    """Success probability of the post-selected non-local AND gate, summed
+    from tables whose last two axes are (alpha, alpha') x (beta, beta'), as
+    postselected_tables returns them.  Inputs x, y pick alpha' and beta';
+    the gate wins when the output signs differ exactly when x AND y, so with
+    p_mm = p_pp and p_mp = p_pm a table wins with 2 p_pp, or 2 p_pm at
+    (alpha', beta'), and each of the four inputs has weight 1/4."""
+    p_pp, p_pm = np.asarray(p_pp), np.asarray(p_pm)
+    wins = p_pp[..., 0, 0] + p_pp[..., 1, 0] + p_pp[..., 0, 1] + p_pm[..., 1, 1]
+    return 0.5 * wins

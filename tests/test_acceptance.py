@@ -15,7 +15,6 @@ from prbox.chsh import (
     correlation_grid,
     no_signaling_report,
     postselected_probs,
-    pr_fidelity,
     setting_tables,
 )
 from prbox.frft import frft_distance
@@ -81,9 +80,9 @@ def test_criterion_1_lens_table_reproduction():
 
 def test_criterion_2_fidelity_anchors():
     ok = (
-        abs(pr_fidelity(TSIRELSON) - 0.854) <= 1e-3
-        and pr_fidelity(2.0) == 0.75
-        and abs(pr_fidelity(3.42) - 0.9275) <= 5e-4
+        abs(and_gate_success(TSIRELSON) - 0.854) <= 1e-3
+        and and_gate_success(2.0) == 0.75
+        and abs(and_gate_success(3.42) - 0.9275) <= 5e-4
     )
     report(2, "fidelity anchors 0.854 / 0.750 / 0.9275", ok)
 
@@ -94,8 +93,8 @@ def test_criterion_3_and_gate_identity():
     for _ in range(100):
         state = random_state(rng)
         settings, r = random_settings(rng)
-        lhs = and_gate_success(*setting_tables(state, settings, r)[:2])
-        rhs = (4.0 + bell_S(state, settings, r)) / 8.0
+        lhs = oracles.and_gate_from_tables(*setting_tables(state, settings, r)[:2])
+        rhs = and_gate_success(bell_S(state, settings, r))
         worst = max(worst, abs(lhs - rhs))
     report(
         3,

@@ -24,7 +24,6 @@ from prbox.chsh import (
     correlation_grid,
     no_signaling_report,
     postselected_probs,
-    pr_fidelity,
     quadrant_probability,
     setting_pairs,
     setting_tables,
@@ -281,36 +280,44 @@ class TestBellParameter:
 
 
 class TestPrFidelity:
+    # the PR-box fidelity is the AND-gate success (4 + S)/8
     def test_tsirelson_anchor(self):
-        assert pr_fidelity(2.0 * math.sqrt(2.0)) == pytest.approx(0.854, abs=1e-3)
+        assert and_gate_success(2.0 * math.sqrt(2.0)) == pytest.approx(0.854, abs=1e-3)
 
     def test_classical_anchor(self):
-        assert pr_fidelity(2.0) == 0.75
+        assert and_gate_success(2.0) == 0.75
 
     def test_experimental_anchor(self):
-        assert pr_fidelity(3.42) == pytest.approx(0.9275, abs=5e-4)
+        assert and_gate_success(3.42) == pytest.approx(0.9275, abs=5e-4)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            pr_fidelity(4.5)
+            and_gate_success(4.5)
 
 
 class TestAndGate:
+    # the gate's success summed from the tables' winning outcomes, against
+    # and_gate_success of S
     def test_separable_is_coin_flip(self):
-        p_and = and_gate_success(*setting_tables(SEPARABLE, REFERENCE_SETTINGS, 0.0)[:2])
+        p_and = oracles.and_gate_from_tables(
+            *setting_tables(SEPARABLE, REFERENCE_SETTINGS, 0.0)[:2])
         assert p_and == pytest.approx(0.5, abs=1e-12)
+        assert and_gate_success(bell_S(SEPARABLE, REFERENCE_SETTINGS, 0.0)) == pytest.approx(
+            0.5, abs=1e-12)
 
     @settings(max_examples=15, deadline=None)
     @given(valid_states(), angles, angles, angles, angles, dark_widths)
     def test_equals_fidelity_of_bell_parameter(self, state, a, ap, b, bp, r):
         settings_ = MeasurementSettings(a, ap, b, bp)
-        p_and = and_gate_success(*setting_tables(state, settings_, r)[:2])
+        p_and = oracles.and_gate_from_tables(*setting_tables(state, settings_, r)[:2])
         assert p_and == pytest.approx(
-            pr_fidelity(bell_S(state, settings_, r)), abs=1e-9
+            and_gate_success(bell_S(state, settings_, r)), abs=1e-9
         )
 
     def test_beats_communication_threshold_at_large_r(self):
-        assert and_gate_success(*setting_tables(STATE, REFERENCE_SETTINGS, 2.0)[:2]) > 0.908
+        tables = setting_tables(STATE, REFERENCE_SETTINGS, 2.0)[:2]
+        assert oracles.and_gate_from_tables(*tables) > 0.908
+        assert and_gate_success(bell_S(STATE, REFERENCE_SETTINGS, 2.0)) > 0.908
 
 
 class TestNoSignaling:
@@ -454,8 +461,9 @@ class TestCorrelationGrid:
     @example(NEAR_EPR, [-2.5, PI], [-0.3, 5 * PI / 4], [2.0, 0.5, 2.0])
     def test_chsh_values_equal_table_formulas(self, state, alphas, betas, r_list):
         # every rung equals the textbook formulas over four postselected_probs
-        # tables, bit for bit, as chsh_values keeps their operation order
-        e, s, p_and, max_dev, kept_pct = chsh_values(
+        # tables, bit for bit, as chsh_values keeps their operation order;
+        # P_AND, (4 + S)/8, is the table sum to within 1e-15
+        e, s, max_dev, kept_pct = chsh_values(
             *chsh.postselected_tables(
                 state, np.array(alphas)[:, None], betas, np.array(r_list)[:, None, None]))
         (a, ap), (b, bp) = alphas, betas
@@ -472,9 +480,8 @@ class TestCorrelationGrid:
                 alice[i, j] = p_pp + p_pm  # P(+,+) + P(+,-)
                 bob[j, i] = p_pp + p_pm  # P(+,+) + P(-,+)
             assert s[n] == e_ab + e_apb + e_abp - e_apbp
-            assert p_and[n] == 0.25 * (
-                pp_ab + pp_ab + pp_apb + pp_apb + pp_abp + pp_abp + pm_apbp + pm_apbp
-            )
+            p_and = 0.25 * (pp_ab + pp_ab + pp_apb + pp_apb + pp_abp + pp_abp + pm_apbp + pm_apbp)
+            assert abs(and_gate_success(float(s[n])) - p_and) <= 1e-15
             assert max_dev[n] == max(np.max(np.abs(alice - 0.5)), np.max(np.abs(bob - 0.5)))
             assert kept_pct[n] == 100.0 * sum(kept for _, _, kept in tables) / 4.0
 
@@ -488,12 +495,16 @@ class TestCorrelationGrid:
     @example(NEAR_EPR, 0.3, 2.0, 5.0, 1.0, 6.0)
     def test_bell_S_paths_equal_chsh_values(self, state, a, ap, b, bp, r):
         # bell_S and bell_S_gradient skip the rest of chsh_values, yet give
-        # its S bit for bit; and_gate_success still reads its P_AND
+        # its S bit for bit, so P_AND of bell_S is its P_AND, which the
+        # table sum matches to within 1e-15
         settings_ = MeasurementSettings(a, ap, b, bp)
-        values = chsh_values(*chsh.setting_tables(state, settings_, r))
+        tables = chsh.setting_tables(state, settings_, r)
+        values = chsh_values(*tables)
         assert bell_S(state, settings_, r) == values[1]
         assert bell_S_gradient(state, settings_, r)[0] == values[1]
-        assert and_gate_success(*chsh.setting_tables(state, settings_, r)[:2]) == values[2]
+        p_and = and_gate_success(bell_S(state, settings_, r))
+        assert p_and == and_gate_success(float(values[1]))
+        assert abs(p_and - oracles.and_gate_from_tables(*tables[:2])) <= 1e-15
 
     @settings(max_examples=30, deadline=None)
     @given(grid_states, wide_angles, wide_angles, r_lists, st.booleans())
@@ -593,9 +604,8 @@ BAD_R_ENTRY_POINTS = {
     # a MeasurementSettings holds angles only, so these check the r they are passed
     "bell_S": lambda r: bell_S(STATE, REFERENCE_SETTINGS, r),
     "bell_S_gradient": lambda r: bell_S_gradient(STATE, REFERENCE_SETTINGS, r),
-    # P_AND and the marginals at r read the tables of setting_tables at r
-    "and_gate_success": lambda r: and_gate_success(
-        *setting_tables(STATE, REFERENCE_SETTINGS, r)[:2]),
+    # P_AND at r reads S at r, and the marginals the tables of setting_tables at r
+    "and_gate_success": lambda r: and_gate_success(bell_S(STATE, REFERENCE_SETTINGS, r)),
     "no_signaling_report": lambda r: no_signaling_report(
         *setting_tables(STATE, REFERENCE_SETTINGS, r)[:2]),
     "setting_estimates": lambda r: list(setting_estimates(STATE, REFERENCE_SETTINGS, r, 100, 1)),

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import oracles
 from oracles import REFERENCE_SETTINGS
 from prbox import chsh, cli
 from prbox.chsh import (
@@ -239,7 +240,8 @@ class TestChsh:
             r = row["r"]
             p_pp, p_pm, _ = chsh.setting_tables(STATE, REFERENCE_SETTINGS, r)
             assert row["S"] == bell_S(STATE, REFERENCE_SETTINGS, r)
-            assert row["P_AND"] == and_gate_success(p_pp, p_pm)
+            assert row["P_AND"] == and_gate_success(row["S"]) == row["fidelity"]
+            assert abs(row["P_AND"] - oracles.and_gate_from_tables(p_pp, p_pm)) <= 1e-15
             assert row["max_marginal_dev"] == no_signaling_report(p_pp, p_pm)[1]
 
     def test_header_prints_each_fact_once(self, tmp_path):

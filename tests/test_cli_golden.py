@@ -9,6 +9,7 @@ README's output-field tables must list exactly the fields they print.
 """
 
 import csv
+import functools
 import json
 import os
 import re
@@ -92,6 +93,58 @@ def test_mc_golden_matches_the_mp_oracle():
         e = [oracle_E[entry["r"], label] for label in ("ab", "apb", "abp", "apbp")]
         want = e[0] + e[1] + e[2] - e[3]
         assert abs(entry["S"] - want) < 4.0 * entry["S_se"], (entry["r"], want)
+
+
+def printed_as(token: float, want: float, fmt: str) -> bool:
+    """Whether token is want printed with fmt.  Where want lies within 1e-9
+    relative of a rounding boundary, either neighbour is accepted."""
+    return token in {float(fmt % (want * (1.0 + d))) for d in (-1e-9, 0.0, 1e-9)}
+
+
+@functools.cache
+def chsh_oracle_row(delta, gamma, angles, r):
+    """The floats of a chsh row but max_marginal_dev, from the mpmath
+    orthant oracle at 20 digits, by key."""
+    a, ap, b, bp = angles
+    # (kept, p_pp, p_pm, p_mp, p_mm) of ab, a'b, ab', a'b'
+    tables = [oracles.postselected_probs_mp(delta, gamma, x, y, r, dps=20)
+              for x, y in ((a, b), (ap, b), (a, bp), (ap, bp))]
+    e = [pp - pm - mp + mm for _, pp, pm, mp, mm in tables]
+    s = e[0] + e[1] + e[2] - e[3]
+    wins = [pp + mm for _, pp, _, _, mm in tables[:3]] + [tables[3][2] + tables[3][3]]
+    return {
+        "H_ave_pct": 100.0 * sum(t[0] for t in tables) / 4.0,
+        **dict(zip(("E_ab", "E_apb", "E_abp", "E_apbp"), e)),
+        "S": s, "P_AND": sum(wins) / 4.0, "fidelity": (4.0 + s) / 8.0,
+    }
+
+
+@pytest.mark.parametrize("name", ["chsh", "chsh_ladder"])
+def test_chsh_golden_matches_the_mp_oracle(name):
+    """Every float of a chsh golden, in CSV and JSON, is the mpmath orthant
+    oracle at the config's angles and r as printed: E at 3 decimals and the
+    rest at the config's precision, each within half a unit of its last
+    printed digit.  P_AND is summed from the oracle's tables, so it checks
+    (4 + S)/8, and max_marginal_dev, zero by symmetry, is |x| <= 1e-15."""
+    cfg = parse_config_text(CASES[name][0])
+    delta, gamma = cfg.effective_widths()
+    a, ap, b, bp = cfg.alpha, cfg.alpha_prime, cfg.beta, cfg.beta_prime
+    with open(GOLDEN / f"{name}.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    doc = json.loads((GOLDEN / f"{name}.json").read_text())
+    assert doc["r_unit"] == cfg.r_unit
+    rows += doc["results"]
+    assert [float(row["r"]) for row in rows] == [*cfg.r_values, *cfg.r_values]
+    oracle = {r: chsh_oracle_row(delta, gamma, (a, ap, b, bp), r_dim)
+              for r, r_dim in zip(cfg.r_values, cfg.r_dimensionless())}
+    general = f"%.{cfg.precision}g"
+    for row in rows:
+        want = oracle[float(row["r"])]
+        assert set(row) == {"r", "max_marginal_dev", *want}
+        assert abs(float(row["max_marginal_dev"])) <= 1e-15
+        for key, value in want.items():
+            fmt = "%.3f" if key.startswith("E_") else general
+            assert printed_as(float(row[key]), value, fmt), (row["r"], key, row[key], value)
 
 
 def readme_fields() -> dict[str, set[str]]:

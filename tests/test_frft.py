@@ -86,11 +86,6 @@ class TestComposeOrders:
 
 
 class TestStageAndPlan:
-    def test_stage_consistency_enforced(self):
-        FrftStage(order=PI / 2, focal_cm=25.0, z_cm=25.0)
-        with pytest.raises(ValueError, match="inconsistent"):
-            FrftStage(order=PI / 2, focal_cm=25.0, z_cm=26.0)
-
     @pytest.mark.parametrize(
         "order,focal",
         [(0.0, 25.0), (-1.0, 25.0), (2 * PI, 25.0), (math.nan, 25.0),
@@ -100,11 +95,11 @@ class TestStageAndPlan:
         with pytest.raises(ValueError) as expected:
             frft_distance(order, focal)
         with pytest.raises(ValueError) as got:
-            FrftStage(order=order, focal_cm=focal, z_cm=25.0)
+            FrftStage(order=order, focal_cm=focal)
         assert str(got.value) == str(expected.value)
 
     def test_plan_checks_composition(self):
-        stage = FrftStage(order=PI / 2, focal_cm=25.0, z_cm=25.0)
+        stage = FrftStage(order=PI / 2, focal_cm=25.0)
         with pytest.raises(ValueError, match="deviates"):
             FrftPlan(stages=(stage,), target_order=PI)
 

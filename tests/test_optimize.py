@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from oracles import REFERENCE_SETTINGS
 import prbox.optimize
-from prbox.chsh import bell_S, pr_fidelity
+from prbox.chsh import and_gate_success, bell_S
 from prbox.cli import main
 from prbox.optimize import (
     MAX_GRID_ANGLES,
@@ -190,18 +190,18 @@ class TestBenchmarkChecks:
 
 class TestTuneR:
     def test_target_at_r_zero_returns_zero(self):
-        f0 = pr_fidelity(bell_S(STATE, REFERENCE_SETTINGS, 0.0))
+        f0 = and_gate_success(bell_S(STATE, REFERENCE_SETTINGS, 0.0))
         assert tune_r(STATE, REFERENCE_SETTINGS, f0, r_max=3.0) == 0.0
 
     def test_communication_threshold_reachable(self):
         r_star = tune_r(STATE, REFERENCE_SETTINGS, 0.908, r_max=3.0)
-        f_star = pr_fidelity(bell_S(STATE, REFERENCE_SETTINGS, r_star))
+        f_star = and_gate_success(bell_S(STATE, REFERENCE_SETTINGS, r_star))
         assert f_star == pytest.approx(0.908, abs=1e-3)
 
     def test_93_percent_reachable_below_r_three(self):
         r_star = tune_r(STATE, REFERENCE_SETTINGS, 0.93, r_max=3.0)
         assert 0.0 < r_star <= 3.0
-        f_star = pr_fidelity(bell_S(STATE, REFERENCE_SETTINGS, r_star))
+        f_star = and_gate_success(bell_S(STATE, REFERENCE_SETTINGS, r_star))
         assert f_star == pytest.approx(0.93, abs=1e-3)
 
     def test_unreachable_target_names_maximum(self):
@@ -243,7 +243,7 @@ class TestTuneR:
         r_star = tune_r(STATE, REFERENCE_SETTINGS, target, r_max=3.0)
 
         def fidelity(r):
-            return pr_fidelity(bell_S(STATE, REFERENCE_SETTINGS, r))
+            return and_gate_success(bell_S(STATE, REFERENCE_SETTINGS, r))
 
         assert fidelity(max(0.0, r_star - 1e-4)) <= target <= fidelity(r_star + 1e-4)
 
