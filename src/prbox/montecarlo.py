@@ -6,13 +6,15 @@ Sampling is chunked with per-chunk seeds derived deterministically from
 (seed, chunk index), so results are bit-identical for a given seed
 regardless of how many workers execute the chunks.  The seed contract's
 stream rule is stated per round of at most BLOCK_SIZE draws, so memory
-does not scale with CHUNK_SIZE.  A pair whose first position falls inside the dark
-strip is discarded, so a chunk draws only its outside pairs: their number,
-their first normals from their law outside the strip by exponential
-rejection (Robert 1995, Stat. Comput. 5, 121), and their second normals.
-The stream depends on r, so the rungs of one seed do not bin the same
-pairs.  Counts are bit-identical to binning the test oracle
-``sample_pairs`` (tests/oracles.py).
+does not scale with CHUNK_SIZE.  A pair with either position inside the dark
+strip is discarded.  The position the strip discards more often, of larger
+threshold r / sd, is drawn first (x1 at r = 0 or equal variances), and a
+chunk draws only the pairs it puts outside: their number, those first
+positions from their law outside the strip by exponential rejection (Robert
+1995, Stat. Comput. 5, 121), and their second positions.  The stream depends
+on r, so the rungs of one seed do not bin the same pairs.  Counts are
+bit-identical to binning the test oracle ``sample_pairs`` (tests/oracles.py)
+on the block in draw order.
 """
 
 from __future__ import annotations
@@ -149,13 +151,14 @@ def _tail_round(rng: np.random.Generator, t: float, lam: float, left: int, buf, 
 
 def _bin_chunk(args) -> np.ndarray:
     """Counts (kept, kept & up1, kept & up2, kept & up1 & up2) of one chunk, up
-    meaning x > 0; x1 = l00 z0 lies outside the strip with probability 2q.
-    The chunk draws its outside count s ~ Binomial(m, 2q) (s = m at r = 0);
-    then, while some are left, one _tail_round of min(BLOCK_SIZE, ceil(left
-    / A(t))) proposals gives the next outside z0, t = r / l00, and one
-    second normal z1 per value, in order, with x2 = l10 z0 + l11 z1;
-    successive ``out=`` draws continue one stream.  Bit-identical to binning
-    the chunk's pairs of the oracle ``sample_pairs`` in tests/oracles.py, in
+    meaning x > 0, with 1 the position drawn first, l00 z0, and 2 the one
+    drawn second, l10 z0 + l11 z1; the first lies outside the strip with
+    probability 2q.  The chunk draws its outside count s ~ Binomial(m, 2q)
+    (s = m at r = 0); then, while some are left, one _tail_round of
+    min(BLOCK_SIZE, ceil(left / A(t))) proposals gives the next outside z0,
+    t = r / l00, and one second normal z1 per value, in order; successive
+    ``out=`` draws continue one stream.  Bit-identical to binning the
+    chunk's pairs of the oracle ``sample_pairs`` in tests/oracles.py, in
     reused buffers of BLOCK_SIZE."""
     seed, idx, m, (l00, l10, l11), r = args
     rng = _chunk_rng(seed, idx)
@@ -177,7 +180,7 @@ def _bin_chunk(args) -> np.ndarray:
         np.multiply(l11, rng.standard_normal(out=x2), out=x2)
         np.add(np.multiply(l10, z, out=tmp), x2, out=x2)
         np.greater(np.abs(x2, out=tmp), r, out=kept)
-        np.logical_and(kept, np.greater(z, 0.0, out=up1), out=up1)  # x1 has z's sign
+        np.logical_and(kept, np.greater(z, 0.0, out=up1), out=up1)  # the first has z's sign
         np.logical_and(kept, np.greater(x2, 0.0, out=up2), out=up2)
         np.logical_and(up1, up2, out=both)
         c += [np.count_nonzero(v) for v in (kept, up1, up2, both)]
@@ -193,15 +196,20 @@ def simulate_counts(
     seed: int,
     workers: int = 1,
 ) -> CountTable:
-    """Sample n pairs, discard dark-region hits, bin the rest by sign."""
+    """Sample n pairs, discard dark-region hits, bin the rest by sign, drawing
+    first the position of larger threshold r / sd (x1 at r = 0 or var1 <= var2)."""
     _check_count("n", n)
     _check_count("workers", workers)
     _check_r(r)
-    chol = _cholesky_factor(position_joint_density(state, alpha, beta))
+    var1, var2, corr = position_joint_density(state, alpha, beta)
+    swap = r > 0.0 and var2 < var1
+    chol = _cholesky_factor((var2, var1, corr) if swap else (var1, var2, corr))
     jobs = [(seed, idx, m, chol, r) for idx, m in enumerate(_chunk_sizes(n))]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         partials = list(pool.map(_bin_chunk, jobs))
     n_kept, c1, c2, c12 = (int(c) for c in np.sum(partials, axis=0))
+    if swap:  # exchanging the parties exchanges n_pm and n_mp only
+        c1, c2 = c2, c1
     return CountTable(
         c12, c1 - c12, c2 - c12, n_kept - c1 - c2 + c12, n - n_kept, seed=seed, n_total=n
     )

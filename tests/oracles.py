@@ -147,7 +147,10 @@ def sample_pairs(
 ) -> np.ndarray:
     """Of n pairs from the zero-mean bivariate normal, those whose first
     position lies outside the dark strip |x| <= r, as an (m, 2) array in
-    draw order; the other n - m pairs never get a second position.
+    draw order; the other n - m pairs never get a second position.  The
+    first column is the position drawn first, of variance var1: where
+    simulate_counts draws x2 first it equals this on (var2, var1, corr),
+    with the two columns swapped back.
 
     Chunk k, of m <= CHUNK_SIZE pairs, draws from default_rng(SeedSequence((
     seed mod 2^64, k))).  With x1 = l00 z0, x2 = l10 z0 + l11 z1, t = r / l00 and

@@ -4,16 +4,17 @@ Each case runs in an empty directory with a relative ``--config run.cfg``
 and ``--out out``, so the ``reproduce`` field of ``optimize`` is fixed.
 
 The expected files under ``tests/golden/`` are rewritten from the
-``prbox`` on the import path by ``python tests/test_cli_golden.py``.
+``prbox`` on the import path by ``python tests/test_cli_golden.py``, which
+runs every case first and replaces the files only if every case exits 0.
 README's output-field tables must list exactly the fields they print.
 """
 
 import csv
 import functools
+import itertools
 import json
 import os
 import re
-import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -52,20 +53,65 @@ CASES = {
 }
 
 
-def run_case(name: str, fmt: str) -> Path:
-    """Run one case in the current directory and return the path of its output."""
-    text, argv = CASES[name]
+def run_case(case: tuple[str, list[str]], fmt: str) -> int:
+    """Run one (config text, argv) case in the current directory, writing
+    its output to ``out``, and return its exit code."""
+    text, argv = case
     Path("run.cfg").write_text(text)
-    code = main([*argv, "--config", "run.cfg", "--format", fmt, "--out", "out"])
-    assert code == 0
-    return Path("out")
+    return main([*argv, "--config", "run.cfg", "--format", fmt, "--out", "out"])
+
+
+def write_goldens(cases: dict, golden: Path) -> int:
+    """Run every case in every format in a temporary directory, then move
+    all outputs into golden, or, if any case exits non-zero, name it and
+    its exit code, leave golden as it is and return 1."""
+    home = Path.cwd()
+    golden.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory(dir=golden.parent) as work:
+        staged = Path(work)
+        try:
+            for name, fmt in itertools.product(cases, FORMATS):
+                run_dir = staged / f"{name}-{fmt}"
+                run_dir.mkdir()
+                os.chdir(run_dir)
+                code = run_case(cases[name], fmt)
+                if code != 0:
+                    print(f"case {name} ({fmt}) exited {code}; no golden rewritten",
+                          file=sys.stderr)
+                    return 1
+        finally:
+            os.chdir(home)
+        for name, fmt in itertools.product(cases, FORMATS):
+            target = golden / f"{name}.{fmt}"
+            os.replace(staged / f"{name}-{fmt}" / "out", target)
+            print(f"wrote {target}", file=sys.stderr)
+    return 0
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("name", CASES)
 def test_output_matches_golden(name, fmt, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert run_case(name, fmt).read_bytes() == (GOLDEN / f"{name}.{fmt}").read_bytes()
+    assert run_case(CASES[name], fmt) == 0
+    assert Path("out").read_bytes() == (GOLDEN / f"{name}.{fmt}").read_bytes()
+
+
+def test_golden_writer_rewrites_nothing_when_a_case_fails(tmp_path, capsys):
+    old = {f"{name}.{fmt}": b"old" for name, fmt in itertools.product(("chsh", "bad"), FORMATS)}
+    for name, data in old.items():
+        (tmp_path / name).write_bytes(data)
+    cases = {"chsh": CASES["chsh"], "bad": ("r = -1\n", ["chsh"])}
+    assert write_goldens(cases, tmp_path) == 1
+    assert "case bad (csv) exited 2" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old
+
+
+def test_golden_writer_writes_every_case(tmp_path):
+    cases = {name: CASES[name] for name in ("plan_5pi4", "plan_zero")}
+    assert write_goldens(cases, tmp_path) == 0
+    written = sorted(tmp_path.iterdir())
+    assert [p.name for p in written] == sorted(f"{n}.{f}" for n in cases for f in FORMATS)
+    assert all(p.read_bytes() == (GOLDEN / p.name).read_bytes() for p in written)
 
 
 def test_mc_golden_matches_the_mp_oracle():
@@ -194,12 +240,4 @@ def test_readme_lists_exactly_the_golden_fields():
 
 
 if __name__ == "__main__":
-    GOLDEN.mkdir(exist_ok=True)
-    for name in CASES:
-        for fmt in FORMATS:
-            target = GOLDEN / f"{name}.{fmt}"
-            with tempfile.TemporaryDirectory() as work:
-                os.chdir(work)
-                shutil.copyfile(run_case(name, fmt), target)
-                os.chdir(GOLDEN)
-            print(f"wrote {target}", file=sys.stderr)
+    sys.exit(write_goldens(CASES, GOLDEN))

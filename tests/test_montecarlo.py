@@ -196,41 +196,44 @@ class TestMostPairsSkipTheSecondDraw:
     @pytest.mark.parametrize("r", [1.5, 2.0])
     def test_counts_match_the_mp_oracle(self, r):
         for k, (a, b) in enumerate(setting_pairs(REFERENCE_SETTINGS)):
-            var1 = position_joint_density(STATE, a, b)[0]
-            assert math.erf(r / math.sqrt(2.0 * var1)) > 0.5  # P(|x1| <= r)
+            var = min(position_joint_density(STATE, a, b)[:2])  # of the position drawn first
+            assert math.erf(r / math.sqrt(2.0 * var)) > 0.5  # P(|x| <= r)
             c = simulate_counts(STATE, a, b, r, 1_000_000, derive_setting_seed(32, k))
             self.assert_counts_match_the_mp_oracle(c, a, b, r)
 
     @pytest.mark.parametrize("share", [0.77, 1.0])
     def test_counts_match_the_mp_oracle_at_high_outside_shares(self, share):
-        # (alpha, beta) at the r where its outside share 2q is 0.77, where
-        # the rejection rounds accept about 0.9 of their proposals, or 1 (r =
-        # 0), where every pair is outside and they accept 0.76
+        # (alpha, beta) at the r where the outside share 2q of the position
+        # drawn first, x2 from r > 0 on, is 0.77, where the rejection rounds
+        # accept about 0.9 of their proposals, or 1 (r = 0), where every pair
+        # is outside and they accept 0.76
         a, b = REFERENCE_SETTINGS.alpha, REFERENCE_SETTINGS.beta
-        l00 = math.sqrt(position_joint_density(STATE, a, b)[0])
+        l00 = math.sqrt(min(position_joint_density(STATE, a, b)[:2]))
         r = l00 * float(ndtri(1.0 - share / 2.0))
         assert 2.0 * ndtr(-r / l00) == pytest.approx(share) and (r == 0.0) == (share == 1.0)
         c = simulate_counts(STATE, a, b, r, 1_000_000, seed=33)
         self.assert_counts_match_the_mp_oracle(c, a, b, r)
 
     def test_counts_at_r_3_match_the_mp_oracle(self):
-        # 10^8 pairs a setting: at most about 1.5e5 outside (alpha, beta) pairs
-        # draw about two exponentials and a second normal each, where drawing
-        # every first normal would take 10^8.  (alpha', beta) keeps about 0.03
-        # events, too few for estimate_probabilities, so the counts are tested
+        # 10^8 pairs a setting: at most about 1.2e4 pairs, those of (alpha,
+        # beta) whose x2, drawn first, is outside, draw about two exponentials
+        # and a second normal each, where drawing every first normal would
+        # take 10^8.  (alpha', beta) keeps about 0.03 events, too few for
+        # estimate_probabilities, so the counts are tested
         for k, (a, b) in enumerate(setting_pairs(REFERENCE_SETTINGS)):
             c = simulate_counts(STATE, a, b, 3.0, 10**8, derive_setting_seed(34, k))
             self.assert_counts_match_the_mp_oracle(c, a, b, 3.0)
 
     @pytest.mark.parametrize("t", [37.0, 38.0, 40.0, math.inf])
     def test_far_out_strips_discard_every_pair_without_overflow(self, t):
-        # t = r / l00; 1e200 stands in for t = inf.  The outside share 2q is
-        # about 1e-299 at t = 37 and rounds to 0 from t = 37.7, where
-        # exp(lam t - lam^2 / 2) of the rejection's acceptance overflows.
-        # The mp oracle's kept fraction is at most that share, so a kept
-        # event would fail its binomial test: every pair must be discarded
+        # t = r / l00, with l00 the sd of x2, which is drawn first; 1e200
+        # stands in for t = inf.  The outside share 2q is about 1e-299 at t
+        # = 37 and rounds to 0 from t = 37.7, where exp(lam t - lam^2 / 2)
+        # of the rejection's acceptance overflows.  The mp oracle's kept
+        # fraction is at most that share, so a kept event would fail its
+        # binomial test: every pair must be discarded
         a, b = REFERENCE_SETTINGS.alpha, REFERENCE_SETTINGS.beta
-        l00 = math.sqrt(position_joint_density(STATE, a, b)[0])
+        l00 = math.sqrt(min(position_joint_density(STATE, a, b)[:2]))
         r = 1e200 if math.isinf(t) else t * l00
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -240,8 +243,8 @@ class TestMostPairsSkipTheSecondDraw:
 
 def _sign_binned(x: np.ndarray, r: float, n: int) -> dict:
     """Counts of n pairs binned by sign after discarding |x| <= r, given the
-    (m, 2) pairs whose first position lies outside the strip, in plain numpy:
-    the reference the blocked binning must equal exactly."""
+    (m, 2) pairs the oracle drew, in plain numpy: the reference the blocked
+    binning must equal exactly."""
     kept = (np.abs(x[:, 0]) > r) & (np.abs(x[:, 1]) > r)
     up1, up2 = x[:, 0] > 0, x[:, 1] > 0
     return {
@@ -253,49 +256,70 @@ def _sign_binned(x: np.ndarray, r: float, n: int) -> dict:
     }
 
 
+@cache
+def _binned_oracle(alpha: float, beta: float, r: float, n: int, seed: int, x2_first: bool) -> dict:
+    """_sign_binned of the oracle sample_pairs at setting (alpha, beta), drawn
+    in the order given: x2 first is the oracle on (var2, var1, corr) with
+    its two columns swapped back."""
+    var1, var2, corr = position_joint_density(STATE, alpha, beta)
+    if x2_first:
+        return _sign_binned(oracles.sample_pairs(var2, var1, corr, r, n, seed)[:, ::-1], r, n)
+    return _sign_binned(oracles.sample_pairs(var1, var2, corr, r, n, seed), r, n)
+
+
+def _assert_counts_equal_binning(alpha, beta, r, n, seed, workers, x2_first):
+    got = simulate_counts(STATE, alpha, beta, r, n, seed, workers)
+    want = _binned_oracle(alpha, beta, r, n, seed, x2_first)
+    assert {key: getattr(got, key) for key in want} == want
+    assert (got.n_total, got.seed) == (n, seed)
+
+
 class TestExactReference:
     """simulate_counts equals sign-binning the oracle sample_pairs count for
-    count, across block and chunk boundaries, dark strips from none to nearly
-    everything, and worker counts.  This also pins the per-chunk seeds, the
-    stream rule (the binomial outside count and its first normals by rounds
-    of exponential rejection, with their sign split, then a second normal
-    for each), the rounds' sizes, and that successive ``out=`` draws of one
-    generator continue the stream that plain draws give."""
+    count, in both draw orders, across block and chunk boundaries, dark
+    strips from none to nearly everything, and worker counts.  This also
+    pins the per-chunk seeds, the stream rule (the binomial outside count
+    and its first positions by rounds of exponential rejection, with their
+    sign split, then a second normal for each), the rounds' sizes, and that
+    successive ``out=`` draws of one generator continue the stream that
+    plain draws give.  (pi, 5pi/4) has var1 = 0.889 > var2 = 0.606, so from
+    r > 0 on it draws x2 first; (pi/2, 5pi/4) has var1 = 0.323 < var2 and
+    draws x1 first at every r."""
 
-    ALPHA, BETA, SEED = PI, 5 * PI / 4, 21
-    # outside shares 1 (every pair outside, so s = m), 0.73, 0.67, 0.60,
-    # 0.44, 0.36, 0.034 and 2e-10
+    SEED = 21
+    # outside shares of x2 of (pi, 5pi/4): 1 (r = 0, where x1 is drawn first
+    # and every pair is outside, so s = m), 0.67, 0.61, 0.52, 0.35, 0.27,
+    # 0.010 and 1.3e-14; of x1 of (pi/2, 5pi/4): 1, 0.56, 0.48, 0.38, 0.20,
+    # 0.13, 4.3e-4 and 5e-26
     R_VALUES = (0.0, 0.33, 0.4, 0.5, 0.73, 0.86, 2.0, 6.0)
-
-    @pytest.fixture(scope="class")
-    def pairs(self):
-        block = position_joint_density(STATE, self.ALPHA, self.BETA)
-        return cache(lambda n, r: oracles.sample_pairs(*block, r, n, self.SEED))
+    N_VALUES = (1, BLOCK_SIZE - 1, BLOCK_SIZE + 1, CHUNK_SIZE + 12_345, 777_777)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("r", R_VALUES)
-    @pytest.mark.parametrize(
-        "n", [1, BLOCK_SIZE - 1, BLOCK_SIZE + 1, CHUNK_SIZE + 12_345, 777_777]
-    )
-    def test_counts_equal_binning_of_sample_pairs(self, pairs, n, r, workers):
-        got = simulate_counts(STATE, self.ALPHA, self.BETA, r, n, self.SEED, workers)
-        want = _sign_binned(pairs(n, r), r, n)
-        assert {key: getattr(got, key) for key in want} == want
-        assert (got.n_total, got.seed) == (n, self.SEED)
+    @pytest.mark.parametrize("n", N_VALUES)
+    def test_counts_equal_binning_of_sample_pairs(self, n, r, workers):
+        _assert_counts_equal_binning(PI, 5 * PI / 4, r, n, self.SEED, workers, x2_first=r > 0.0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("r", R_VALUES)
+    @pytest.mark.parametrize("n", N_VALUES)
+    def test_counts_equal_binning_where_x1_is_drawn_first(self, n, r, workers):
+        _assert_counts_equal_binning(PI / 2, 5 * PI / 4, r, n, self.SEED, workers, x2_first=False)
 
 
 class _CountingRng:
     """A chunk's generator that logs each draw as (method, size), and a
-    binomial draw as (method, trials, result).  With a stub, the first of
-    each round's two exponential draws, the proposals E, is filled with the
-    stub instead of drawn.  With up set, every sign split after the first
-    binomial draw, the outside count, gives all k plus signs (up True) or
-    none (up False) instead of drawing."""
+    binomial draw as (method, trials, result), with its probability in
+    shares.  With a stub, the first of each round's two exponential draws,
+    the proposals E, is filled with the stub instead of drawn.  With up
+    set, every sign split after the first binomial draw, the outside count,
+    gives all k plus signs (up True) or none (up False) instead of drawing."""
 
     def __init__(self, rng, stub=None, up=None):
-        self.rng, self.stub, self.up, self.log = rng, stub, up, []
+        self.rng, self.stub, self.up, self.log, self.shares = rng, stub, up, [], []
 
     def binomial(self, n, p):
+        self.shares.append(p)
         split = self.up is not None and bool(self.log)
         self.log.append(("binomial", n, (n if self.up else 0) if split else self.rng.binomial(n, p)))
         return self.log[-1][2]
@@ -376,13 +400,51 @@ class TestDrawsPerChunk:
         # every proposal E stubbed to u, on the strip's edge t = r / l00 = 1
         # (u = 0) or just past it, and every sign split forced to one end of
         # Binomial(k, 1/2): each z0 must be finite, outside the strip and of
-        # the forced sign, which x1 = l00 z0 shares
+        # the forced sign, which the first position l00 z0 shares
         t = 1.0
         rng, rounds, (kept, up1, _, _) = self.chunk(monkeypatch, t * math.sqrt(self.BLOCK[0]), u, up)
         z0 = np.concatenate(rounds)
         assert len(z0) == rng.log[0][2] > 0
         assert np.all(np.isfinite(z0)) and np.all(np.abs(z0) > t) and np.all((z0 > 0) == up)
         assert kept > 0 and up1 == (kept if up else 0)
+
+
+class TestDrawOrder:
+    """simulate_counts draws first the position of larger threshold r / sd,
+    which the strip discards more often: a chunk's first binomial draw, its
+    outside count, takes the smaller outside share 2 Phi(-max(t1, t2)).  At
+    r = 0, where every pair is outside, and where var1 == var2, it draws x1
+    first, the stream the sampler drew before it chose an order."""
+
+    N = BLOCK_SIZE + 1
+
+    def first_shares(self, monkeypatch, alpha, beta, r):
+        """The outside share of the first binomial draw of each chunk."""
+        make, rngs = montecarlo._chunk_rng, []
+        monkeypatch.setattr(
+            montecarlo, "_chunk_rng",
+            lambda seed, idx: rngs.append(_CountingRng(make(seed, idx))) or rngs[-1],
+        )
+        simulate_counts(STATE, alpha, beta, r, CHUNK_SIZE + self.N, seed=37, workers=2)
+        return [rng.shares[0] for rng in rngs]
+
+    @pytest.mark.parametrize("r", [0.3, 0.75, 1.0, 1.5, 2.0])
+    def test_first_draw_takes_the_smaller_outside_share(self, monkeypatch, r):
+        blocks = [position_joint_density(STATE, a, b) for a, b in setting_pairs(REFERENCE_SETTINGS)]
+        assert sorted(var1 < var2 for var1, var2, _ in blocks) == [False, False, True, True]
+        for (a, b), (var1, var2, _) in zip(setting_pairs(REFERENCE_SETTINGS), blocks):
+            t = max(r / math.sqrt(var1), r / math.sqrt(var2))
+            with monkeypatch.context() as patch:
+                assert self.first_shares(patch, a, b, r) == [2.0 * float(ndtr(-t))] * 2
+
+    def test_r_zero_draws_x1_first(self):
+        for a, b in setting_pairs(REFERENCE_SETTINGS):
+            _assert_counts_equal_binning(a, b, 0.0, self.N, 38, 1, x2_first=False)
+
+    def test_equal_variances_draw_x1_first(self):
+        var1, var2, _ = position_joint_density(STATE, 5 * PI / 4, 5 * PI / 4)
+        assert var1 == var2
+        _assert_counts_equal_binning(5 * PI / 4, 5 * PI / 4, 1.0, self.N, 38, 1, x2_first=False)
 
 
 class TestTailRound:
